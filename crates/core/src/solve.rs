@@ -23,7 +23,7 @@
 use tcim_diffusion::InfluenceOracle;
 use tcim_graph::NodeId;
 use tcim_submodular::{
-    cover_greedy, maximize_greedy, maximize_lazy, maximize_stochastic,
+    cover_greedy, cover_lazy, maximize_greedy, maximize_lazy, maximize_stochastic,
     CoverConfig as SubmodularCoverConfig, SelectionTrace, StochasticGreedyConfig,
 };
 
@@ -142,8 +142,9 @@ fn solve_budget(
     build_report(oracle, &trace, spec.label(), Some(spec.canonical()))
 }
 
-/// Shared cover driver: greedy cover on the scalarized objective until
-/// `target`, attaching the coverage outcome.
+/// Shared cover driver: greedy cover (lazy unless the spec asks for the
+/// plain scan) on the scalarized objective until `target`, attaching the
+/// coverage outcome.
 fn solve_cover(
     oracle: &dyn InfluenceOracle,
     spec: &ProblemSpec,
@@ -157,11 +158,14 @@ fn solve_cover(
     };
     let ground = resolve_candidates(oracle, spec.candidates.as_deref())?;
     let mut objective = InfluenceObjective::new(oracle.cursor(), scalarization);
-    let result = cover_greedy(
-        &mut objective,
-        &ground,
-        &SubmodularCoverConfig { target, tolerance, max_items: max_seeds },
-    )?;
+    let config = SubmodularCoverConfig { target, tolerance, max_items: max_seeds };
+    let result = match spec.algorithm {
+        GreedyAlgorithm::Greedy => cover_greedy(&mut objective, &ground, &config)?,
+        // `ProblemSpec::validate` rejects stochastic covers before dispatch.
+        GreedyAlgorithm::Lazy | GreedyAlgorithm::Stochastic { .. } => {
+            cover_lazy(&mut objective, &ground, &config)?
+        }
+    };
     let mut report = build_report(oracle, &result.trace, spec.label(), Some(spec.canonical()))?;
     report.cover = Some(CoverOutcome { quota: outcome_quota, reached: result.reached });
     Ok(report)
@@ -185,6 +189,9 @@ fn constrained_budget_sweep(
 
     let mut best_feasible: Option<Candidate> = None;
     let mut least_disparate: Option<Candidate> = None;
+    // Worst-off group under the unweighted Log rung, which the ladder always
+    // reaches when no rung is feasible; the up-weighting lever targets it.
+    let mut log_worst_off = None;
 
     let consider = |best_feasible: &mut Option<Candidate>,
                     least_disparate: &mut Option<Candidate>,
@@ -216,6 +223,9 @@ fn constrained_budget_sweep(
         let report =
             solve_budget(oracle, spec, budget, Scalarization::Concave { wrapper, weights: None })?;
         let feasible = report.disparity() <= disparity_cap + 1e-9;
+        if wrapper == ConcaveWrapper::Log {
+            log_worst_off = report.fairness().worst_off_group();
+        }
         consider(
             &mut best_feasible,
             &mut least_disparate,
@@ -233,13 +243,7 @@ fn constrained_budget_sweep(
         // Second lever: up-weight the worst-off group under the most curved
         // wrapper.
         let k = oracle.graph().num_groups();
-        let probe = solve_budget(
-            oracle,
-            spec,
-            budget,
-            Scalarization::Concave { wrapper: ConcaveWrapper::Log, weights: None },
-        )?;
-        if let Some(worst) = probe.fairness().worst_off_group() {
+        if let Some(worst) = log_worst_off {
             for boost in [4.0, 16.0, 64.0] {
                 let mut weights = vec![1.0; k];
                 weights[worst.index()] = boost;

@@ -271,9 +271,17 @@ impl ProblemSpec {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] naming `epsilon` for a
-    /// stochastic-greedy accuracy outside `(0, 1)`.
+    /// stochastic-greedy accuracy outside `(0, 1)`, or `algorithm` for
+    /// stochastic greedy on a cover (covers run lazy or plain greedy).
     pub fn with_algorithm(mut self, algorithm: GreedyAlgorithm) -> Result<Self> {
         if let GreedyAlgorithm::Stochastic { epsilon, .. } = algorithm {
+            if matches!(self.objective, Objective::Cover { .. }) {
+                return Err(invalid(
+                    "algorithm",
+                    "stochastic greedy applies to the budget objective; covers accept \
+                     lazy or greedy",
+                ));
+            }
             if !(epsilon > 0.0 && epsilon < 1.0) {
                 return Err(invalid(
                     "epsilon",
@@ -496,6 +504,22 @@ mod tests {
             ..ProblemSpec::default()
         };
         assert!(bypassed.validate().is_err());
+        // Covers run lazy or plain greedy; stochastic greedy is rejected by
+        // the builder and by validation of a literal spec alike.
+        let stochastic = GreedyAlgorithm::Stochastic { epsilon: 0.1, seed: 0 };
+        let err = ProblemSpec::cover(0.2).unwrap().with_algorithm(stochastic).unwrap_err();
+        assert!(err.to_string().contains("'algorithm'"), "{err}");
+        let literal = ProblemSpec {
+            objective: Objective::Cover { quota: 0.2, tolerance: 0.0, max_seeds: None },
+            algorithm: stochastic,
+            ..ProblemSpec::default()
+        };
+        let err = literal.validate().unwrap_err();
+        assert!(err.to_string().contains("'algorithm'"), "{err}");
+        for algorithm in [GreedyAlgorithm::Lazy, GreedyAlgorithm::Greedy] {
+            assert!(ProblemSpec::cover(0.2).unwrap().with_algorithm(algorithm).is_ok());
+        }
+        assert!(ProblemSpec::budget(2).unwrap().with_algorithm(stochastic).is_ok());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! | `weights` | per-group multipliers `λ_i` (requires `fair`, budget) | all `1` |
 //! | `group` | single-group cover (`GroupQuota { group }`; conflicts with `fair`) | none |
 //! | `disparity_cap` | P3/P5 cap (`FairnessMode::Constrained`; conflicts with `fair`/`group`) | none |
-//! | `algorithm` | `lazy` \| `greedy` \| `stochastic` (`ProblemSpec::algorithm`) | `lazy` |
+//! | `algorithm` | `lazy` \| `greedy` \| `stochastic` (budget only; `ProblemSpec::algorithm`) | `lazy` |
 //! | `epsilon` | stochastic-greedy accuracy (requires `algorithm:"stochastic"`) | required then |
 //! | `algorithm_seed` | stochastic-greedy RNG seed | `0` |
 //! | `candidates` | candidate node pool | all nodes |
@@ -1430,6 +1430,11 @@ mod tests {
             (
                 r#"{"op":"solve_budget","dataset":"synthetic","budget":1,"algorithm":"stochastic"}"#,
                 "'epsilon'",
+            ),
+            // Covers run lazy or plain greedy only.
+            (
+                r#"{"op":"solve_cover","dataset":"synthetic","quota":0.2,"algorithm":"stochastic","epsilon":0.1}"#,
+                "field 'algorithm'",
             ),
         ];
         for (line, needle) in cases {

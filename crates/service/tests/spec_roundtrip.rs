@@ -59,11 +59,12 @@ fn build_fairness(
     }
 }
 
-fn build_algorithm((kind, epsilon, seed): AlgorithmParts) -> GreedyAlgorithm {
+/// Stochastic greedy is budget-only; a cover draws plain greedy instead.
+fn build_algorithm(for_budget: bool, (kind, epsilon, seed): AlgorithmParts) -> GreedyAlgorithm {
     match kind {
         0 => GreedyAlgorithm::Lazy,
-        1 => GreedyAlgorithm::Greedy,
-        _ => GreedyAlgorithm::Stochastic { epsilon, seed },
+        2 if for_budget => GreedyAlgorithm::Stochastic { epsilon, seed },
+        _ => GreedyAlgorithm::Greedy,
     }
 }
 
@@ -108,7 +109,7 @@ fn spec() -> impl Strategy<Value = ProblemSpec> {
             ProblemSpec {
                 fairness: build_fairness(for_budget, fair),
                 objective,
-                algorithm: build_algorithm(alg),
+                algorithm: build_algorithm(for_budget, alg),
                 candidates: (cand.0 == 1)
                     .then(|| cand.1.into_iter().map(NodeId).collect::<Vec<_>>()),
                 // The wire always carries a deadline and an estimator (the

@@ -16,12 +16,12 @@ use crate::trace::SelectionTrace;
 
 /// Heap entry: a cached (possibly stale) upper bound on an item's gain.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    gain: f64,
-    item: usize,
+pub(crate) struct HeapEntry {
+    pub(crate) gain: f64,
+    pub(crate) item: usize,
     /// Selection round in which `gain` was computed; an entry is fresh iff
     /// this equals the current round.
-    round: usize,
+    pub(crate) round: usize,
 }
 
 impl PartialEq for HeapEntry {

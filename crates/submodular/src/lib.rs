@@ -10,6 +10,8 @@
 //! * [`maximize_stochastic`] — stochastic greedy for very large ground sets,
 //! * [`cover_greedy`] — greedy submodular cover with the Wolsey
 //!   `ln(1 + n)`-style size bound,
+//! * [`cover_lazy`] — CELF lazy greedy cover, identical output with far
+//!   fewer oracle calls,
 //! * [`testing`] — reference objectives (modular, weighted coverage) and an
 //!   exhaustive submodularity checker used by tests and benches.
 //!
@@ -42,7 +44,7 @@ mod trace;
 
 pub mod testing;
 
-pub use cover::{cover_greedy, CoverConfig};
+pub use cover::{cover_greedy, cover_lazy, CoverConfig};
 pub use error::{Result, SubmodularError};
 pub use function::{EvaluateSet, IncrementalObjective};
 pub use greedy::maximize_greedy;

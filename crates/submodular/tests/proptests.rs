@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use tcim_submodular::testing::{verify_submodular, WeightedCoverage};
 use tcim_submodular::{
-    cover_greedy, maximize_greedy, maximize_lazy, maximize_stochastic, CoverConfig, EvaluateSet,
-    StochasticGreedyConfig,
+    cover_greedy, cover_lazy, maximize_greedy, maximize_lazy, maximize_stochastic, CoverConfig,
+    EvaluateSet, StochasticGreedyConfig,
 };
 
 /// Strategy: a random coverage instance with `items` sets over `elements`
@@ -61,6 +61,30 @@ proptest! {
         prop_assert_eq!(&plain.selected, &lazy.selected);
         prop_assert!((plain.final_value() - lazy.final_value()).abs() < 1e-9);
         prop_assert!(lazy.gain_evaluations <= plain.gain_evaluations);
+    }
+
+    /// Lazy cover reproduces the plain scan exactly (items, per-step gains
+    /// and values, reached flag) with no more oracle calls, whatever the
+    /// target, tolerance and item cap.
+    #[test]
+    fn cover_lazy_equals_cover_greedy(
+        f in coverage_instance(12, 20),
+        fraction in 0.0f64..1.2,
+        tolerance in 0.0f64..1.0,
+        cap in 0usize..8,
+    ) {
+        let ground: Vec<usize> = (0..f.num_items()).collect();
+        let config = CoverConfig {
+            target: f.max_coverage() * fraction,
+            tolerance,
+            max_items: (cap > 0).then_some(cap),
+        };
+        let plain = cover_greedy(&mut f.clone(), &ground, &config).unwrap();
+        let lazy = cover_lazy(&mut f.clone(), &ground, &config).unwrap();
+        prop_assert_eq!(&lazy.trace.selected, &plain.trace.selected);
+        prop_assert_eq!(&lazy.trace.steps, &plain.trace.steps);
+        prop_assert_eq!(lazy.reached, plain.reached);
+        prop_assert!(lazy.trace.gain_evaluations <= plain.trace.gain_evaluations);
     }
 
     /// Greedy achieves the (1 - 1/e) fraction of the true optimum on small

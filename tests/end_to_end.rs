@@ -256,6 +256,17 @@ fn ris_estimator_selected_via_config_drives_greedy_and_celf() {
     assert_eq!(celf.seeds, plain.seeds);
     assert!(celf.gain_evaluations <= plain.gain_evaluations);
     assert_eq!(celf.num_seeds(), 10);
+    // The same holds for the fair cover (P6): lazy cover is the default.
+    let p6 = ProblemSpec::cover(0.1)
+        .unwrap()
+        .with_fairness(FairnessMode::GroupQuota { group: None })
+        .unwrap();
+    let lazy_cover = solve(&ris_oracle, &p6).unwrap();
+    let plain_cover =
+        solve(&ris_oracle, &p6.with_algorithm(GreedyAlgorithm::Greedy).unwrap()).unwrap();
+    assert_eq!(lazy_cover.seeds, plain_cover.seeds);
+    assert_eq!(lazy_cover.cover, plain_cover.cover);
+    assert!(lazy_cover.gain_evaluations <= plain_cover.gain_evaluations);
 
     // The RIS-chosen seeds must be competitive with the world-chosen seeds
     // when both are re-scored by a common held-out Monte-Carlo estimator.
