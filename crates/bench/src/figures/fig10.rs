@@ -73,13 +73,13 @@ pub fn run(args: &Args) -> FigureOutput {
             );
             table.push_row(vec![
                 "P2".to_string(),
-                unfair.seed_count().to_string(),
-                unfair.reached.to_string(),
+                unfair.num_seeds().to_string(),
+                unfair.cover.as_ref().is_some_and(|c| c.reached).to_string(),
             ]);
             table.push_row(vec![
                 "P6".to_string(),
-                fair.seed_count().to_string(),
-                fair.reached.to_string(),
+                fair.num_seeds().to_string(),
+                fair.cover.as_ref().is_some_and(|c| c.reached).to_string(),
             ]);
             outputs.push(("fig10c_quota_sizes".to_string(), table));
         }

@@ -56,10 +56,10 @@ pub(crate) fn run_cover_figure(
                 "P6 group2",
             ],
         );
-        let rows = unfair.report.iterations.len().max(fair.report.iterations.len());
+        let rows = unfair.iterations.len().max(fair.iterations.len());
         for i in 0..rows {
-            let u = unfair.report.fairness_at(i);
-            let f = fair.report.fairness_at(i);
+            let u = unfair.fairness_at(i);
+            let f = fair.fairness_at(i);
             let pick = |report: &Option<tcim_core::FairnessReport>, idx: usize| -> String {
                 report
                     .as_ref()
@@ -101,13 +101,13 @@ pub(crate) fn run_cover_figure(
                 fmt3(*u.normalized_utilities.get(1).unwrap_or(&0.0)),
                 fmt3(*f.normalized_utilities.first().unwrap_or(&0.0)),
                 fmt3(*f.normalized_utilities.get(1).unwrap_or(&0.0)),
-                unfair.reached.to_string(),
-                fair.reached.to_string(),
+                unfair.cover.as_ref().is_some_and(|c| c.reached).to_string(),
+                fair.cover.as_ref().is_some_and(|c| c.reached).to_string(),
             ]);
             size_table.push_row(vec![
                 format!("{quota}"),
-                unfair.seed_count().to_string(),
-                fair.seed_count().to_string(),
+                unfair.num_seeds().to_string(),
+                fair.num_seeds().to_string(),
             ]);
         }
         if args.runs_part("b") {

@@ -96,8 +96,8 @@ pub fn run(args: &Args) -> FigureOutput {
             ]);
             size_table.push_row(vec![
                 format!("{quota}"),
-                unfair.seed_count().to_string(),
-                fair.seed_count().to_string(),
+                unfair.num_seeds().to_string(),
+                fair.num_seeds().to_string(),
             ]);
         }
         if args.runs_part("b") {

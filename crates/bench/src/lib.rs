@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tcim_core::{solve, ConcaveWrapper, CoverReport, FairnessMode, ProblemSpec, SolverReport};
+use tcim_core::{solve, ConcaveWrapper, FairnessMode, ProblemSpec, SolverReport};
 use tcim_diffusion::{Deadline, WorldEstimator, WorldsConfig};
 use tcim_graph::{Graph, NodeId};
 
@@ -289,14 +289,14 @@ pub fn run_budget_suite(
     reports
 }
 
-/// Solves P2 and P6 under one quota and returns `(unfair, fair)` in the
-/// legacy cover-report shape the figure tables consume.
+/// Solves P2 and P6 under one quota and returns `(unfair, fair)`; each
+/// report carries its [`tcim_core::CoverOutcome`].
 pub fn run_cover_suite(
     oracle: &WorldEstimator,
     quota: f64,
     max_seeds: Option<usize>,
     candidates: Option<Vec<NodeId>>,
-) -> (CoverReport, CoverReport) {
+) -> (SolverReport, SolverReport) {
     let mut base = ProblemSpec::cover(quota).expect("figure quotas lie in [0, 1]");
     if let Some(cap) = max_seeds {
         base = base.with_max_seeds(cap).expect("cover objective set above");
@@ -310,7 +310,7 @@ pub fn run_cover_suite(
         .expect("group quota applies to covers");
     let unfair = solve(oracle, &base).expect("P2 solve failed");
     let fair = solve(oracle, &fair_spec).expect("P6 solve failed");
-    (CoverReport::from_report(unfair), CoverReport::from_report(fair))
+    (unfair, fair)
 }
 
 /// Summary of a budget-problem report: total fraction, per-group normalized
@@ -423,8 +423,8 @@ mod tests {
         assert!(pair.0 < 2 && pair.1 < 2);
 
         let (unfair, fair) = run_cover_suite(&oracle, 0.1, Some(40), None);
-        assert!(unfair.seed_count() >= 1);
-        assert!(fair.seed_count() >= unfair.seed_count());
+        assert!(unfair.num_seeds() >= 1);
+        assert!(fair.num_seeds() >= unfair.num_seeds());
         assert_eq!(deadline_label(Deadline::finite(5)), "5");
         assert_eq!(fmt3(0.12345), "0.123");
         assert_eq!(fmt4(0.12345), "0.1235");

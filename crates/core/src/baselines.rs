@@ -13,8 +13,8 @@ use tcim_diffusion::InfluenceOracle;
 use tcim_graph::{centrality, Graph, GroupId, NodeId};
 
 use crate::error::{CoreError, Result};
-use crate::problems::replay_influence;
 use crate::report::SolverReport;
+use crate::solve::replay_influence;
 
 /// Uniformly random seeds (without replacement), deterministic in `seed`.
 pub fn random_seeds(graph: &Graph, budget: usize, seed: u64) -> Vec<NodeId> {

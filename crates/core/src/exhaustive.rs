@@ -11,8 +11,8 @@ use tcim_graph::NodeId;
 
 use crate::concave::ConcaveWrapper;
 use crate::error::{CoreError, Result};
-use crate::problems::replay_influence;
 use crate::report::SolverReport;
+use crate::solve::replay_influence;
 
 /// Which objective the exhaustive search optimizes.
 #[derive(Debug, Clone, Copy, PartialEq)]

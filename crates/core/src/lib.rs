@@ -21,8 +21,11 @@
 //! | P6 FAIRTCIM-COVER | `…cover(Q)?.with_fairness(GroupQuota { group: None })` | quota per group |
 //! | P5 (capped) | `…cover(Q)?.with_fairness(Constrained { c })` | P2 s.t. disparity ≤ `c` |
 //!
-//! The historical free functions (`solve_tcim_budget` and friends) are
-//! deprecated shims over this pair and will be removed after one release.
+//! The table doubles as the migration guide from the removed per-problem
+//! free functions: `solve_tcim_budget(o, &BudgetConfig::new(B)?)` is
+//! `solve(o, &ProblemSpec::budget(B)?)`, and so on down the rows. Cover
+//! solves report `quota` / `reached` in [`SolverReport::cover`], capped
+//! solves their tuned knobs in [`SolverReport::constrained`].
 //!
 //! Disparity is measured by Eq. 2 ([`fairness::disparity`]); Theorems 1 and 2
 //! can be checked with [`theory::theorem1_check`] / [`theory::theorem2_check`].
@@ -73,7 +76,6 @@ mod spec;
 
 pub mod baselines;
 pub mod fairness;
-pub mod problems;
 pub mod theory;
 
 pub use concave::ConcaveWrapper;
@@ -85,23 +87,9 @@ pub use exhaustive::{solve_budget_exhaustive, ExhaustiveObjective, MAX_EXHAUSTIV
 pub use fairness::{audit_seed_set, disparity, FairnessReport};
 pub use objective::{InfluenceObjective, Scalarization};
 pub use oracle::{Estimator, EstimatorConfig};
-pub use problems::budget::BudgetConfig;
-pub use problems::constrained::{
-    ConstrainedBudgetReport, ConstrainedCoverReport, DEFAULT_WRAPPER_LADDER,
-};
-pub use problems::cover::CoverProblemConfig;
-pub use problems::GreedyAlgorithm;
-pub use report::{ConstrainedOutcome, CoverOutcome, CoverReport, IterationRecord, SolverReport};
+pub use report::{ConstrainedOutcome, CoverOutcome, IterationRecord, SolverReport};
 pub use solve::solve;
-pub use spec::{FairnessMode, Objective, ProblemSpec};
-// Deprecated shims, re-exported (without warnings at the re-export site) so
-// downstream call sites keep compiling for one release.
-#[allow(deprecated)]
-pub use problems::budget::{solve_fair_tcim_budget, solve_tcim_budget};
-#[allow(deprecated)]
-pub use problems::constrained::{solve_constrained_budget, solve_constrained_cover};
-#[allow(deprecated)]
-pub use problems::cover::{solve_fair_tcim_cover, solve_group_tcim_cover, solve_tcim_cover};
+pub use spec::{FairnessMode, GreedyAlgorithm, Objective, ProblemSpec};
 pub use tcim_diffusion::ParallelismConfig;
 // The estimator knobs ride with the oracle configs; re-exported here so
 // solver users can select and tune an estimator (including the RIS engine)

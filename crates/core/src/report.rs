@@ -119,44 +119,6 @@ impl SolverReport {
     }
 }
 
-/// Result of a coverage-constrained solve (problems P2 / P6).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverReport {
-    /// The underlying selection record.
-    pub report: SolverReport,
-    /// The requested quota `Q` (fraction of each target population).
-    pub quota: f64,
-    /// Whether the solver's stopping criterion (quota reached) was satisfied
-    /// before running out of candidates.
-    pub reached: bool,
-}
-
-impl CoverReport {
-    /// Adapts a unified cover report ([`crate::solve`] on a cover spec) to
-    /// this legacy wrapper shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `report` carries no [`CoverOutcome`] — i.e. it did not come
-    /// from a cover solve.
-    pub fn from_report(report: SolverReport) -> Self {
-        // lint:allow(panic): documented panic contract — callers pass cover-solve reports only
-        let outcome = report.cover.clone().expect("cover solves carry a cover outcome");
-        CoverReport { report, quota: outcome.quota, reached: outcome.reached }
-    }
-
-    /// Number of seeds used to (attempt to) reach the quota — the paper's
-    /// "solution set size |S|".
-    pub fn seed_count(&self) -> usize {
-        self.report.num_seeds()
-    }
-
-    /// Fairness summary of the final seed set.
-    pub fn fairness(&self) -> FairnessReport {
-        self.report.fairness()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,13 +157,5 @@ mod tests {
         let at0 = report.fairness_at(0).unwrap();
         assert!((at0.total - 13.0).abs() < 1e-12);
         assert!(report.fairness_at(5).is_none());
-    }
-
-    #[test]
-    fn cover_report_delegates() {
-        let cover = CoverReport { report: sample_report(), quota: 0.2, reached: true };
-        assert_eq!(cover.seed_count(), 2);
-        assert!(cover.reached);
-        assert!((cover.fairness().total - 25.0).abs() < 1e-12);
     }
 }

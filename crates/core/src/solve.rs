@@ -1,12 +1,8 @@
 //! The single solver entrypoint: execute any [`ProblemSpec`] against any
 //! influence oracle.
 //!
-//! [`solve`] subsumes the seven historical free functions
-//! (`solve_tcim_budget`, `solve_fair_tcim_budget`, `solve_tcim_cover`,
-//! `solve_fair_tcim_cover`, `solve_group_tcim_cover`,
-//! `solve_constrained_budget`, `solve_constrained_cover`) — all of which
-//! survive as thin deprecated shims over it. Dispatch is a pure function of
-//! `(objective, fairness)`:
+//! Every problem of the paper is one spec, and [`solve`] is the only way to
+//! run it. Dispatch is a pure function of `(objective, fairness)`:
 //!
 //! | objective | fairness | problem | scalarization |
 //! |-----------|----------|---------|---------------|
@@ -17,8 +13,14 @@
 //! | `Cover`   | `GroupQuota` | P6 (or per-group P2) | `Σ_i min(f_i/|V_i|, Q)` |
 //! | `Cover`   | `Constrained` | P5 | P6 at the lifted quota `max(Q, 1−c)` |
 //!
-//! Adding a scenario is adding an enum variant and a match arm here — not an
-//! eighth free function replicated through every consumer.
+//! P3 and P5 are NP-hard and lack submodular structure, so the capped modes
+//! tune the surrogate knobs the paper names instead: for budgets they sweep
+//! a ladder of increasingly curved wrappers (then up-weight the worst-off
+//! group) and keep the least curved solution within the cap; for covers
+//! they lift the per-group quota to `max(Q, 1 − c)`, whose feasible
+//! solutions have disparity at most `c` by construction.
+//!
+//! Adding a scenario is adding an enum variant and a match arm here.
 
 use tcim_diffusion::InfluenceOracle;
 use tcim_graph::NodeId;
@@ -30,10 +32,18 @@ use tcim_submodular::{
 use crate::concave::ConcaveWrapper;
 use crate::error::{CoreError, Result};
 use crate::objective::{InfluenceObjective, Scalarization};
-use crate::problems::constrained::DEFAULT_WRAPPER_LADDER;
-use crate::problems::{final_influence, replay_influence, resolve_candidates, GreedyAlgorithm};
-use crate::report::{ConstrainedOutcome, CoverOutcome, SolverReport};
-use crate::spec::{FairnessMode, Objective, ProblemSpec};
+use crate::report::{ConstrainedOutcome, CoverOutcome, IterationRecord, SolverReport};
+use crate::spec::{FairnessMode, GreedyAlgorithm, Objective, ProblemSpec};
+
+/// The wrapper ladder swept by disparity-capped budget solves, ordered from
+/// least to most disparity-penalising.
+const DEFAULT_WRAPPER_LADDER: [ConcaveWrapper; 5] = [
+    ConcaveWrapper::Identity,
+    ConcaveWrapper::Power(0.75),
+    ConcaveWrapper::Sqrt,
+    ConcaveWrapper::Power(0.25),
+    ConcaveWrapper::Log,
+];
 
 /// Solves the problem described by `spec` with `oracle`.
 ///
@@ -316,6 +326,55 @@ fn constrained_cover_lift(
     Ok(report)
 }
 
+/// Resolves the candidate (ground-set) node indices: the explicit candidate
+/// list when given, otherwise every node of the graph.
+pub(crate) fn resolve_candidates(
+    oracle: &dyn InfluenceOracle,
+    candidates: Option<&[NodeId]>,
+) -> Result<Vec<usize>> {
+    let n = oracle.graph().num_nodes();
+    let ground: Vec<usize> = match candidates {
+        Some(list) => {
+            for &c in list {
+                if c.index() >= n {
+                    return Err(CoreError::InvalidConfig {
+                        message: format!("candidate node {c} out of bounds ({n} nodes)"),
+                    });
+                }
+            }
+            list.iter().map(|c| c.index()).collect()
+        }
+        None => (0..n).collect(),
+    };
+    if ground.is_empty() {
+        return Err(CoreError::InvalidConfig { message: "candidate set is empty".to_string() });
+    }
+    Ok(ground)
+}
+
+/// Replays `seeds` on a fresh cursor of `oracle`, returning the influence
+/// after each prefix. Used to attach per-iteration influence records to the
+/// solver reports without entangling the solvers themselves.
+pub(crate) fn replay_influence(
+    oracle: &dyn InfluenceOracle,
+    seeds: &[NodeId],
+    objective_values: &[f64],
+) -> Vec<IterationRecord> {
+    let mut cursor = oracle.cursor();
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            cursor.add_seed(seed);
+            IterationRecord {
+                seed,
+                influence: cursor.current().clone(),
+                objective_value: objective_values.get(i).copied().unwrap_or_default(),
+            }
+        })
+        .collect()
+}
+
 pub(crate) fn run_greedy(
     objective: &mut InfluenceObjective<'_>,
     ground: &[usize],
@@ -344,7 +403,7 @@ pub(crate) fn build_report(
     let seeds: Vec<NodeId> = trace.selected.iter().map(|&i| NodeId::from_index(i)).collect();
     let objective_values: Vec<f64> = trace.steps.iter().map(|s| s.value_after).collect();
     let iterations = replay_influence(oracle, &seeds, &objective_values);
-    let influence = final_influence(oracle, &seeds)?;
+    let influence = oracle.evaluate(&seeds)?;
     Ok(SolverReport {
         seeds,
         influence,
@@ -361,9 +420,11 @@ pub(crate) fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FairnessMode, ProblemSpec};
     use std::sync::Arc;
     use tcim_diffusion::{Deadline, WorldEstimator, WorldsConfig};
+    use tcim_graph::generators::{
+        illustrative_example, stochastic_block_model, IllustrativeConfig, SbmConfig,
+    };
     use tcim_graph::{Graph, GraphBuilder, GroupId};
 
     /// Majority star (hub 0 + 10 leaves, group 0) and minority star (hub 11 +
@@ -383,13 +444,37 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn oracle() -> WorldEstimator {
+    fn oracle_on(graph: Graph, deadline: Deadline, worlds: usize) -> WorldEstimator {
         WorldEstimator::new(
-            Arc::new(two_star_graph()),
-            Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 4, seed: 7, ..Default::default() },
+            Arc::new(graph),
+            deadline,
+            &WorldsConfig { num_worlds: worlds, seed: 7, ..Default::default() },
         )
         .unwrap()
+    }
+
+    fn oracle() -> WorldEstimator {
+        oracle_on(two_star_graph(), Deadline::unbounded(), 4)
+    }
+
+    fn illustrative_oracle(worlds: usize) -> WorldEstimator {
+        let (graph, _) = illustrative_example(&IllustrativeConfig::default()).unwrap();
+        oracle_on(graph, Deadline::finite(2), worlds)
+    }
+
+    fn capped(spec: ProblemSpec, disparity_cap: f64) -> ProblemSpec {
+        spec.with_fairness(FairnessMode::Constrained { disparity_cap }).unwrap()
+    }
+
+    fn p6(quota: f64) -> ProblemSpec {
+        ProblemSpec::cover(quota)
+            .unwrap()
+            .with_fairness(FairnessMode::GroupQuota { group: None })
+            .unwrap()
+    }
+
+    fn reached(report: &SolverReport) -> bool {
+        report.cover.as_ref().unwrap().reached
     }
 
     #[test]
@@ -475,5 +560,274 @@ mod tests {
         let cover = report.cover.as_ref().unwrap();
         assert!((cover.quota - 0.7).abs() < 1e-12);
         assert!(cover.reached);
+        let fairness = report.fairness();
+        assert!(fairness.disparity <= 0.3 + 1e-6);
+        assert!(fairness.total_fraction >= 0.2);
+    }
+
+    #[test]
+    fn loose_cover_caps_keep_the_quota() {
+        let est = oracle();
+        let tight = solve(&est, &capped(ProblemSpec::cover(0.2).unwrap(), 0.3)).unwrap();
+        let loose = solve(&est, &capped(ProblemSpec::cover(0.2).unwrap(), 0.9)).unwrap();
+        let outcome = loose.constrained.as_ref().unwrap();
+        assert!((outcome.effective_quota.unwrap() - 0.2).abs() < 1e-12);
+        assert!(loose.num_seeds() <= tight.num_seeds());
+        // Caps outside [0, 1] are rejected.
+        assert!(ProblemSpec::cover(0.2)
+            .unwrap()
+            .with_fairness(FairnessMode::Constrained { disparity_cap: -0.1 })
+            .is_err());
+    }
+
+    #[test]
+    fn p1_picks_the_highest_influence_hubs() {
+        let report = solve(&oracle(), &ProblemSpec::budget(2).unwrap()).unwrap();
+        assert_eq!(report.num_seeds(), 2);
+        assert!(report.seeds.contains(&NodeId(0)));
+        assert!(report.seeds.contains(&NodeId(11)));
+        assert!((report.influence.total() - 16.0).abs() < 1e-9);
+        assert_eq!(report.iterations.len(), 2);
+    }
+
+    #[test]
+    fn p1_with_budget_one_prefers_the_majority_hub_and_is_unfair() {
+        let report = solve(&oracle(), &ProblemSpec::budget(1).unwrap()).unwrap();
+        assert_eq!(report.seeds, vec![NodeId(0)]);
+        // Group 1 gets nothing -> disparity = 1.0.
+        assert!(report.disparity() > 0.99);
+    }
+
+    #[test]
+    fn p4_with_budget_two_equalizes() {
+        let p4 =
+            ProblemSpec::budget(2).unwrap().with_fairness_wrapper(ConcaveWrapper::Log).unwrap();
+        let fair = solve(&oracle(), &p4).unwrap();
+        // With two seeds the fair solution covers both groups completely.
+        assert!(fair.disparity() < 1e-9);
+        assert!((fair.influence.total() - 16.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_greedy_variants_agree_on_small_instances() {
+        let est = oracle();
+        let with = |algorithm| ProblemSpec::budget(2).unwrap().with_algorithm(algorithm).unwrap();
+        let lazy = solve(&est, &with(GreedyAlgorithm::Lazy)).unwrap();
+        let plain = solve(&est, &with(GreedyAlgorithm::Greedy)).unwrap();
+        assert_eq!(lazy.seeds, plain.seeds);
+        assert!(lazy.gain_evaluations <= plain.gain_evaluations);
+        let stochastic_algorithm = GreedyAlgorithm::Stochastic { epsilon: 0.05, seed: 3 };
+        let stochastic = solve(&est, &with(stochastic_algorithm)).unwrap();
+        assert_eq!(stochastic.num_seeds(), 2);
+        assert!(stochastic.influence.total() >= 0.8 * plain.influence.total());
+    }
+
+    #[test]
+    fn candidate_restriction_is_honored() {
+        let pool = vec![NodeId(1), NodeId(12)];
+        let spec = ProblemSpec::budget(2).unwrap().with_candidates(pool.clone()).unwrap();
+        let report = solve(&oracle(), &spec).unwrap();
+        assert!(report.seeds.iter().all(|s| pool.contains(s)));
+    }
+
+    #[test]
+    fn invalid_budget_specs_fail_at_solve_time() {
+        let est = oracle();
+        // Literal construction bypasses the eager builders; `solve`
+        // re-validates every field.
+        let budget = |budget| ProblemSpec {
+            objective: Objective::Budget { budget },
+            ..ProblemSpec::default()
+        };
+        assert!(solve(&est, &budget(0)).is_err());
+        let stochastic = GreedyAlgorithm::Stochastic { epsilon: 1.5, seed: 0 };
+        assert!(solve(&est, &ProblemSpec { algorithm: stochastic, ..budget(1) }).is_err());
+        for fairness in [
+            FairnessMode::Concave { wrapper: ConcaveWrapper::Power(2.0), weights: None },
+            FairnessMode::Concave { wrapper: ConcaveWrapper::Log, weights: Some(vec![1.0, -2.0]) },
+        ] {
+            assert!(solve(&est, &ProblemSpec { fairness, ..budget(1) }).is_err());
+        }
+        // Out-of-range and empty candidate pools fail.
+        for pool in [vec![NodeId(999)], vec![]] {
+            assert!(solve(&est, &ProblemSpec { candidates: Some(pool), ..budget(1) }).is_err());
+        }
+    }
+
+    #[test]
+    fn fair_solution_reduces_disparity_on_the_illustrative_graph() {
+        let est = illustrative_oracle(128);
+        let p1 = ProblemSpec::budget(2).unwrap();
+        let unfair = solve(&est, &p1).unwrap();
+        let fair = solve(&est, &p1.with_fairness_wrapper(ConcaveWrapper::Log).unwrap()).unwrap();
+        assert!(
+            fair.disparity() < unfair.disparity(),
+            "fair disparity {} should be below unfair disparity {}",
+            fair.disparity(),
+            unfair.disparity()
+        );
+        // The fair solution pays at most a bounded cost in total influence and
+        // must keep some of it.
+        assert!(fair.influence.total() > 0.0);
+        assert!(fair.influence.total() <= unfair.influence.total() + 1e-9);
+    }
+
+    #[test]
+    fn per_group_weights_can_boost_the_minority_further() {
+        let est = illustrative_oracle(64);
+        let p4 = |weights| {
+            let fairness = FairnessMode::Concave { wrapper: ConcaveWrapper::Log, weights };
+            ProblemSpec::budget(1).unwrap().with_fairness(fairness).unwrap()
+        };
+        let unweighted = solve(&est, &p4(None)).unwrap();
+        let weighted = solve(&est, &p4(Some(vec![1.0, 50.0]))).unwrap();
+        let minority = GroupId(1);
+        assert!(weighted.influence.group(minority) >= unweighted.influence.group(minority) - 1e-9);
+    }
+
+    #[test]
+    fn loose_budget_caps_recover_the_unfair_solution() {
+        let est = oracle();
+        let p1 = ProblemSpec::budget(2).unwrap();
+        let constrained = solve(&est, &capped(p1.clone(), 1.0)).unwrap();
+        let unfair = solve(&est, &p1).unwrap();
+        let outcome = constrained.constrained.as_ref().unwrap();
+        assert!(outcome.feasible);
+        // With a vacuous cap the identity wrapper (i.e. P1 itself) is chosen.
+        assert_eq!(outcome.wrapper, Some(ConcaveWrapper::Identity));
+        assert!((constrained.influence.total() - unfair.influence.total()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tight_budget_caps_force_fairer_solutions() {
+        let constrained = solve(&oracle(), &capped(ProblemSpec::budget(2).unwrap(), 0.05)).unwrap();
+        assert!(constrained.constrained.as_ref().unwrap().feasible);
+        assert!(constrained.disparity() <= 0.05 + 1e-9);
+        // Both hubs must be selected to satisfy the cap.
+        assert!(constrained.seeds.contains(&NodeId(0)));
+        assert!(constrained.seeds.contains(&NodeId(11)));
+    }
+
+    #[test]
+    fn infeasible_budget_caps_fall_back_to_the_least_disparate_solution() {
+        let est = oracle();
+        // With a single seed one group always ends up at zero: disparity 1.
+        let constrained = solve(&est, &capped(ProblemSpec::budget(1).unwrap(), 0.1)).unwrap();
+        assert!(!constrained.constrained.as_ref().unwrap().feasible);
+        assert_eq!(constrained.num_seeds(), 1);
+        assert!(constrained.disparity() > 0.1);
+        // Caps outside [0, 1] are rejected.
+        let literal = ProblemSpec {
+            fairness: FairnessMode::Constrained { disparity_cap: 1.5 },
+            ..ProblemSpec::budget(1).unwrap()
+        };
+        assert!(solve(&est, &literal).is_err());
+    }
+
+    #[test]
+    fn p2_meets_the_population_quota_out_of_the_majority_alone() {
+        let report = solve(&oracle(), &ProblemSpec::cover(0.5).unwrap()).unwrap();
+        assert!(reached(&report));
+        // The majority star alone covers 11/16 >= 0.5 with one seed ...
+        assert_eq!(report.seeds, vec![NodeId(0)]);
+        // ... and the minority group is left with nothing.
+        assert!(report.fairness().group_fraction(GroupId(1)) < 1e-9);
+    }
+
+    #[test]
+    fn p6_requires_every_group_to_meet_the_quota() {
+        let report = solve(&oracle(), &p6(0.5)).unwrap();
+        assert!(reached(&report));
+        assert_eq!(report.num_seeds(), 2);
+        let fairness = report.fairness();
+        assert!(fairness.group_fraction(GroupId(0)) >= 0.5);
+        assert!(fairness.group_fraction(GroupId(1)) >= 0.5);
+        // Feasible fair solutions have disparity at most 1 - Q.
+        assert!(fairness.disparity <= 0.5 + 1e-9);
+    }
+
+    #[test]
+    fn fair_cover_uses_at_most_a_few_more_seeds_than_unfair_cover() {
+        let cfg = SbmConfig::two_group(150, 0.7, 0.08, 0.01, 0.3, 5);
+        let graph = stochastic_block_model(&cfg).unwrap();
+        let est = oracle_on(graph, Deadline::finite(5), 64);
+        let unfair = solve(&est, &ProblemSpec::cover(0.2).unwrap()).unwrap();
+        let fair = solve(&est, &p6(0.2)).unwrap();
+        assert!(reached(&unfair));
+        assert!(reached(&fair));
+        assert!(fair.num_seeds() >= unfair.num_seeds());
+        // Theorem-2-style sanity bound: the fair solution stays within the
+        // logarithmic factor of the per-group requirement.
+        assert!(fair.num_seeds() <= unfair.num_seeds() + 20);
+        // Disparity of the fair solution is bounded by 1 - Q.
+        assert!(fair.fairness().disparity <= 0.8 + 1e-9);
+    }
+
+    #[test]
+    fn unreachable_quota_is_reported_not_errored() {
+        // Isolated nodes: only seeds themselves are influenced, so a quota of
+        // 0.9 with a 2-seed cap is unreachable.
+        let mut b = GraphBuilder::new();
+        b.add_nodes(10, GroupId(0));
+        let est = oracle_on(b.build().unwrap(), Deadline::unbounded(), 2);
+        let spec = ProblemSpec::cover(0.9).unwrap().with_max_seeds(2).unwrap();
+        let report = solve(&est, &spec).unwrap();
+        assert!(!reached(&report));
+        assert_eq!(report.num_seeds(), 2);
+    }
+
+    #[test]
+    fn zero_quota_needs_no_seeds() {
+        let est = oracle();
+        for spec in [ProblemSpec::cover(0.0).unwrap(), p6(0.0)] {
+            let report = solve(&est, &spec).unwrap();
+            assert!(reached(&report));
+            assert_eq!(report.num_seeds(), 0);
+        }
+    }
+
+    #[test]
+    fn invalid_cover_specs_fail_at_solve_time() {
+        let est = oracle();
+        let cover = |quota, tolerance| ProblemSpec {
+            objective: Objective::Cover { quota, tolerance, max_seeds: None },
+            ..ProblemSpec::default()
+        };
+        assert!(solve(&est, &cover(1.5, 0.0)).is_err());
+        let bad_tolerance =
+            ProblemSpec { fairness: FairnessMode::GroupQuota { group: None }, ..cover(0.2, -1.0) };
+        assert!(solve(&est, &bad_tolerance).is_err());
+        for pool in [vec![NodeId(500)], vec![]] {
+            assert!(
+                solve(&est, &ProblemSpec { candidates: Some(pool), ..cover(0.2, 0.0) }).is_err()
+            );
+        }
+    }
+
+    #[test]
+    fn per_group_cover_targets_a_single_group() {
+        let spec = ProblemSpec::cover(0.5)
+            .unwrap()
+            .with_fairness(FairnessMode::GroupQuota { group: Some(GroupId(1)) })
+            .unwrap();
+        let minority = solve(&oracle(), &spec).unwrap();
+        assert!(reached(&minority));
+        // One seed (the minority hub) suffices; the majority group is
+        // ignored entirely.
+        assert_eq!(minority.seeds, vec![NodeId(11)]);
+        assert!(minority.fairness().group_fraction(GroupId(1)) >= 0.5);
+    }
+
+    #[test]
+    fn tolerance_loosens_the_stopping_rule() {
+        let est = oracle();
+        // Exact quota 0.75 needs both hubs (11/16 is not enough); with a
+        // tolerance of 0.1 the majority hub alone suffices.
+        let strict = solve(&est, &ProblemSpec::cover(0.75).unwrap()).unwrap();
+        let loose_spec = ProblemSpec::cover(0.75).unwrap().with_tolerance(0.1).unwrap();
+        let loose = solve(&est, &loose_spec).unwrap();
+        assert_eq!(strict.num_seeds(), 2);
+        assert_eq!(loose.num_seeds(), 1);
+        assert!(reached(&loose));
     }
 }

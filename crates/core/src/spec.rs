@@ -6,9 +6,7 @@
 //! an *objective* (spend a budget, or reach a coverage quota), a *fairness
 //! mode* (none, concave surrogate, per-group quota, or an explicit disparity
 //! cap), plus estimator, deadline and solver knobs. [`ProblemSpec`] spells
-//! that space out as data, [`crate::solve`] executes any point of it, and the
-//! seven historical `solve_*` free functions survive only as deprecated
-//! shims over the pair.
+//! that space out as data and [`crate::solve`] executes any point of it.
 //!
 //! A spec is:
 //!
@@ -41,7 +39,6 @@ use tcim_graph::{GroupId, NodeId};
 use crate::concave::ConcaveWrapper;
 use crate::error::{CoreError, Result};
 use crate::oracle::EstimatorConfig;
-use crate::problems::GreedyAlgorithm;
 
 /// What the solver optimizes / is constrained by.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +89,25 @@ pub enum FairnessMode {
     Constrained {
         /// Maximum allowed Eq. 2 disparity `c ∈ [0, 1]`.
         disparity_cap: f64,
+    },
+}
+
+/// Which greedy strategy drives the seed selection.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum GreedyAlgorithm {
+    /// Plain greedy: scan every candidate at every step.
+    Greedy,
+    /// CELF lazy greedy (default): identical selection, far fewer
+    /// marginal-gain evaluations.
+    #[default]
+    Lazy,
+    /// Stochastic greedy with accuracy parameter `epsilon` and subsample RNG
+    /// seed; used for very large candidate pools. Budget objectives only.
+    Stochastic {
+        /// Accuracy parameter in `(0, 1)`.
+        epsilon: f64,
+        /// RNG seed of the per-step subsampling.
+        seed: u64,
     },
 }
 

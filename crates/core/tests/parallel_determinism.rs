@@ -70,3 +70,24 @@ fn capped_solves_agree_across_thread_counts() {
         assert_eq!(reference.constrained, result.constrained);
     }
 }
+
+#[test]
+fn spec_results_are_bitwise_stable_across_thread_counts() {
+    // Pins the full P1 report at 8 threads to the 1-thread reference: seeds,
+    // per-group influence bits and the per-iteration objective values.
+    let p1 = ProblemSpec::budget(5).unwrap();
+    let one = solve(&oracle(ParallelismConfig::fixed(1)), &p1).unwrap();
+    let eight = solve(&oracle(ParallelismConfig::fixed(8)), &p1).unwrap();
+    assert_eq!(one.seeds, eight.seeds);
+    assert_eq!(one.label, eight.label);
+    assert_eq!(one.gain_evaluations, eight.gain_evaluations);
+    for (a, b) in one.influence.values().iter().zip(eight.influence.values()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "influence differs bitwise");
+    }
+    assert_eq!(one.iterations.len(), eight.iterations.len());
+    for (a, b) in one.iterations.iter().zip(&eight.iterations) {
+        assert_eq!(a.seed, b.seed);
+        assert_eq!(a.objective_value.to_bits(), b.objective_value.to_bits());
+    }
+    assert_eq!(one.spec, eight.spec);
+}

@@ -31,7 +31,7 @@
 //! [`Server::run`] returns a [`ServerReport`] saying whether the drain
 //! completed.
 
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -453,44 +453,25 @@ fn handle_connection(
 
 /// Splits the raw byte stream into trimmed lines, skipping blanks and `#`
 /// comments (same grammar as batch mode), and feeds `deliver` until EOF, a
-/// read error, shutdown, or `deliver` returning `false`. Hand-rolled
-/// buffering (not `BufRead::read_line`) so read timeouts can interleave
-/// shutdown checks without losing partial lines.
+/// read error, shutdown, or `deliver` returning `false`. A read timeout
+/// (`WouldBlock` / `TimedOut`) is a tick: `read_until` has already moved
+/// the bytes it read into `line`, so a partial line survives it.
 fn read_lines(
-    mut stream: Box<dyn Stream>,
+    stream: impl Read,
     shutdown: &AtomicBool,
     mut deliver: impl FnMut(u64, String) -> bool,
 ) {
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
     let mut seq = 0u64;
     loop {
-        while let Some(newline) = pending.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = pending.drain(..=newline).collect();
-            let line = String::from_utf8_lossy(&raw);
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            seq += 1;
-            if !deliver(seq, line.to_string()) {
-                return;
-            }
-        }
-        if shutdown.load(Ordering::SeqCst) {
+        // Re-check the flag before any read that may block, i.e. once the
+        // lines already buffered have been delivered.
+        if reader.buffer().is_empty() && shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF: a trailing unterminated line still counts.
-                let line = String::from_utf8_lossy(&pending);
-                let line = line.trim();
-                if !line.is_empty() && !line.starts_with('#') {
-                    deliver(seq + 1, line.to_string());
-                }
-                return;
-            }
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
+        match reader.read_until(b'\n', &mut line) {
+            Ok(_) => {}
             Err(err)
                 if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
             {
@@ -498,6 +479,21 @@ fn read_lines(
             }
             Err(_) => return,
         }
+        // `read_until` stops short of a newline only at EOF, where a
+        // trailing unterminated line still counts.
+        let at_eof = !line.ends_with(b"\n");
+        let text = String::from_utf8_lossy(&line);
+        let text = text.trim();
+        if !text.is_empty() && !text.starts_with('#') {
+            seq += 1;
+            if !deliver(seq, text.to_string()) {
+                return;
+            }
+        }
+        if at_eof {
+            return;
+        }
+        line.clear();
     }
 }
 
@@ -583,6 +579,7 @@ pub fn install_ctrl_c() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn config_validation_names_the_knob() {
@@ -624,5 +621,86 @@ mod tests {
         handle.trigger();
         assert!(handle.is_triggered());
         assert!(flag.load(Ordering::SeqCst));
+    }
+
+    /// A scripted peer: each `read` hands out the next chunk (as much of it
+    /// as fits the caller's buffer) or error; an empty script is EOF.
+    struct Script(VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(err)) => Err(err),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn tick(kind: io::ErrorKind) -> io::Result<Vec<u8>> {
+        Err(io::Error::from(kind))
+    }
+
+    fn lines_of(script: Vec<io::Result<Vec<u8>>>) -> Vec<(u64, String)> {
+        let mut lines = Vec::new();
+        read_lines(Script(script.into()), &AtomicBool::new(false), |seq, line| {
+            lines.push((seq, line));
+            true
+        });
+        lines
+    }
+
+    #[test]
+    fn read_lines_keeps_partial_lines_across_ticks_and_skips_comments() {
+        let lines = lines_of(vec![
+            Ok(b"{\"id\":".to_vec()),
+            tick(io::ErrorKind::WouldBlock),
+            Ok(b"1}\r\n# comment\n\n  \r\nsecond\n  ta".to_vec()),
+            tick(io::ErrorKind::TimedOut),
+            Ok(b"il  ".to_vec()),
+        ]);
+        let expected = [(1, "{\"id\":1}"), (2, "second"), (3, "tail")];
+        assert_eq!(lines, expected.map(|(seq, line)| (seq, line.to_string())));
+    }
+
+    #[test]
+    fn read_lines_splits_a_dense_pipeline_delivered_in_one_read() {
+        let batch: String = (0..10_000).map(|i| format!("{{\"id\":{i}}}\n")).collect();
+        let lines = lines_of(vec![Ok(batch.into_bytes())]);
+        assert_eq!(lines.len(), 10_000);
+        assert_eq!(lines[9_999], (10_000, "{\"id\":9999}".to_string()));
+    }
+
+    #[test]
+    fn read_lines_stops_on_shutdown_or_a_refusing_consumer() {
+        // Lines already buffered are delivered; the flag stops the next read.
+        let shutdown = AtomicBool::new(false);
+        let script =
+            vec![Ok(b"a\nb\n".to_vec()), tick(io::ErrorKind::WouldBlock), Ok(b"c\n".to_vec())];
+        let mut seen = Vec::new();
+        read_lines(Script(script.into()), &shutdown, |_, line| {
+            seen.push(line);
+            shutdown.store(true, Ordering::SeqCst);
+            true
+        });
+        assert_eq!(seen, ["a", "b"]);
+
+        let mut seen = Vec::new();
+        read_lines(
+            Script(vec![Ok(b"a\nb\n".to_vec())].into()),
+            &AtomicBool::new(false),
+            |_, line| {
+                seen.push(line);
+                false
+            },
+        );
+        assert_eq!(seen, ["a"]);
     }
 }

@@ -65,17 +65,10 @@ pub mod prelude {
         top_pagerank_seeds,
     };
     pub use tcim_core::{
-        audit_seed_set, disparity, solve, solve_budget_exhaustive, BudgetConfig, ConcaveWrapper,
-        ConstrainedBudgetReport, ConstrainedCoverReport, ConstrainedOutcome, CoreError,
-        CoverOutcome, CoverProblemConfig, CoverReport, Estimator, EstimatorConfig,
+        audit_seed_set, disparity, solve, solve_budget_exhaustive, ConcaveWrapper,
+        ConstrainedOutcome, CoreError, CoverOutcome, Estimator, EstimatorConfig,
         ExhaustiveObjective, FairnessMode, FairnessReport, GreedyAlgorithm, Objective, ProblemSpec,
         SolverReport,
-    };
-    // Deprecated legacy shims, kept importable for one release.
-    #[allow(deprecated)]
-    pub use tcim_core::{
-        solve_constrained_budget, solve_constrained_cover, solve_fair_tcim_budget,
-        solve_fair_tcim_cover, solve_group_tcim_cover, solve_tcim_budget, solve_tcim_cover,
     };
     pub use tcim_datasets::registry::{Dataset, DatasetBundle};
     pub use tcim_datasets::{
