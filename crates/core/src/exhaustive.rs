@@ -104,7 +104,10 @@ pub fn solve_budget_exhaustive(
         }
     }
 
-    // lint:allow(panic): k <= pool.len() is validated above, so the combination loop runs at least once
+    #[expect(
+        clippy::expect_used,
+        reason = "k <= pool.len() is validated above, so the combination loop runs at least once"
+    )]
     let (seeds, influence, value) = best.expect("at least one combination was evaluated");
     let label = match objective {
         ExhaustiveObjective::Total => "P1-optimal".to_string(),

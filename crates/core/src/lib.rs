@@ -64,6 +64,18 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout
+)]
+// Test code may read clocks and stdout too; the non-test build still checks
+// every library item against clippy.toml's disallowed methods.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod concave;
 mod error;

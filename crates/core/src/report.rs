@@ -83,9 +83,12 @@ impl SolverReport {
     /// whose group count differs from `group_sizes`, or with NaN utilities.
     /// Solver-produced reports always derive both from the same oracle, so
     /// the invariant holds by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract — solver-built reports satisfy it by construction"
+    )]
     pub fn fairness(&self) -> FairnessReport {
         FairnessReport::new(&self.influence, &self.group_sizes)
-            // lint:allow(panic): documented panic contract — solver-built reports satisfy it by construction
             .expect("solver reports pair influence and group sizes from the same oracle")
     }
 
@@ -110,10 +113,13 @@ impl SolverReport {
     /// # Panics
     ///
     /// Same invariant as [`SolverReport::fairness`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract — solver-built reports satisfy it by construction"
+    )]
     pub fn fairness_at(&self, i: usize) -> Option<FairnessReport> {
         self.iterations.get(i).map(|rec| {
             FairnessReport::new(&rec.influence, &self.group_sizes)
-                // lint:allow(panic): documented panic contract — solver-built reports satisfy it by construction
                 .expect("solver reports pair influence and group sizes from the same oracle")
         })
     }

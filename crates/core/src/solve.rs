@@ -118,7 +118,10 @@ pub fn solve(oracle: &dyn InfluenceOracle, spec: &ProblemSpec) -> Result<SolverR
         }
         // `ProblemSpec::validate` rejects (Budget, GroupQuota) and
         // (Cover, Concave) before dispatch.
-        // lint:allow(panic): validate() runs before dispatch and rejects these combinations
+        #[expect(
+            clippy::unreachable,
+            reason = "validate() runs before dispatch and rejects these combinations"
+        )]
         _ => unreachable!("validate() rejects incompatible objective/fairness combinations"),
     }
 }
@@ -162,8 +165,12 @@ fn solve_cover(
     target: f64,
     outcome_quota: f64,
 ) -> Result<SolverReport> {
-    let Objective::Cover { tolerance, max_seeds, .. } = spec.objective else {
-        // lint:allow(panic): the dispatch match above only routes cover objectives here
+    #[expect(
+        clippy::unreachable,
+        reason = "the dispatch match above only routes cover objectives here"
+    )]
+    let Objective::Cover { tolerance, max_seeds, .. } = spec.objective
+    else {
         unreachable!("solve_cover is only dispatched for cover objectives")
     };
     let ground = resolve_candidates(oracle, spec.candidates.as_deref())?;
@@ -284,7 +291,10 @@ fn constrained_budget_sweep(
         }
     }
 
-    // lint:allow(panic): the ladder always evaluates at least the uncapped rung
+    #[expect(
+        clippy::expect_used,
+        reason = "the ladder always evaluates at least the uncapped rung"
+    )]
     let chosen = best_feasible.or(least_disparate).expect("at least one ladder rung was evaluated");
     let mut report = chosen.report;
     report.constrained = Some(ConstrainedOutcome {

@@ -421,6 +421,10 @@ impl ScenarioSpec {
         ["synthetic-sbm", "ba-hubs", "ws-smallworld", "rice-like", "fbsnap-like"];
 
     /// Resolves a named preset, or `None` for an unknown name.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset parameters are compile-time constants validated by tests"
+    )]
     pub fn preset(name: &str) -> Option<ScenarioSpec> {
         let spec = match name {
             // The Section 6.1 synthetic protocol, expressed as a scenario.
@@ -450,7 +454,6 @@ impl ScenarioSpec {
                 .and_then(|s| s.with_uniform_weights(0.01)),
             _ => return None,
         };
-        // lint:allow(panic): preset parameters are compile-time constants validated by tests
         Some(spec.expect("presets are statically valid"))
     }
 

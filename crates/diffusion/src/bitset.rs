@@ -35,7 +35,7 @@ impl BitSet {
     /// Panics if `index >= len`.
     #[inline]
     pub fn contains(&self, index: usize) -> bool {
-        // lint:allow(panic): documented bounds contract — node ids are < len by graph construction
+        // lint:allow(panic-reachability): documented bounds contract — node ids are < len by graph construction
         assert!(index < self.len, "bit index {index} out of range {}", self.len);
         (self.words[index / 64] >> (index % 64)) & 1 == 1
     }
@@ -47,7 +47,7 @@ impl BitSet {
     /// Panics if `index >= len`.
     #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
-        // lint:allow(panic): documented bounds contract — node ids are < len by graph construction
+        // lint:allow(panic-reachability): documented bounds contract — node ids are < len by graph construction
         assert!(index < self.len, "bit index {index} out of range {}", self.len);
         let word = &mut self.words[index / 64];
         let mask = 1u64 << (index % 64);

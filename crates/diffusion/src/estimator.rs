@@ -501,8 +501,11 @@ impl InfluenceOracle for MonteCarloEstimator {
                     || vec![0u64; k],
                     |mut counts, i| {
                         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(i as u64));
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "seeds are range-checked before entering the parallel region"
+                        )]
                         let trace = simulate_ic(&self.graph, seeds, &mut rng)
-                            // lint:allow(panic): seeds are range-checked before entering the parallel region
                             .expect("seeds validated before the parallel region");
                         let activations = trace.group_activations(&self.graph, self.deadline);
                         for (c, a) in counts.iter_mut().zip(activations) {

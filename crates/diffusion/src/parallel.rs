@@ -58,10 +58,13 @@ impl ParallelismConfig {
     /// estimators use. Rayon parallel iterators inside `op` pick up the pool
     /// automatically.
     pub fn run<R>(&self, op: impl FnOnce() -> R) -> R {
+        #[expect(
+            clippy::expect_used,
+            reason = "the vendored rayon stand-in's build() is infallible by construction"
+        )]
         let pool: ThreadPool = ThreadPoolBuilder::new()
             .num_threads(self.resolved_threads())
             .build()
-            // lint:allow(panic): the vendored rayon stand-in's build() is infallible by construction
             .expect("thread pool construction cannot fail");
         pool.install(op)
     }

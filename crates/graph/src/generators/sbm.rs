@@ -176,8 +176,11 @@ pub fn stochastic_block_model(config: &SbmConfig) -> Result<Graph> {
     builder.build()
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the ranges partition 0..n and every index comes from that interval"
+)]
 fn group_of_index(ranges: &[std::ops::Range<usize>], index: usize) -> usize {
-    // lint:allow(panic): the ranges partition 0..n and every index comes from that interval
     ranges.iter().position(|r| r.contains(&index)).expect("node index must fall into a group range")
 }
 

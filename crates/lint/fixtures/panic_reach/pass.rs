@@ -7,7 +7,7 @@ pub fn select_budgeted(budget: u32, cost: u32) -> u32 {
 }
 
 fn remaining(budget: u32, cost: u32) -> u32 {
-    // lint:allow(panic): callers validate cost <= budget at the API boundary
+    // lint:allow(panic-reachability): callers validate cost <= budget at the API boundary
     assert!(cost <= budget, "cost {cost} exceeds budget {budget}");
     debug_assert!(budget < u32::MAX / 2);
     budget - cost

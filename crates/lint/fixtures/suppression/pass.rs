@@ -1,10 +1,12 @@
 // Fixture: a well-formed suppression names a known rule and gives a reason.
 
-pub fn invariant(value: Option<u32>) -> u32 {
-    // lint:allow(panic): the caller constructs the Option as Some directly above
-    value.expect("always Some")
+use std::collections::HashMap;
+
+pub fn invariant(counts: &HashMap<u32, u32>) -> u32 {
+    // lint:allow(hash-iter): an unordered sum is order-independent
+    counts.values().sum()
 }
 
-pub fn same_line(value: Option<u32>) -> u32 {
-    value.expect("always Some") // lint:allow(panic): same-line form of the annotation
+pub fn same_line(counts: &HashMap<u32, u32>) -> u32 {
+    counts.values().sum() // lint:allow(hash-iter): same-line form of the annotation
 }

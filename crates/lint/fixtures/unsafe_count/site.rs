@@ -1,4 +1,4 @@
-// Fixture: unsafe-safety stays quiet when the justification is adjacent.
+// Fixture: one documented `unsafe` block, for the unsafe-count pin tests.
 
 pub fn read_first(ptr: *const u8) -> u8 {
     // SAFETY: callers guarantee `ptr` is non-null, aligned, and points to

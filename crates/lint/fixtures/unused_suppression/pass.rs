@@ -2,9 +2,9 @@
 // live finding, and on deliberately-kept annotations shielded with an
 // unused-suppression allowance of their own.
 
-pub fn take(v: Option<u32>) -> u32 {
-    // lint:allow(panic): fixture input is always Some by construction
-    v.unwrap()
+pub fn total(counts: &std::collections::HashMap<u32, u32>) -> u32 {
+    // lint:allow(hash-iter): an unordered sum is order-independent
+    counts.values().sum()
 }
 
 // lint:allow(unused-suppression): retained as the documentation example

@@ -2,16 +2,15 @@
 //! the project invariant rules and exit non-zero on violations.
 //!
 //! ```text
-//! tcim_lint --workspace [--root DIR] [--lock-graph] [--emit MODE] [--stats] [--threads N]
+//! tcim_lint --workspace [--root DIR] [--lock-graph] [--emit MODE] [--stats]
 //! tcim_lint [--root DIR] [--emit MODE] [--stats] FILE...
 //! tcim_lint --list-rules
 //! ```
 //!
 //! `--emit` selects the stdout format: `text` (default, one finding per
-//! line), `json` (machine-readable document over minijson), or `github`
-//! (GitHub Actions `::error` annotations). Output is byte-identical at
-//! any `--threads` count: files are analyzed in parallel but merged in
-//! sorted path order.
+//! line) or `github` (GitHub Actions `::error` annotations). Output is
+//! byte-identical at any `RAYON_NUM_THREADS`: files are analyzed in
+//! parallel but merged in sorted path order.
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
 
@@ -21,15 +20,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use tcim_lint::walk::rust_sources;
 use tcim_lint::{analyze_file, emit, Analyzer, FileOutcome, Policy, Report, KNOWN_RULES};
 
 /// What `--emit` writes to stdout.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Emit {
     Text,
-    Json,
     Github,
 }
 
@@ -40,7 +37,6 @@ struct Args {
     list_rules: bool,
     emit: Emit,
     stats: bool,
-    threads: Option<usize>,
     files: Vec<String>,
 }
 
@@ -52,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         list_rules: false,
         emit: Emit::Text,
         stats: false,
-        threads: None,
         files: Vec::new(),
     };
     let mut it = env::args().skip(1);
@@ -63,22 +58,12 @@ fn parse_args() -> Result<Args, String> {
             "--list-rules" => args.list_rules = true,
             "--stats" => args.stats = true,
             "--emit" => {
-                let mode = it.next().ok_or("--emit needs a mode: text, json or github")?;
+                let mode = it.next().ok_or("--emit needs a mode: text or github")?;
                 args.emit = match mode.as_str() {
                     "text" => Emit::Text,
-                    "json" => Emit::Json,
                     "github" => Emit::Github,
                     other => return Err(format!("unknown emit mode '{other}'")),
                 };
-            }
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                let n: usize =
-                    n.parse().map_err(|_| format!("--threads: '{n}' is not a number"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                args.threads = Some(n);
             }
             "--root" => {
                 let dir = it.next().ok_or("--root needs a directory argument")?;
@@ -104,11 +89,11 @@ fn usage() {
         "tcim-lint: workspace invariant checker (see docs/LINTS.md)\n\
          \n\
          usage:\n\
-         \x20 tcim_lint --workspace [--root DIR] [--lock-graph] [--emit MODE] [--stats] [--threads N]\n\
+         \x20 tcim_lint --workspace [--root DIR] [--lock-graph] [--emit MODE] [--stats]\n\
          \x20 tcim_lint [--root DIR] [--emit MODE] [--stats] FILE...\n\
          \x20 tcim_lint --list-rules\n\
          \n\
-         emit modes: text (default), json, github\n\
+         emit modes: text (default), github\n\
          exit codes: 0 clean, 1 violations, 2 usage/io error"
     );
 }
@@ -154,26 +139,14 @@ fn main() -> ExitCode {
         // walker's sorted path order so every downstream artifact — finding
         // order, witness paths, the lock graph — is byte-identical at any
         // thread count.
-        let scan = || {
-            files
-                .par_iter()
-                .map(|(rel, abs)| {
-                    fs::read_to_string(abs)
-                        .map(|source| analyze_file(&policy, rel, &source))
-                        .map_err(|err| format!("reading {}: {err}", abs.display()))
-                })
-                .collect::<Vec<Result<FileOutcome, String>>>()
-        };
-        let outcomes = match args.threads {
-            Some(n) => match ThreadPoolBuilder::new().num_threads(n).build() {
-                Ok(pool) => pool.install(scan),
-                Err(err) => {
-                    eprintln!("error: building thread pool: {err}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => scan(),
-        };
+        let outcomes: Vec<Result<FileOutcome, String>> = files
+            .par_iter()
+            .map(|(rel, abs)| {
+                fs::read_to_string(abs)
+                    .map(|source| analyze_file(&policy, rel, &source))
+                    .map_err(|err| format!("reading {}: {err}", abs.display()))
+            })
+            .collect();
         for outcome in outcomes {
             match outcome {
                 Ok(outcome) => {
@@ -215,15 +188,11 @@ fn main() -> ExitCode {
                 println!("{finding}");
             }
         }
-        Emit::Json => {
-            print!("{}", emit::render_json(&report, checked));
-        }
         Emit::Github => {
             print!("{}", emit::render_github(&report.findings));
         }
     }
-    if args.stats && args.emit != Emit::Json {
-        // JSON embeds the stats; the table is for human eyes on stderr.
+    if args.stats {
         eprint!("{}", emit::render_stats(&report));
     }
     if report.findings.is_empty() {

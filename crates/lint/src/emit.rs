@@ -1,53 +1,11 @@
-//! Output renderers for the CLI: machine-readable JSON (over the service
-//! crate's `minijson`, the same dependency-free JSON layer the wire
-//! protocol uses), GitHub Actions `::error` annotations, and the
-//! `--stats` table.
+//! Output renderers for the CLI: GitHub Actions `::error` annotations and
+//! the `--stats` table.
 //!
 //! Every renderer is a pure function of the [`Report`], so output is
 //! byte-identical for identical findings regardless of how many threads
 //! produced them.
 
-use tcim_service::Json;
-
 use crate::{Finding, Report};
-
-/// The JSON document for `--emit json`: version, file count, findings and
-/// per-rule stats, in a fixed key order.
-pub fn render_json(report: &Report, checked: usize) -> String {
-    let findings: Vec<Json> = report
-        .findings
-        .iter()
-        .map(|f| {
-            Json::Obj(vec![
-                ("rule".to_string(), Json::Str(f.rule.to_string())),
-                ("path".to_string(), Json::Str(f.path.clone())),
-                ("line".to_string(), Json::Num(f.line as f64)),
-                ("message".to_string(), Json::Str(f.message.clone())),
-            ])
-        })
-        .collect();
-    let stats: Vec<Json> = report
-        .stats
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("rule".to_string(), Json::Str(s.rule.to_string())),
-                ("findings".to_string(), Json::Num(s.findings as f64)),
-                ("suppressions_used".to_string(), Json::Num(s.suppressions_used as f64)),
-            ])
-        })
-        .collect();
-    let doc = Json::Obj(vec![
-        ("version".to_string(), Json::Num(1.0)),
-        ("checked".to_string(), Json::Num(checked as f64)),
-        ("findings".to_string(), Json::Arr(findings)),
-        ("stats".to_string(), Json::Arr(stats)),
-    ]);
-    let mut out = String::new();
-    doc.write(&mut out);
-    out.push('\n');
-    out
-}
 
 /// GitHub Actions workflow-command annotations for `--emit github`: one
 /// `::error file=…,line=…` line per finding, so violations surface inline
@@ -102,31 +60,18 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_minijson() {
-        let report = Report {
-            findings: vec![Finding::new(crate::PANIC, "src/lib.rs", 7, "a \"quoted\" msg".into())],
-            lock_graph: LockGraph::default(),
-            stats: vec![RuleStats { rule: crate::PANIC, findings: 1, suppressions_used: 2 }],
-        };
-        let text = render_json(&report, 42);
-        let doc = Json::parse(&text).expect("emitted JSON parses");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
-        assert_eq!(doc.get("checked").and_then(Json::as_u64), Some(42));
-        let findings = doc.get("findings").and_then(Json::as_arr).expect("findings array");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].get("rule").and_then(Json::as_str), Some("panic"));
-        assert_eq!(findings[0].get("line").and_then(Json::as_u64), Some(7));
-        assert_eq!(findings[0].get("message").and_then(Json::as_str), Some("a \"quoted\" msg"));
-        let stats = doc.get("stats").and_then(Json::as_arr).expect("stats array");
-        assert_eq!(stats[0].get("suppressions_used").and_then(Json::as_u64), Some(2));
-    }
-
-    #[test]
     fn github_annotations_escape_newlines() {
-        let report =
-            report_with(vec![Finding::new(crate::PANIC, "a.rs", 3, "line one\nline two".into())]);
+        let report = report_with(vec![Finding::new(
+            crate::HASH_ITER,
+            "a.rs",
+            3,
+            "line one\nline two".into(),
+        )]);
         let text = render_github(&report.findings);
-        assert_eq!(text, "::error file=a.rs,line=3,title=tcim-lint panic::line one%0Aline two\n");
+        assert_eq!(
+            text,
+            "::error file=a.rs,line=3,title=tcim-lint hash-iter::line one%0Aline two\n"
+        );
     }
 
     #[test]
@@ -135,12 +80,12 @@ mod tests {
             findings: Vec::new(),
             lock_graph: LockGraph::default(),
             stats: vec![
-                RuleStats { rule: crate::PANIC, findings: 0, suppressions_used: 3 },
+                RuleStats { rule: crate::HASH_ITER, findings: 0, suppressions_used: 3 },
                 RuleStats { rule: crate::LOCK_ORDER, findings: 1, suppressions_used: 0 },
             ],
         };
         let table = render_stats(&report);
-        assert!(table.contains("panic"));
+        assert!(table.contains("hash-iter"));
         assert!(table.contains("lock-order"));
         assert!(table.lines().count() == 3, "header + one row per rule");
     }

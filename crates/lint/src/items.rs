@@ -11,12 +11,12 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::model::{FileModel, Span};
-use crate::{PANIC, PANIC_REACH};
+use crate::PANIC_REACH;
 
 /// Macros that unconditionally abort the current thread.
 pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-/// Assertion macros: they panic too, but the lexical `panic` rule leaves
-/// them alone — only the call-graph-aware reachability analysis cares.
+/// Assertion macros: they panic too, but clippy has no lint for them —
+/// only the call-graph-aware reachability analysis cares.
 pub(crate) const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 /// Methods that panic on the error/empty case.
 pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
@@ -28,15 +28,16 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "enum", "union", "trait", "type", "const", "static",
 ];
 
-/// How a panic site panics — drives which rule family owns it.
+/// How a panic site panics — drives which checker owns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanicKind {
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!` — covered by
-    /// the lexical `panic` rule.
+    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!` — denied in
+    /// library code by clippy (`clippy::panic`, `clippy::unreachable`, …).
     Macro,
-    /// `.unwrap()` / `.expect(…)` — covered by the lexical `panic` rule.
+    /// `.unwrap()` / `.expect(…)` — denied in library code by clippy
+    /// (`clippy::unwrap_used`, `clippy::expect_used`).
     Method,
-    /// `assert!` / `assert_eq!` / `assert_ne!` — lexically exempt; only
+    /// `assert!` / `assert_eq!` / `assert_ne!` — no clippy lint; only
     /// `panic-reachability` sees these.
     Assert,
 }
@@ -50,11 +51,9 @@ pub struct PanicSite {
     pub what: String,
     /// How it panics.
     pub kind: PanicKind,
-    /// Whether a `lint:allow(panic)` / `lint:allow(panic-reachability)`
-    /// annotation covers the site (the stated invariant makes it fine).
+    /// Whether a `lint:allow(panic-reachability)` annotation covers the
+    /// site (the stated invariant makes it fine).
     pub annotated: bool,
-    /// The annotation's comment line, when `annotated`.
-    pub annotation_line: Option<u32>,
 }
 
 /// One call site inside a function body.
@@ -449,15 +448,11 @@ fn match_panic_site(model: &FileModel, tokens: &[Token], i: usize) -> Option<Pan
     } else {
         return None;
     };
-    let annotation_line = model
-        .suppressing_line(PANIC, tok.line)
-        .or_else(|| model.suppressing_line(PANIC_REACH, tok.line));
     Some(PanicSite {
         line: tok.line,
         what: tok.text.clone(),
         kind,
-        annotated: annotation_line.is_some(),
-        annotation_line,
+        annotated: model.is_suppressed(PANIC_REACH, tok.line),
     })
 }
 
@@ -630,7 +625,7 @@ mod tests {
         let src = "fn f(v: u32) {\n\
                    assert!(v > 0);\n\
                    v.unwrap();\n\
-                   // lint:allow(panic): fine here\n\
+                   // lint:allow(panic-reachability): fine here\n\
                    v.expect(\"x\");\n\
                    panic!(\"boom\");\n\
                    }";
@@ -639,8 +634,7 @@ mod tests {
         assert_eq!(p.len(), 4);
         assert_eq!(p[0].kind, PanicKind::Assert);
         assert_eq!(p[1].kind, PanicKind::Method);
-        assert!(p[2].annotated, "allow(panic) annotation must be seen");
-        assert_eq!(p[2].annotation_line, Some(4));
+        assert!(p[2].annotated, "allow(panic-reachability) annotation must be seen");
         assert_eq!(p[3].kind, PanicKind::Macro);
         assert!(!p[0].annotated && !p[1].annotated && !p[3].annotated);
     }

@@ -4,9 +4,9 @@
 //!
 //! The lexer's one job is to separate *code* from *non-code*: string
 //! literals, character literals and comments must never produce identifier
-//! tokens (otherwise `"panic!"` inside an error message would trip the
-//! panic rule), while comments must stay addressable (the suppression
-//! syntax and `// SAFETY:` audits live in them). Everything else — numbers,
+//! tokens (otherwise `"panic!"` inside an error message would look like a
+//! panic site), while comments must stay addressable (the suppression
+//! syntax lives in them). Everything else — numbers,
 //! punctuation, lifetimes — is tokenized loosely: the rules only pattern
 //! match on identifier/punctuation sequences, so sub-token precision
 //! (e.g. float literals lexing as three tokens) is deliberately not a goal.

@@ -2,12 +2,14 @@
 //!
 //! The workspace invariant checker: project-specific rules that turn the
 //! determinism contract (see `docs/ARCHITECTURE.md` and `docs/LINTS.md`)
-//! into a blocking static pass. `rustc` and clippy keep the code *correct
-//! Rust*; this tool keeps it *correct for this project* — no randomized
-//! iteration feeding a fingerprint, no stray stdout in the serving path,
-//! no un-audited `unsafe`, no panic in library code without a stated
-//! invariant, no lock-order cycles in the serving tier, no RNG that is
-//! not derived from the run seed.
+//! into a blocking static pass. Clippy owns everything a standard lint can
+//! say — panics and stdout in library code, wall-clock reads, undocumented
+//! `unsafe` (the crate roots' `#![deny(…)]`, the workspace `[lints]` table
+//! and `clippy.toml`). This tool keeps only what clippy cannot express: no
+//! randomized iteration feeding a fingerprint, no `{:?}` in a wire
+//! encoding, no RNG that is not derived from the run seed, no lock-order
+//! cycles in the serving tier, no assertion reachable from the public API
+//! without a stated invariant, and a pinned unsafe surface.
 //!
 //! Hand-rolled on a small lexer (same spirit as the service crate's
 //! `minijson`), with a lightweight item parser and a workspace call graph
@@ -20,13 +22,9 @@
 //! | Rule | Family | What it forbids |
 //! |------|--------|-----------------|
 //! | `hash-iter` | determinism | HashMap/HashSet iteration order reaching output |
-//! | `wall-clock` | determinism | `Instant::now`/`SystemTime` outside bench/stats |
 //! | `debug-format` | determinism | `{:?}` in fingerprints/canonical/protocol writers |
 //! | `seed-provenance` | determinism | RNGs in sampling code not derived from the run seed |
-//! | `stdout-purity` | serving | `println!`/`print!`/`io::stdout()` in library code |
-//! | `panic` | robustness | `unwrap`/`expect`/`panic!` in non-test library code |
-//! | `panic-reachability` | robustness | public API transitively reaching unannotated panics |
-//! | `unsafe-safety` | audit | `unsafe` without a `// SAFETY:` comment |
+//! | `panic-reachability` | robustness | public API transitively reaching panics clippy cannot see |
 //! | `unsafe-count` | audit | any change to the pinned workspace unsafe count |
 //! | `lock-order` | concurrency | lock-acquisition cycles (cross-function) in `crates/service` |
 //! | `suppression` | meta | malformed/unknown `lint:allow` annotations |
@@ -35,12 +33,26 @@
 //! ## Suppression
 //!
 //! `// lint:allow(<rule>): <reason>` on the violating line or the line
-//! directly above. The reason is mandatory; unknown rule names and missing
+//! directly above. (Clippy-owned rules take `#[expect(clippy::…, reason =
+//! "…")]` instead.) The reason is mandatory; unknown rule names and missing
 //! reasons are themselves violations, and an annotation that no longer
 //! suppresses anything is an `unused-suppression` finding — so
 //! suppressions cannot rot in either direction. The `unsafe-count` pin is
 //! not suppressible — widening the unsafe surface requires editing
 //! [`Policy`] in a reviewed change.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout
+)]
+// Test code may read clocks and stdout too; the non-test build still checks
+// every library item against clippy.toml's disallowed methods.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod callgraph;
 pub mod emit;
@@ -61,20 +73,12 @@ use rules::{LockGraph, RuleCtx, UnsafeSite};
 
 /// Rule name: HashMap/HashSet iteration order reaching output.
 pub const HASH_ITER: &str = "hash-iter";
-/// Rule name: wall-clock reads outside bench/stats.
-pub const WALL_CLOCK: &str = "wall-clock";
 /// Rule name: `{:?}` in determinism-critical scopes.
 pub const DEBUG_FORMAT: &str = "debug-format";
 /// Rule name: RNG constructions not derived from the run seed.
 pub const SEED_PROVENANCE: &str = "seed-provenance";
-/// Rule name: stdout writes in library code.
-pub const STDOUT_PURITY: &str = "stdout-purity";
-/// Rule name: panics in non-test library code.
-pub const PANIC: &str = "panic";
 /// Rule name: public API reaching unannotated panics through calls.
 pub const PANIC_REACH: &str = "panic-reachability";
-/// Rule name: `unsafe` without a SAFETY comment.
-pub const UNSAFE_SAFETY: &str = "unsafe-safety";
 /// Rule name: the workspace unsafe-count pin.
 pub const UNSAFE_COUNT: &str = "unsafe-count";
 /// Rule name: lock-acquisition cycles.
@@ -87,13 +91,9 @@ pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 /// Every rule name the suppression syntax accepts.
 pub const KNOWN_RULES: &[&str] = &[
     HASH_ITER,
-    WALL_CLOCK,
     DEBUG_FORMAT,
     SEED_PROVENANCE,
-    STDOUT_PURITY,
-    PANIC,
     PANIC_REACH,
-    UNSAFE_SAFETY,
     UNSAFE_COUNT,
     LOCK_ORDER,
     SUPPRESSION,
@@ -134,14 +134,12 @@ impl fmt::Display for Finding {
 #[derive(Debug, Clone)]
 pub struct Policy {
     /// Path prefixes that are never linted (vendored stand-ins, build
-    /// output, the lint fixtures themselves).
+    /// output, the lint fixtures themselves, and the benchmark — a cargo
+    /// workspace of its own that the workspace clippy run never sees).
     pub skip_prefixes: Vec<String>,
-    /// Path prefixes allowed to read wall clocks and write stdout: the
-    /// bench harness measures and prints by design.
+    /// Path prefixes outside the crate-root clippy panic deny: the bench
+    /// harness measures, prints and panics by design.
     pub bench_prefixes: Vec<String>,
-    /// Exact files additionally allowed to read wall clocks (the stats
-    /// module timestamps requests for the latency histograms).
-    pub wall_clock_files: Vec<String>,
     /// Determinism-critical protocol-writer files where hash containers
     /// and `{:?}` are banned outright.
     pub critical_files: Vec<String>,
@@ -175,9 +173,9 @@ impl Default for Policy {
                 "vendor/".to_string(),
                 "target/".to_string(),
                 "crates/lint/fixtures/".to_string(),
+                "perfbench/".to_string(),
             ],
             bench_prefixes: vec!["crates/bench/".to_string()],
-            wall_clock_files: vec!["crates/service/src/stats.rs".to_string()],
             critical_files: vec![
                 "crates/service/src/protocol.rs".to_string(),
                 "crates/service/src/minijson.rs".to_string(),
@@ -207,12 +205,8 @@ impl Policy {
         self.skip_prefixes.iter().any(|p| path.starts_with(p))
     }
 
-    fn is_bench(&self, path: &str) -> bool {
-        self.bench_prefixes.iter().any(|p| path.starts_with(p))
-    }
-
-    /// Binaries and examples own their stdout and may exit by panicking
-    /// with a message; library sources may do neither.
+    /// Binaries and examples may exit by panicking with a message; library
+    /// sources may not.
     pub(crate) fn is_binary(&self, path: &str) -> bool {
         path.contains("/bin/") || path.starts_with("examples/") || path.contains("/examples/")
     }
@@ -222,16 +216,9 @@ impl Policy {
         path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
     }
 
-    fn allows_wall_clock(&self, path: &str) -> bool {
-        self.is_bench(path) || self.wall_clock_files.iter().any(|f| f == path)
-    }
-
-    fn allows_stdout(&self, path: &str) -> bool {
-        self.is_bench(path) || self.is_binary(path)
-    }
-
+    /// Whether clippy's crate-root panic deny leaves `path` alone.
     pub(crate) fn allows_panics(&self, path: &str) -> bool {
-        self.is_bench(path) || self.is_binary(path)
+        self.bench_prefixes.iter().any(|p| path.starts_with(p)) || self.is_binary(path)
     }
 
     fn is_critical(&self, path: &str) -> bool {
@@ -317,17 +304,13 @@ pub fn analyze_file(policy: &Policy, path: &str, source: &str) -> FileOutcome {
     let mut ctx = RuleCtx {
         model: &model,
         path,
-        policy_allows_wall_clock: policy.allows_wall_clock(path),
-        policy_allows_stdout: policy.allows_stdout(path),
-        policy_allows_panics: policy.allows_panics(path),
         policy_in_seed_scope: policy.in_seed_scope(path),
         critical_file: policy.is_critical(path),
         findings: Vec::new(),
     };
     rules::determinism::check(&mut ctx);
-    rules::purity::check(&mut ctx);
     rules::seed::check(&mut ctx);
-    let unsafe_sites = rules::unsafe_audit::check(&mut ctx);
+    let unsafe_sites = rules::unsafe_audit::collect(&ctx);
     if policy.in_lock_scope(path) {
         rules::locks::collect(
             &ctx,
@@ -376,17 +359,12 @@ pub fn analyze_file(policy: &Policy, path: &str, source: &str) -> FileOutcome {
             });
         }
     }
-    // An annotated panic site marks its annotation used no matter which
-    // analysis consults it: the lexical rule skips it via the retain above
-    // when it fires, and panic-reachability silently steps over it — the
-    // annotation is load-bearing either way.
-    for item in &items {
-        for site in &item.panics {
-            for rule in [PANIC, PANIC_REACH] {
-                if let Some(l) = model.suppressing_line(rule, site.line) {
-                    outcome.used.insert((l, rule.to_string()));
-                }
-            }
+    // An annotated panic site marks its annotation used: panic-reachability
+    // silently steps over it, so the annotation is load-bearing whether or
+    // not the site is reachable in this run.
+    for site in items.iter().flat_map(|item| &item.panics) {
+        if let Some(l) = model.suppressing_line(PANIC_REACH, site.line) {
+            outcome.used.insert((l, PANIC_REACH.to_string()));
         }
     }
     outcome.unsafe_sites = unsafe_sites;

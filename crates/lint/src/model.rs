@@ -357,12 +357,12 @@ mod tests {
 
     #[test]
     fn suppressions_parse_and_reject() {
-        let src = "\n// lint:allow(panic): invariant holds by construction\nx.unwrap();\n// lint:allow(panic)\n// lint:allow(panic):\n// lint:allow(): no rule\n";
+        let src = "\n// lint:allow(hash-iter): order-independent sum\nm.values().sum();\n// lint:allow(hash-iter)\n// lint:allow(hash-iter):\n// lint:allow(): no rule\n";
         let model = FileModel::parse(src, false);
-        assert!(model.is_suppressed("panic", 2), "same line");
-        assert!(model.is_suppressed("panic", 3), "line above");
-        assert!(!model.is_suppressed("panic", 5));
-        assert!(!model.is_suppressed("stdout-purity", 3));
+        assert!(model.is_suppressed("hash-iter", 2), "same line");
+        assert!(model.is_suppressed("hash-iter", 3), "line above");
+        assert!(!model.is_suppressed("hash-iter", 5));
+        assert!(!model.is_suppressed("debug-format", 3));
         assert_eq!(model.bad_suppressions.len(), 3);
         assert!(model.bad_suppressions[0].message.contains("missing its `: <reason>`"));
         assert!(model.bad_suppressions[1].message.contains("empty reason"));

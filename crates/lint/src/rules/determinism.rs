@@ -1,8 +1,9 @@
-//! The determinism family: `hash-iter`, `wall-clock`, `debug-format`.
+//! The determinism family: `hash-iter`, `debug-format`.
 //!
-//! These three rules guard the workspace's headline invariant — bitwise
+//! These rules guard the workspace's headline invariant — bitwise
 //! identical solver output, golden-diffed wire responses, deterministic
-//! cache rebuilds — against its three cheapest ways to die:
+//! cache rebuilds — against its cheapest ways to die. (Wall-clock reads,
+//! the third way, are clippy's `disallowed_methods`; see docs/LINTS.md.)
 //!
 //! * **`hash-iter`** — iterating a `HashMap`/`HashSet` yields entries in a
 //!   randomized order; if that order reaches a fingerprint, cache key or
@@ -12,16 +13,13 @@
 //!   inside determinism-critical scopes (`fingerprint`/`canonical` bodies
 //!   and the protocol writer files), where `BTreeMap`/`BTreeSet` or sorted
 //!   access is mandatory.
-//! * **`wall-clock`** — `Instant::now`/`SystemTime` are allowed only where
-//!   time is *measured about* the system (bench crate, the stats module),
-//!   never where it could leak into an answer.
 //! * **`debug-format`** — `{:?}` output is not a stable format across
 //!   compiler versions or type changes; fingerprints, canonical encodings
 //!   and protocol writers must spell out their encoding.
 
 use crate::lexer::TokenKind;
 use crate::rules::RuleCtx;
-use crate::{Finding, DEBUG_FORMAT, HASH_ITER, WALL_CLOCK};
+use crate::{Finding, DEBUG_FORMAT, HASH_ITER};
 
 /// Methods whose call on a hash container observes iteration order.
 const ORDER_REVEALING: &[&str] =
@@ -29,7 +27,6 @@ const ORDER_REVEALING: &[&str] =
 
 pub(crate) fn check(ctx: &mut RuleCtx<'_>) {
     hash_iter(ctx);
-    wall_clock(ctx);
     debug_format(ctx);
 }
 
@@ -228,46 +225,6 @@ fn collect_hash_bindings(ctx: &RuleCtx<'_>) -> Vec<HashBinding> {
         }
     }
     names
-}
-
-fn wall_clock(ctx: &mut RuleCtx<'_>) {
-    if ctx.policy_allows_wall_clock {
-        return;
-    }
-    let tokens = ctx.code_tokens();
-    for idx in 0..tokens.len() {
-        let (i, tok) = tokens[idx];
-        if ctx.model.in_test(i) {
-            continue;
-        }
-        // `Instant :: now`
-        if tok.is_ident("Instant") {
-            if let (Some((_, c1)), Some((_, c2)), Some((_, now))) =
-                (tokens.get(idx + 1), tokens.get(idx + 2), tokens.get(idx + 3))
-            {
-                if c1.is_punct(':') && c2.is_punct(':') && now.is_ident("now") {
-                    ctx.push(Finding::new(
-                        WALL_CLOCK,
-                        ctx.path,
-                        tok.line,
-                        "Instant::now outside the bench crate and the stats module; wall-clock \
-                         readings must never feed solver output, cache keys or responses"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-        if tok.is_ident("SystemTime") {
-            ctx.push(Finding::new(
-                WALL_CLOCK,
-                ctx.path,
-                tok.line,
-                "SystemTime outside the bench crate and the stats module; wall-clock readings \
-                 must never feed solver output, cache keys or responses"
-                    .to_string(),
-            ));
-        }
-    }
 }
 
 fn debug_format(ctx: &mut RuleCtx<'_>) {

@@ -4,7 +4,6 @@
 pub(crate) mod determinism;
 pub(crate) mod locks;
 pub(crate) mod panic_reach;
-pub(crate) mod purity;
 pub(crate) mod seed;
 pub(crate) mod unsafe_audit;
 
@@ -21,12 +20,6 @@ use crate::Finding;
 pub(crate) struct RuleCtx<'a> {
     pub model: &'a FileModel,
     pub path: &'a str,
-    /// Whether this file may read wall clocks (bench crate, stats module).
-    pub policy_allows_wall_clock: bool,
-    /// Whether this file may write to stdout (bench crate, binaries).
-    pub policy_allows_stdout: bool,
-    /// Whether this file may panic (binaries, the bench harness).
-    pub policy_allows_panics: bool,
     /// Whether this file is sampling code where RNG constructions must be
     /// seed-derived.
     pub policy_in_seed_scope: bool,

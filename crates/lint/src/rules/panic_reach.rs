@@ -1,20 +1,20 @@
 //! `panic-reachability`: the public API must not transitively reach an
 //! unannotated panic.
 //!
-//! The lexical `panic` rule already bans bare `unwrap`/`expect`/`panic!`
-//! in library code — but it is blind to two things: `assert!` family
-//! macros (deliberately exempt lexically, because an assertion *with a
-//! stated invariant* is often the right tool), and panics sitting in
-//! files the per-file policy exempts. This rule closes the gap with the
-//! workspace call graph: starting from every `pub fn` of `tcim-core` and
-//! the facade, it walks resolved call edges (bounded depth, test scope
-//! and binaries excluded, closure-parameter calls skipped as unknowable)
-//! and reports any reachable panic site that carries no
-//! `lint:allow(panic)` / `lint:allow(panic-reachability)` annotation —
-//! with the witness call chain in the message.
+//! Clippy already denies bare `unwrap`/`expect`/`panic!` in library code
+//! (each crate root's `#![deny(clippy::unwrap_used, …)]`) — but it is
+//! blind to two things: `assert!` family macros (clippy has no lint for
+//! them, and an assertion *with a stated invariant* is often the right
+//! tool), and panics sitting in crates the deny does not cover (the bench
+//! harness). This rule closes the gap with the workspace call graph:
+//! starting from every `pub fn` of `tcim-core` and the facade, it walks
+//! resolved call edges (bounded depth, test scope and binaries excluded,
+//! closure-parameter calls skipped as unknowable) and reports any
+//! reachable panic site that carries no `lint:allow(panic-reachability)`
+//! annotation — with the witness call chain in the message.
 //!
-//! Sites the lexical rule already reports are not re-reported: this rule
-//! only surfaces what reachability alone can see.
+//! Sites clippy already reports are not re-reported: this rule only
+//! surfaces what reachability alone can see.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -54,11 +54,10 @@ pub(crate) fn check(ws: &Workspace, policy: &Policy, findings: &mut Vec<Finding>
             if site.annotated {
                 continue;
             }
-            // Only what the lexical rule cannot see: assertion macros
-            // anywhere, or any panic kind in a per-file-exempt file.
-            let lexically_invisible =
-                site.kind == PanicKind::Assert || policy.allows_panics(&f.path);
-            if !lexically_invisible {
+            // Only what clippy cannot see: assertion macros anywhere, or
+            // any panic kind in a file outside the clippy deny.
+            let clippy_invisible = site.kind == PanicKind::Assert || policy.allows_panics(&f.path);
+            if !clippy_invisible {
                 continue;
             }
             if !reported.insert((f.path.clone(), site.line)) {
@@ -72,7 +71,7 @@ pub(crate) fn check(ws: &Workspace, policy: &Policy, findings: &mut Vec<Finding>
                 site.line,
                 format!(
                     "`{}` can panic and is reachable from public `{}` ({}:{}) via {}; state \
-                     the invariant with lint:allow(panic) or handle the failure",
+                     the invariant with lint:allow(panic-reachability) or handle the failure",
                     site.what, root.item.name, root.path, root.item.line, chain
                 ),
             ));

@@ -1,27 +1,17 @@
-//! `unsafe-safety` and `unsafe-count`: the unsafe audit.
+//! `unsafe-count`: the unsafe pin.
 //!
 //! The workspace is `deny(unsafe_code)` with exactly one exemption — the
-//! hand-declared `signal(2)` FFI in `crates/service/src/server.rs`. Two
-//! rules keep it that way:
-//!
-//! * **`unsafe-safety`** — every `unsafe` keyword must be preceded by a
-//!   `// SAFETY:` comment within a few lines, so the justification lives
-//!   next to the code it justifies (the same contract clippy's
-//!   `undocumented_unsafe_blocks` enforces for blocks, extended here to
-//!   `unsafe fn` / `unsafe impl` / FFI declarations).
-//! * **`unsafe-count`** — the *workspace total* of `unsafe` keywords is
-//!   pinned: growing it, or moving it to a new file, is a lint failure by
-//!   design. This pin is deliberately **not suppressible** — widening the
-//!   unsafe surface must edit the pin in `Policy` (a reviewed change to
-//!   the lint itself), never a drive-by comment.
+//! hand-declared `signal(2)` FFI in `crates/service/src/server.rs` — and
+//! clippy's `undocumented_unsafe_blocks` makes every block carry its
+//! `// SAFETY:` comment. What clippy cannot say is how *many* there may
+//! be: the *workspace total* of `unsafe` keywords is pinned here, and
+//! growing it, or moving it to a new file, is a lint failure by design.
+//! The pin is deliberately **not suppressible** — widening the unsafe
+//! surface must edit the pin in `Policy` (a reviewed change to the lint
+//! itself), never a drive-by comment.
 
 use crate::lexer::TokenKind;
 use crate::rules::RuleCtx;
-use crate::{Finding, UNSAFE_SAFETY};
-
-/// How many lines above an `unsafe` keyword the `// SAFETY:` comment may
-/// sit (attributes and the `unsafe` line itself count).
-const SAFETY_COMMENT_WINDOW: u32 = 6;
 
 /// One `unsafe` keyword occurrence, reported back to the analyzer for the
 /// workspace-level count pin.
@@ -33,35 +23,11 @@ pub struct UnsafeSite {
     pub line: u32,
 }
 
-pub(crate) fn check(ctx: &mut RuleCtx<'_>) -> Vec<UnsafeSite> {
-    let mut sites = Vec::new();
-    // Comment lines that carry a SAFETY justification.
-    let safety_lines: Vec<u32> = ctx
-        .model
-        .tokens
-        .iter()
-        .filter(|t| t.is_comment() && t.text.contains("SAFETY:"))
-        .map(|t| t.line)
-        .collect();
-    let tokens = ctx.code_tokens();
-    for &(_, tok) in &tokens {
-        if tok.kind != TokenKind::Ident || tok.text != "unsafe" {
-            continue;
-        }
-        sites.push(UnsafeSite { path: ctx.path.to_string(), line: tok.line });
-        let documented =
-            safety_lines.iter().any(|&l| l <= tok.line && tok.line - l <= SAFETY_COMMENT_WINDOW);
-        if !documented {
-            ctx.push(Finding::new(
-                UNSAFE_SAFETY,
-                ctx.path,
-                tok.line,
-                format!(
-                    "`unsafe` without a `// SAFETY:` comment within {SAFETY_COMMENT_WINDOW} \
-                     lines above; state why the contract holds"
-                ),
-            ));
-        }
-    }
-    sites
+/// Every `unsafe` keyword in the file's code (comments excluded).
+pub(crate) fn collect(ctx: &RuleCtx<'_>) -> Vec<UnsafeSite> {
+    ctx.code_tokens()
+        .into_iter()
+        .filter(|(_, tok)| tok.kind == TokenKind::Ident && tok.text == "unsafe")
+        .map(|(_, tok)| UnsafeSite { path: ctx.path.to_string(), line: tok.line })
+        .collect()
 }

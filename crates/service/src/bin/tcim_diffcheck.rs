@@ -117,7 +117,6 @@ fn solve_requests(spec: &ScenarioSpec) -> Vec<Request> {
         ),
     ]
     .iter()
-    // lint:allow(panic): the request lines are compile-time templates
     .map(|line| Request::parse_line(line).expect("workload lines are well-formed"))
     .collect()
 }

@@ -390,7 +390,10 @@ impl CacheValue {
     fn into_graph(self) -> Arc<Graph> {
         match self {
             CacheValue::Graph(graph) => graph,
-            // lint:allow(panic): the `graph:` key namespace stores exactly this variant
+            #[expect(
+                clippy::unreachable,
+                reason = "the `graph:` key namespace stores exactly this variant"
+            )]
             _ => unreachable!("graph keys only ever store graphs"),
         }
     }
@@ -398,7 +401,10 @@ impl CacheValue {
     fn into_lt(self) -> Arc<LtWeights> {
         match self {
             CacheValue::Lt(weights) => weights,
-            // lint:allow(panic): the `lt:` key namespace stores exactly this variant
+            #[expect(
+                clippy::unreachable,
+                reason = "the `lt:` key namespace stores exactly this variant"
+            )]
             _ => unreachable!("lt keys only ever store LT tables"),
         }
     }
@@ -406,7 +412,10 @@ impl CacheValue {
     fn into_worlds(self) -> Arc<WorldCollection> {
         match self {
             CacheValue::Worlds(worlds) => worlds,
-            // lint:allow(panic): the `worlds:` key namespace stores exactly this variant
+            #[expect(
+                clippy::unreachable,
+                reason = "the `worlds:` key namespace stores exactly this variant"
+            )]
             _ => unreachable!("worlds keys only ever store collections"),
         }
     }
@@ -414,7 +423,10 @@ impl CacheValue {
     fn into_oracle(self) -> Arc<Estimator> {
         match self {
             CacheValue::Oracle(oracle) => oracle,
-            // lint:allow(panic): the `oracle:` key namespace stores exactly this variant
+            #[expect(
+                clippy::unreachable,
+                reason = "the `oracle:` key namespace stores exactly this variant"
+            )]
             _ => unreachable!("oracle keys only ever store estimators"),
         }
     }
@@ -528,9 +540,15 @@ impl Shard {
             let Some((&stamp, _)) = self.protected.first_key_value() else {
                 break;
             };
-            // lint:allow(panic): `stamp` was just read from `protected`'s first entry
+            #[expect(
+                clippy::expect_used,
+                reason = "`stamp` was just read from `protected`'s first entry"
+            )]
             let key = self.protected.remove(&stamp).expect("stamp listed");
-            // lint:allow(panic): segment maps only list keys resident in `entries`
+            #[expect(
+                clippy::expect_used,
+                reason = "segment maps only list keys resident in `entries`"
+            )]
             let entry = self.entries.get_mut(&key).expect("segment entry resident");
             entry.protected = false;
             let cost = entry.cost;
@@ -551,14 +569,20 @@ impl Shard {
                 } else {
                     break;
                 };
+            #[expect(
+                clippy::expect_used,
+                reason = "`stamp` came from the victim scan over these same maps"
+            )]
             let key = if from_protected {
                 self.protected.remove(&stamp)
             } else {
                 self.probation.remove(&stamp)
             }
-            // lint:allow(panic): `stamp` came from the victim scan over these same maps
             .expect("stamp listed");
-            // lint:allow(panic): segment maps only list keys resident in `entries`
+            #[expect(
+                clippy::expect_used,
+                reason = "segment maps only list keys resident in `entries`"
+            )]
             let entry = self.entries.remove(&key).expect("segment entry resident");
             self.bytes_used -= entry.cost;
             if from_protected {
@@ -577,7 +601,7 @@ impl Shard {
         let mut keys: Vec<String> = self.entries.keys().filter(|k| matches(k)).cloned().collect();
         keys.sort_unstable();
         for key in &keys {
-            // lint:allow(panic): `key` was just listed from `entries`
+            #[expect(clippy::expect_used, reason = "`key` was just listed from `entries`")]
             let entry = self.entries.remove(key).expect("listed key resident");
             self.bytes_used -= entry.cost;
             if entry.protected {
@@ -704,7 +728,10 @@ impl OracleCache {
         let mut bytes_budget = 0u64;
         let mut evictions = 0u64;
         for shard in &self.shards {
-            // lint:allow(panic): shard locks poison only if a holder panicked, which the panic rule forbids
+            #[expect(
+                clippy::expect_used,
+                reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
+            )]
             let shard = shard.lock().expect("cache shard");
             bytes_used += shard.bytes_used as u64;
             bytes_budget += shard.bytes_budget as u64;
@@ -729,8 +756,11 @@ impl OracleCache {
     }
 
     /// Per-shard budget counters, in shard order.
+    #[expect(
+        clippy::expect_used,
+        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
+    )]
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        // lint:allow(panic): shard locks poison only if a holder panicked, which the panic rule forbids
         self.shards.iter().map(|shard| shard.lock().expect("cache shard").stats()).collect()
     }
 
@@ -740,17 +770,23 @@ impl OracleCache {
 
     /// Looks `key` up in its shard, refreshing recency on a hit. Shard
     /// locks are held only for the lookup itself, never across builds.
+    #[expect(
+        clippy::expect_used,
+        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
+    )]
     fn lookup(&self, key: &str) -> Option<CacheValue> {
-        // lint:allow(panic): shard locks poison only if a holder panicked, which the panic rule forbids
         self.shard_for(key).lock().expect("cache shard").get(key)
     }
 
     /// Stores `value` under `key` (first build wins) and returns the stored
     /// value. The charged cost is the value's [`CacheCost`] bytes plus the
     /// key string and fixed per-entry bookkeeping.
+    #[expect(
+        clippy::expect_used,
+        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
+    )]
     fn store(&self, key: &str, value: CacheValue) -> CacheValue {
         let cost = key.len() + value.cost_bytes() + std::mem::size_of::<Entry>();
-        // lint:allow(panic): shard locks poison only if a holder panicked, which the panic rule forbids
         self.shard_for(key).lock().expect("cache shard").insert_or_get(key.to_string(), value, cost)
     }
 
@@ -769,11 +805,17 @@ impl OracleCache {
         store: impl FnOnce(V) -> V,
     ) -> Result<V> {
         let lock = {
-            // lint:allow(panic): the registry lock is held for a map op only; no code inside can panic
+            #[expect(
+                clippy::expect_used,
+                reason = "the registry lock is held for a map op only; no code inside can panic"
+            )]
             let mut building = self.building.lock().expect("build-lock registry");
             Arc::clone(building.entry(key.to_string()).or_default())
         };
-        // lint:allow(panic): a poisoned build lock means a builder panicked, which the panic rule forbids
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned build lock means a builder panicked, which the panic rule forbids"
+        )]
         let guard = lock.lock().expect("build lock");
         // Re-check under the lock: a concurrent builder may have finished
         // while this request waited, in which case the wait *was* the build.
@@ -787,7 +829,10 @@ impl OracleCache {
         drop(guard);
         // Waiters that already hold the Arc proceed normally; future
         // requests re-check the cache before ever reaching the registry.
-        // lint:allow(panic): the registry lock is held for a map op only; no code inside can panic
+        #[expect(
+            clippy::expect_used,
+            reason = "the registry lock is held for a map op only; no code inside can panic"
+        )]
         self.building.lock().expect("build-lock registry").remove(key);
         stored
     }
@@ -795,7 +840,10 @@ impl OracleCache {
     /// The head state of `spec`, if it has ever been mutated: the current
     /// graph plus the endpoints touched by the latest mutation step.
     fn head_state(&self, base: &str) -> Option<(Arc<Graph>, Vec<NodeId>, Vec<NodeId>)> {
-        // lint:allow(panic): the heads lock is held for a map op only; no code inside can panic
+        #[expect(
+            clippy::expect_used,
+            reason = "the heads lock is held for a map op only; no code inside can panic"
+        )]
         let heads = self.heads.lock().expect("mutable-head registry");
         heads.get(base).map(|head| {
             (
@@ -1103,7 +1151,10 @@ impl OracleCache {
             CacheValue::Graph(Arc::clone(&mutated)),
         );
         {
-            // lint:allow(panic): the heads lock is held for a map op only; no code inside can panic
+            #[expect(
+                clippy::expect_used,
+                reason = "the heads lock is held for a map op only; no code inside can panic"
+            )]
             let mut heads = self.heads.lock().expect("mutable-head registry");
             heads.insert(
                 base.clone(),
@@ -1132,7 +1183,10 @@ impl OracleCache {
             key == vfp || key == lt || key.starts_with(&with_sep) || key.starts_with(&oracle_prefix)
         };
         for shard in &self.shards {
-            // lint:allow(panic): shard locks poison only if a holder panicked, which the panic rule forbids
+            #[expect(
+                clippy::expect_used,
+                reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
+            )]
             shard.lock().expect("cache shard").purge_matching(matches);
         }
     }
@@ -1155,10 +1209,13 @@ impl OracleCache {
     /// `bytes_used` recomputed from scratch over every resident entry. The
     /// cache-accounting tests pin `recount_bytes() == stats().bytes_used`
     /// after arbitrary churn; a mismatch means a charge/credit drifted.
+    #[expect(
+        clippy::expect_used,
+        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
+    )]
     pub fn recount_bytes(&self) -> u64 {
         self.shards
             .iter()
-            // lint:allow(panic): shard locks poison only if a holder panicked, which the panic rule forbids
             .map(|shard| shard.lock().expect("cache shard").recount_bytes() as u64)
             .sum()
     }

@@ -67,7 +67,10 @@ impl ServiceEngine {
     pub fn serve(&self, request: &Request) -> Json {
         let kind = OpKind::of(&request.op);
         self.stats.request_started();
-        // lint:allow(wall-clock): latency measurement feeds the stats histograms only, never a response body
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "latency measurement feeds the stats histograms only, never a response body"
+        )]
         let start = Instant::now();
         let result = self.execute(request);
         let ok = result.is_ok();
@@ -161,8 +164,11 @@ impl ServiceEngine {
                     ("total".into(), Json::Num(influence.total())),
                 ])
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "execute() answers admin ops and mutations before dispatching here"
+            )]
             Op::Stats | Op::Ping | Op::Shutdown | Op::Mutate { .. } => {
-                // lint:allow(panic): execute() answers admin ops and mutations before dispatching here
                 unreachable!("admin ops and mutations handled above")
             }
         }

@@ -356,7 +356,10 @@ impl Request {
                 seeds: optional_node_array(value, "seeds")?
                     .ok_or_else(|| missing("seeds", "estimate"))?,
             },
-            // lint:allow(panic): the op string was matched against this same list above
+            #[expect(
+                clippy::unreachable,
+                reason = "the op string was matched against this same list above"
+            )]
             _ => unreachable!("op validated above"),
         };
         Ok(Request {
@@ -420,7 +423,7 @@ impl Request {
                 members.push(("seeds".into(), nodes_to_json(seeds)));
             }
             Op::Stats | Op::Ping | Op::Shutdown => {}
-            // lint:allow(panic): mutations returned early above
+            #[expect(clippy::unreachable, reason = "mutations returned early above")]
             Op::Mutate { .. } => unreachable!("mutations rendered above"),
         }
         Json::Obj(members)

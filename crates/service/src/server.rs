@@ -151,10 +151,16 @@ impl Semaphore {
     }
 
     fn acquire(&self) -> SemaphorePermit<'_> {
-        // lint:allow(panic): the permit count is touched only by this module, which cannot panic mid-update
+        #[expect(
+            clippy::expect_used,
+            reason = "the permit count is touched only by this module, which cannot panic mid-update"
+        )]
         let mut permits = self.permits.lock().expect("semaphore lock");
+        #[expect(
+            clippy::expect_used,
+            reason = "wait() fails only on poisoning; see the acquire invariant above"
+        )]
         while *permits == 0 {
-            // lint:allow(panic): wait() fails only on poisoning; see the acquire invariant above
             permits = self.available.wait(permits).expect("semaphore wait");
         }
         *permits -= 1;
@@ -167,8 +173,11 @@ struct SemaphorePermit<'a> {
 }
 
 impl Drop for SemaphorePermit<'_> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the permit count is touched only by this module, which cannot panic mid-update"
+    )]
     fn drop(&mut self) {
-        // lint:allow(panic): the permit count is touched only by this module, which cannot panic mid-update
         *self.semaphore.permits.lock().expect("semaphore lock") += 1;
         self.semaphore.available.notify_one();
     }
@@ -352,7 +361,10 @@ impl Server {
             // Admission: past the cap the client gets one parseable error
             // line instead of a silent hangup.
             {
-                // lint:allow(panic): the gauge lock guards a bare integer; holders cannot panic
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the gauge lock guards a bare integer; holders cannot panic"
+                )]
                 let mut count = active.lock().expect("active-connection count");
                 if *count >= self.config.max_connections {
                     drop(count);
@@ -378,9 +390,12 @@ impl Server {
             let inflight = Arc::clone(&inflight);
             let window = self.config.window;
             let active = Arc::clone(&active);
+            #[expect(
+                clippy::expect_used,
+                reason = "the gauge lock guards a bare integer; holders cannot panic"
+            )]
             thread::spawn(move || {
                 handle_connection(stream, engine, shutdown, inflight, window);
-                // lint:allow(panic): the gauge lock guards a bare integer; holders cannot panic
                 *active.lock().expect("active-connection count") -= 1;
             });
         }
@@ -392,14 +407,23 @@ impl Server {
         // Drain: readers notice the flag within READ_TIMEOUT and stop
         // feeding; workers finish what is queued. Past the grace period the
         // remaining connections are abandoned and the report says so.
-        // lint:allow(wall-clock): the shutdown grace deadline bounds draining; it never reaches a response
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the shutdown grace deadline bounds draining; it never reaches a response"
+        )]
         let deadline = Instant::now() + self.config.shutdown_grace;
         let drained = loop {
-            // lint:allow(panic): the gauge lock guards a bare integer; holders cannot panic
+            #[expect(
+                clippy::expect_used,
+                reason = "the gauge lock guards a bare integer; holders cannot panic"
+            )]
             if *active.lock().expect("active-connection count") == 0 {
                 break true;
             }
-            // lint:allow(wall-clock): drain-loop deadline check, observability only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "drain-loop deadline check, observability only"
+            )]
             if Instant::now() >= deadline {
                 break false;
             }

@@ -86,8 +86,11 @@ impl OpKind {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "OpKind::ALL enumerates every variant of this non-exhaustive-proof enum"
+    )]
     fn index(self) -> usize {
-        // lint:allow(panic): OpKind::ALL enumerates every variant of this non-exhaustive-proof enum
         OpKind::ALL.iter().position(|k| *k == self).expect("OpKind::ALL covers every kind")
     }
 }
@@ -211,6 +214,10 @@ impl ServerStats {
     /// A zeroed aggregator; uptime counts from this moment.
     pub fn new() -> Self {
         ServerStats {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the stats module timestamps requests for the latency histograms"
+            )]
             start: Instant::now(),
             ops: Default::default(),
             parse_errors: AtomicU64::new(0),

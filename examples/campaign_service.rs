@@ -33,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. One engine, one shared oracle cache: the live-edge worlds sample
     //    once and every (τ, B, fairness) combination reuses them.
     let engine = ServiceEngine::new(ParallelismConfig::auto());
-    // lint:allow(wall-clock): demo-only batch timing printed to the console, never in a response
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo-only batch timing printed to the console, never in a response"
+    )]
     let started = Instant::now();
     let responses = engine.serve_batch(&requests);
     let batch_ms = started.elapsed().as_secs_f64() * 1e3;
