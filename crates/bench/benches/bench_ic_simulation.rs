@@ -49,13 +49,14 @@ fn bench_world_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("live_edge_worlds");
     group.sample_size(20);
     group.bench_function("sample_world_500", |b| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        b.iter(|| black_box(LiveEdgeWorld::sample(&graph, &mut rng)));
+        let mut world_seed = 0u64;
+        b.iter(|| {
+            world_seed += 1;
+            black_box(LiveEdgeWorld::sample(&graph, world_seed))
+        });
     });
     group.finish();
 }
-
-use rand::SeedableRng;
 
 criterion_group!(benches, bench_ic, bench_lt, bench_world_sampling);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Parallelism control for Monte-Carlo estimation.
 //!
-//! Every parallel code path in this crate is **deterministic**: world `i` is
-//! always sampled from `StdRng::seed_from_u64(base_seed + i)` and per-world
+//! Every parallel code path in this crate is **deterministic**: world `i`
+//! draws its keyed coins from the world seed `base_seed + i` and per-world
 //! activation counts are accumulated as integers (`u64`) before the single
 //! final conversion to `f64`, so serial and parallel runs — at *any* thread
 //! count — produce bitwise-identical [`crate::GroupInfluence`] vectors.

@@ -17,9 +17,13 @@
 //!    greedy/CELF guarantees hold exactly on the sample;
 //! 2. comparisons between solvers (fair vs unfair) are not polluted by
 //!    independent sampling noise.
+//!
+//! Every coin is **keyed**: the coin of edge `u → v` in world `i` is a pure
+//! function of `(seed + i, u, v)`, never a position in a sequential RNG
+//! stream. Mutating a graph therefore leaves the coins of every untouched
+//! edge unchanged, which is what lets [`WorldCollection::patch`] re-draw only
+//! the mutated rows and still equal a cold resample bitwise.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 use tcim_graph::{Graph, NodeId};
 
@@ -56,98 +60,47 @@ impl LiveEdgeWorld {
         LiveEdgeWorld { offsets, targets }
     }
 
-    /// Samples a live-edge world under the **linear threshold** model: every
-    /// node independently selects at most one of its incoming edges, picking
-    /// in-neighbour `u` with probability equal to its normalised LT weight
-    /// (and no edge with the remaining probability). Kempe et al.'s coupling
-    /// shows cascades in this world have the same distribution as LT
-    /// cascades, and the activation time of a node equals its live-edge hop
-    /// distance from the seed set — so the same τ-bounded BFS machinery
-    /// estimates the time-critical LT utility.
-    pub fn sample_lt<R: RngExt + ?Sized>(
+    /// Builds a world row by row in CSR source order: `row(v, targets)`
+    /// appends the live out-neighbours of `v`.
+    fn from_rows(
         graph: &Graph,
-        weights: &crate::lt::LtWeights,
-        rng: &mut R,
+        capacity: usize,
+        mut row: impl FnMut(NodeId, &mut Vec<u32>),
     ) -> Self {
-        let n = graph.num_nodes();
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n);
-        for v in graph.nodes() {
-            let in_edges = weights.in_edges(v);
-            if in_edges.is_empty() {
-                continue;
-            }
-            let mut pick = rng.random::<f64>();
-            for &(u, w) in in_edges {
-                if pick < w {
-                    edges.push((u.0, v.0));
-                    break;
-                }
-                pick -= w;
-            }
-        }
-        LiveEdgeWorld::from_edges(n, edges)
-    }
-
-    /// Samples a world with **keyed** per-edge coins: the coin of edge
-    /// `u → v` is a pure function of `(world_seed, u, v)` instead of a
-    /// position in a sequential RNG stream. Two consequences the dynamic
-    /// serving tier relies on:
-    ///
-    /// 1. mutating the graph leaves the coins of every untouched edge
-    ///    unchanged (common random numbers across versions), and
-    /// 2. patching only the mutated rows ([`WorldCollection::patch`]) is
-    ///    bitwise-identical to resampling the whole world from scratch.
-    ///
-    /// The sequential sampler ([`LiveEdgeWorld::sample`]) cannot offer either
-    /// property — inserting one edge shifts every later coin — which is why
-    /// version-0 pools keep it (frozen goldens) and mutated graphs use this.
-    pub fn sample_keyed(graph: &Graph, world_seed: u64) -> Self {
-        let n = graph.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
+        let mut offsets = Vec::with_capacity(graph.num_nodes() + 1);
+        let mut targets = Vec::with_capacity(capacity);
         offsets.push(0u32);
         for v in graph.nodes() {
-            for (w, p) in graph.out_edges(v) {
-                if p > 0.0 && (p >= 1.0 || keyed_draw(world_seed, v.0, w.0) < p) {
-                    targets.push(w.0);
-                }
-            }
+            row(v, &mut targets);
             offsets.push(targets.len() as u32);
         }
         LiveEdgeWorld { offsets, targets }
     }
 
-    /// Keyed linear-threshold world: node `v`'s single in-edge pick draws
-    /// from `(world_seed, v)` instead of a sequential stream, so a mutation
-    /// touching the in-edges of one node re-picks only that node — see
-    /// [`LiveEdgeWorld::sample_keyed`] for why that makes patching exact.
-    pub fn sample_lt_keyed(graph: &Graph, weights: &crate::lt::LtWeights, world_seed: u64) -> Self {
+    /// Samples an **independent cascade** world: edge `u → v` is live iff
+    /// its keyed coin `(world_seed, u, v)` falls below the edge probability.
+    pub fn sample(graph: &Graph, world_seed: u64) -> Self {
+        Self::from_rows(graph, 0, |v, targets| push_ic_row(graph, v, world_seed, targets))
+    }
+
+    /// Samples a world under the **linear threshold** model: every node
+    /// independently selects at most one of its incoming edges, picking
+    /// in-neighbour `u` with probability equal to its normalised LT weight
+    /// (and no edge with the remaining probability). Node `v`'s pick is keyed
+    /// by `(world_seed, v)`. Kempe et al.'s coupling shows cascades in this
+    /// world have the same distribution as LT cascades, and the activation
+    /// time of a node equals its live-edge hop distance from the seed set —
+    /// so the same τ-bounded BFS machinery estimates the time-critical LT
+    /// utility.
+    pub fn sample_lt(graph: &Graph, weights: &crate::lt::LtWeights, world_seed: u64) -> Self {
         let n = graph.num_nodes();
         let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n);
         for v in graph.nodes() {
-            if let Some((u, _)) = lt_pick(weights, v, world_seed) {
+            if let Some(u) = lt_pick(weights, v, world_seed) {
                 edges.push((u.0, v.0));
             }
         }
         LiveEdgeWorld::from_edges(n, edges)
-    }
-
-    /// Samples a world from `graph` using `rng` (each edge kept independently
-    /// with its activation probability).
-    pub fn sample<R: RngExt + ?Sized>(graph: &Graph, rng: &mut R) -> Self {
-        let n = graph.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        for v in graph.nodes() {
-            for (w, p) in graph.out_edges(v) {
-                if p > 0.0 && (p >= 1.0 || rng.random_bool(p)) {
-                    targets.push(w.0);
-                }
-            }
-            offsets.push(targets.len() as u32);
-        }
-        LiveEdgeWorld { offsets, targets }
     }
 
     /// Number of nodes the world covers.
@@ -241,10 +194,23 @@ fn keyed_draw(world_seed: u64, u: u32, v: u32) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The linear-threshold in-edge pick of node `v` under keyed sampling:
-/// `None` when no edge is selected. Self-loops never exist, so the `(v, v)`
-/// key is free for the per-node draw without colliding with any IC edge key.
-fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option<(NodeId, f64)> {
+/// Appends the live out-neighbours of `v` in the IC world seeded by
+/// `world_seed`. Sampling and patching share this, so a re-drawn row is the
+/// row a cold sample would draw.
+#[inline]
+fn push_ic_row(graph: &Graph, v: NodeId, world_seed: u64, targets: &mut Vec<u32>) {
+    for (w, p) in graph.out_edges(v) {
+        if p > 0.0 && (p >= 1.0 || keyed_draw(world_seed, v.0, w.0) < p) {
+            targets.push(w.0);
+        }
+    }
+}
+
+/// The linear-threshold in-edge pick of node `v` in the world seeded by
+/// `world_seed`: `None` when no edge is selected. Self-loops never exist, so
+/// the `(v, v)` key is free for the per-node draw without colliding with any
+/// IC edge key.
+fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option<NodeId> {
     let in_edges = weights.in_edges(v);
     if in_edges.is_empty() {
         return None;
@@ -252,7 +218,7 @@ fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option
     let mut pick = keyed_draw(world_seed, v.0, v.0);
     for &(u, w) in in_edges {
         if pick < w {
-            return Some((u, w));
+            return Some(u);
         }
         pick -= w;
     }
@@ -303,8 +269,9 @@ impl VisitScratch {
 pub struct WorldsConfig {
     /// Number of live-edge worlds (Monte-Carlo samples).
     pub num_worlds: usize,
-    /// RNG seed; world `i` is sampled from `seed + i` so collections can be
-    /// extended deterministically and parallel sampling is order-independent.
+    /// Base world seed; world `i` draws its keyed coins from `seed + i`, so
+    /// collections can be extended deterministically and parallel sampling
+    /// is order-independent.
     pub seed: u64,
     /// Worker threads for sampling and estimation. Purely a throughput knob:
     /// results are bitwise identical at every thread count.
@@ -318,41 +285,40 @@ impl Default for WorldsConfig {
     }
 }
 
+/// The live-edge model a [`WorldCollection`] was drawn under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WorldModel {
+    IndependentCascade,
+    LinearThreshold,
+}
+
 /// A fixed collection of live-edge worlds sampled from one graph.
 #[derive(Debug, Clone)]
 pub struct WorldCollection {
     worlds: Vec<LiveEdgeWorld>,
     num_nodes: usize,
+    seed: u64,
+    model: WorldModel,
 }
 
 impl WorldCollection {
     /// Samples `config.num_worlds` worlds from `graph` under the independent
-    /// cascade model.
+    /// cascade model; world `i` uses the world seed `config.seed + i`
+    /// ([`LiveEdgeWorld::sample`]).
     ///
     /// # Errors
     ///
     /// Returns [`DiffusionError::NoSamples`] when `num_worlds` is zero.
     pub fn sample(graph: &Graph, config: &WorldsConfig) -> Result<Self> {
-        if config.num_worlds == 0 {
-            return Err(DiffusionError::NoSamples);
-        }
-        // World `i` depends only on `seed + i`, so the parallel map is
-        // trivially identical to the serial loop (collect preserves order).
-        let worlds = config.parallelism.run(|| {
-            (0..config.num_worlds)
-                .into_par_iter()
-                .map(|i| {
-                    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
-                    LiveEdgeWorld::sample(graph, &mut rng)
-                })
-                .collect()
-        });
-        Ok(WorldCollection { worlds, num_nodes: graph.num_nodes() })
+        Self::draw(graph, config, WorldModel::IndependentCascade, |_, world_seed| {
+            LiveEdgeWorld::sample(graph, world_seed)
+        })
     }
 
     /// Samples `config.num_worlds` worlds from `graph` under the linear
     /// threshold model (each node keeps at most one incoming live edge,
-    /// chosen with probability proportional to its normalised LT weight).
+    /// chosen with probability proportional to its normalised LT weight);
+    /// see [`LiveEdgeWorld::sample_lt`].
     ///
     /// # Errors
     ///
@@ -362,53 +328,19 @@ impl WorldCollection {
         weights: &crate::lt::LtWeights,
         config: &WorldsConfig,
     ) -> Result<Self> {
-        if config.num_worlds == 0 {
-            return Err(DiffusionError::NoSamples);
-        }
-        let worlds = config.parallelism.run(|| {
-            (0..config.num_worlds)
-                .into_par_iter()
-                .map(|i| {
-                    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
-                    LiveEdgeWorld::sample_lt(graph, weights, &mut rng)
-                })
-                .collect()
-        });
-        Ok(WorldCollection { worlds, num_nodes: graph.num_nodes() })
+        Self::draw(graph, config, WorldModel::LinearThreshold, |_, world_seed| {
+            LiveEdgeWorld::sample_lt(graph, weights, world_seed)
+        })
     }
 
-    /// Samples a collection with keyed per-edge coins
-    /// ([`LiveEdgeWorld::sample_keyed`]); world `i` uses the world seed
-    /// `config.seed + i`. The serving tier builds every pool for a *mutated*
-    /// graph (`graph.version() > 0`) this way, so incremental patching and a
-    /// cold rebuild agree bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::NoSamples`] when `num_worlds` is zero.
-    pub fn sample_keyed(graph: &Graph, config: &WorldsConfig) -> Result<Self> {
-        if config.num_worlds == 0 {
-            return Err(DiffusionError::NoSamples);
-        }
-        let worlds = config.parallelism.run(|| {
-            (0..config.num_worlds)
-                .into_par_iter()
-                .map(|i| LiveEdgeWorld::sample_keyed(graph, config.seed.wrapping_add(i as u64)))
-                .collect()
-        });
-        Ok(WorldCollection { worlds, num_nodes: graph.num_nodes() })
-    }
-
-    /// Keyed linear-threshold collection; see
-    /// [`LiveEdgeWorld::sample_lt_keyed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::NoSamples`] when `num_worlds` is zero.
-    pub fn sample_lt_keyed(
+    /// The one construction path: world `i` is `world(i, config.seed + i)`.
+    /// World `i` depends only on its own seed, so the parallel map is
+    /// trivially identical to the serial loop (collect preserves order).
+    fn draw(
         graph: &Graph,
-        weights: &crate::lt::LtWeights,
         config: &WorldsConfig,
+        model: WorldModel,
+        world: impl Fn(usize, u64) -> LiveEdgeWorld + Sync,
     ) -> Result<Self> {
         if config.num_worlds == 0 {
             return Err(DiffusionError::NoSamples);
@@ -416,31 +348,27 @@ impl WorldCollection {
         let worlds = config.parallelism.run(|| {
             (0..config.num_worlds)
                 .into_par_iter()
-                .map(|i| {
-                    LiveEdgeWorld::sample_lt_keyed(
-                        graph,
-                        weights,
-                        config.seed.wrapping_add(i as u64),
-                    )
-                })
+                .map(|i| world(i, config.seed.wrapping_add(i as u64)))
                 .collect()
         });
-        Ok(WorldCollection { worlds, num_nodes: graph.num_nodes() })
+        Ok(WorldCollection { worlds, num_nodes: graph.num_nodes(), seed: config.seed, model })
     }
 
-    /// Patches a **keyed** collection onto a mutated graph: only the CSR
-    /// rows of `touched_sources` (the source endpoints of mutated edges) are
-    /// re-drawn; every other row is copied verbatim. Because keyed coins are
-    /// pure functions of `(seed + i, u, v)`, the result is bitwise-identical
-    /// to [`WorldCollection::sample_keyed`] on the new graph — patching is a
-    /// latency optimisation, never a semantic one.
+    /// Patches an independent-cascade collection onto a mutated graph: only
+    /// the CSR rows of `touched_sources` (the source endpoints of mutated
+    /// edges) are re-drawn; every other row is copied verbatim. Because the
+    /// coins are pure functions of `(seed + i, u, v)`, the result is
+    /// bitwise-identical to [`WorldCollection::sample`] on the new graph —
+    /// patching is a latency optimisation, never a semantic one.
     ///
     /// # Errors
     ///
     /// Returns [`DiffusionError::NoSamples`] when `config.num_worlds` is
     /// zero, or [`DiffusionError::InvalidParameter`] when the collection was
-    /// built for a different node or world count (mutations never change the
-    /// node set).
+    /// built for a different node count, world count or seed (re-drawing
+    /// under another seed would splice two seeds' coins), or under the
+    /// linear threshold model (whose per-target picks a source row cannot
+    /// re-draw).
     pub fn patch(
         &self,
         graph: &Graph,
@@ -450,17 +378,28 @@ impl WorldCollection {
         if config.num_worlds == 0 {
             return Err(DiffusionError::NoSamples);
         }
+        let invalid = |message: String| Err(DiffusionError::InvalidParameter { message });
         if self.num_nodes != graph.num_nodes() || self.worlds.len() != config.num_worlds {
-            return Err(DiffusionError::InvalidParameter {
-                message: format!(
-                    "cannot patch a {}-world collection over {} nodes onto a graph with {} \
-                     nodes and a config asking for {} worlds",
-                    self.worlds.len(),
-                    self.num_nodes,
-                    graph.num_nodes(),
-                    config.num_worlds
-                ),
-            });
+            return invalid(format!(
+                "cannot patch a {}-world collection over {} nodes onto a graph with {} nodes \
+                 and a config asking for {} worlds",
+                self.worlds.len(),
+                self.num_nodes,
+                graph.num_nodes(),
+                config.num_worlds
+            ));
+        }
+        if self.seed != config.seed {
+            return invalid(format!(
+                "cannot patch a collection sampled with seed {} under seed {}",
+                self.seed, config.seed
+            ));
+        }
+        if self.model != WorldModel::IndependentCascade {
+            return invalid(
+                "cannot patch a linear-threshold collection: its picks are keyed by target node"
+                    .to_string(),
+            );
         }
         let n = graph.num_nodes();
         let mut touched = vec![false; n];
@@ -469,32 +408,16 @@ impl WorldCollection {
                 touched[v.index()] = true;
             }
         }
-        let worlds = config.parallelism.run(|| {
-            (0..self.worlds.len())
-                .into_par_iter()
-                .map(|i| {
-                    let old = &self.worlds[i];
-                    let world_seed = config.seed.wrapping_add(i as u64);
-                    let mut offsets = Vec::with_capacity(n + 1);
-                    let mut targets = Vec::with_capacity(old.targets.len());
-                    offsets.push(0u32);
-                    for v in graph.nodes() {
-                        if touched[v.index()] {
-                            for (w, p) in graph.out_edges(v) {
-                                if p > 0.0 && (p >= 1.0 || keyed_draw(world_seed, v.0, w.0) < p) {
-                                    targets.push(w.0);
-                                }
-                            }
-                        } else {
-                            targets.extend_from_slice(old.out_neighbors(v));
-                        }
-                        offsets.push(targets.len() as u32);
-                    }
-                    LiveEdgeWorld { offsets, targets }
-                })
-                .collect()
-        });
-        Ok(WorldCollection { worlds, num_nodes: n })
+        Self::draw(graph, config, self.model, |i, world_seed| {
+            let old = &self.worlds[i];
+            LiveEdgeWorld::from_rows(graph, old.targets.len(), |v, targets| {
+                if touched[v.index()] {
+                    push_ic_row(graph, v, world_seed, targets);
+                } else {
+                    targets.extend_from_slice(old.out_neighbors(v));
+                }
+            })
+        })
     }
 
     /// Number of worlds in the collection.
@@ -551,11 +474,27 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Two incoming edges into node 2, each normalised to LT weight 0.5.
+    fn lt_fan_in() -> Graph {
+        let mut b = GraphBuilder::new();
+        let nodes = b.add_nodes(3, GroupId(0));
+        b.add_edge(nodes[0], nodes[2], 0.9).unwrap();
+        b.add_edge(nodes[1], nodes[2], 0.9).unwrap();
+        b.build().unwrap()
+    }
+
+    fn assert_worlds_bitwise_eq(a: &WorldCollection, b: &WorldCollection) {
+        assert_eq!(a.len(), b.len());
+        for (wa, wb) in a.worlds().iter().zip(b.worlds()) {
+            assert_eq!(wa.offsets, wb.offsets);
+            assert_eq!(wa.targets, wb.targets);
+        }
+    }
+
     #[test]
     fn probability_one_world_keeps_every_edge() {
         let g = path(1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let world = LiveEdgeWorld::sample(&g, &mut rng);
+        let world = LiveEdgeWorld::sample(&g, 0);
         assert_eq!(world.num_live_edges(), 3);
         assert_eq!(world.num_nodes(), 4);
         assert_eq!(world.out_neighbors(NodeId(0)), &[1]);
@@ -564,16 +503,14 @@ mod tests {
     #[test]
     fn probability_zero_world_keeps_no_edge() {
         let g = path(0.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let world = LiveEdgeWorld::sample(&g, &mut rng);
+        let world = LiveEdgeWorld::sample(&g, 0);
         assert_eq!(world.num_live_edges(), 0);
     }
 
     #[test]
     fn bounded_bfs_respects_the_deadline() {
         let g = path(1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let world = LiveEdgeWorld::sample(&g, &mut rng);
+        let world = LiveEdgeWorld::sample(&g, 0);
         let cov2 = world.coverage(&[NodeId(0)], Deadline::finite(2));
         assert_eq!(cov2.count(), 3);
         let cov_all = world.coverage(&[NodeId(0)], Deadline::unbounded());
@@ -585,8 +522,7 @@ mod tests {
     #[test]
     fn bfs_reports_hop_counts() {
         let g = path(1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let world = LiveEdgeWorld::sample(&g, &mut rng);
+        let world = LiveEdgeWorld::sample(&g, 0);
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut hops = vec![u32::MAX; 4];
         world.bounded_bfs(&[NodeId(0)], Deadline::unbounded(), &mut scratch, |n, h| {
@@ -598,8 +534,7 @@ mod tests {
     #[test]
     fn scratch_epochs_avoid_stale_marks() {
         let g = path(1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let world = LiveEdgeWorld::sample(&g, &mut rng);
+        let world = LiveEdgeWorld::sample(&g, 0);
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut first = 0;
         world.bounded_bfs(&[NodeId(0)], Deadline::unbounded(), &mut scratch, |_, _| first += 1);
@@ -621,17 +556,10 @@ mod tests {
 
     #[test]
     fn lt_worlds_keep_at_most_one_in_edge_per_node() {
-        // Node 2 has two incoming edges with weight 0.5 each after
-        // normalisation; each LT world must keep at most one of them.
-        let mut b = GraphBuilder::new();
-        let nodes = b.add_nodes(3, GroupId(0));
-        b.add_edge(nodes[0], nodes[2], 0.9).unwrap();
-        b.add_edge(nodes[1], nodes[2], 0.9).unwrap();
-        let g = b.build().unwrap();
+        let g = lt_fan_in();
         let weights = crate::lt::LtWeights::from_graph(&g);
         for seed in 0..50 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let world = LiveEdgeWorld::sample_lt(&g, &weights, &mut rng);
+            let world = LiveEdgeWorld::sample_lt(&g, &weights, seed);
             let in_degree_of_2 = world.out_neighbors(NodeId(0)).contains(&2) as usize
                 + world.out_neighbors(NodeId(1)).contains(&2) as usize;
             assert!(in_degree_of_2 <= 1);
@@ -640,19 +568,22 @@ mod tests {
 
     #[test]
     fn lt_world_collections_are_deterministic() {
-        let g = path(0.8);
+        let g = lt_fan_in();
         let weights = crate::lt::LtWeights::from_graph(&g);
         let cfg = WorldsConfig { num_worlds: 12, seed: 5, ..Default::default() };
+        let serial = WorldsConfig { parallelism: ParallelismConfig::fixed(1), ..cfg };
         let a = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
-        let b = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
+        let b = WorldCollection::sample_lt(&g, &weights, &serial).unwrap();
         assert_eq!(a.len(), 12);
-        assert_eq!(a.mean_live_edges(), b.mean_live_edges());
-        assert!(WorldCollection::sample_lt(
-            &g,
-            &weights,
-            &WorldsConfig { num_worlds: 0, seed: 0, ..Default::default() }
-        )
-        .is_err());
+        assert_worlds_bitwise_eq(&a, &b);
+        assert!(matches!(
+            WorldCollection::sample_lt(
+                &g,
+                &weights,
+                &WorldsConfig { num_worlds: 0, seed: 0, ..Default::default() }
+            ),
+            Err(DiffusionError::NoSamples)
+        ));
     }
 
     #[test]
@@ -664,7 +595,7 @@ mod tests {
         assert_eq!(a.len(), 16);
         assert_eq!(a.num_nodes(), 4);
         assert!(!a.is_empty());
-        assert_eq!(a.worlds()[3].num_live_edges(), b.worlds()[3].num_live_edges());
+        assert_worlds_bitwise_eq(&a, &b);
         assert!(a.mean_live_edges() >= 0.0 && a.mean_live_edges() <= 3.0);
         assert!(matches!(
             WorldCollection::sample(
@@ -673,6 +604,38 @@ mod tests {
             ),
             Err(DiffusionError::NoSamples)
         ));
+    }
+
+    #[test]
+    fn keyed_sampling_is_deterministic_and_independent_of_parallelism() {
+        let g = path(0.5);
+        let cfg = WorldsConfig { num_worlds: 16, seed: 9, ..Default::default() };
+        let serial = WorldsConfig { parallelism: ParallelismConfig::fixed(1), ..cfg };
+        let a = WorldCollection::sample(&g, &cfg).unwrap();
+        let b = WorldCollection::sample(&g, &serial).unwrap();
+        assert_worlds_bitwise_eq(&a, &b);
+        // World `i` is keyed by `seed + i` alone.
+        for (i, world) in a.worlds().iter().enumerate() {
+            let alone = LiveEdgeWorld::sample(&g, cfg.seed + i as u64);
+            assert_eq!(world.offsets, alone.offsets);
+            assert_eq!(world.targets, alone.targets);
+        }
+    }
+
+    #[test]
+    fn keyed_lt_worlds_keep_at_most_one_in_edge_and_match_patchless_rebuild() {
+        let g = lt_fan_in();
+        let weights = crate::lt::LtWeights::from_graph(&g);
+        let cfg = WorldsConfig { num_worlds: 50, seed: 5, ..Default::default() };
+        let worlds = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
+        for (i, world) in worlds.worlds().iter().enumerate() {
+            let in_degree_of_2 = world.out_neighbors(NodeId(0)).contains(&2) as usize
+                + world.out_neighbors(NodeId(1)).contains(&2) as usize;
+            assert!(in_degree_of_2 <= 1);
+            let alone = LiveEdgeWorld::sample_lt(&g, &weights, cfg.seed + i as u64);
+            assert_eq!(world.offsets, alone.offsets);
+            assert_eq!(world.targets, alone.targets);
+        }
     }
 
     #[test]
@@ -694,30 +657,97 @@ mod tests {
         assert!((mean - 60.0).abs() < 6.0, "mean live edges {mean}");
     }
 
-    fn assert_worlds_bitwise_eq(a: &WorldCollection, b: &WorldCollection) {
-        assert_eq!(a.len(), b.len());
-        for (wa, wb) in a.worlds().iter().zip(b.worlds()) {
-            assert_eq!(wa.offsets, wb.offsets);
-            assert_eq!(wa.targets, wb.targets);
-        }
+    /// Hoeffding half-width for `checks` frequency estimates over `trials`
+    /// Bernoulli draws each: by a union bound, a correct sampler leaves every
+    /// estimate within it of its mean with probability at least `1 − 1e-9`,
+    /// whatever the seed.
+    fn hoeffding_half_width(trials: usize, checks: usize) -> f64 {
+        ((2.0 * checks as f64 / 1e-9).ln() / (2.0 * trials as f64)).sqrt()
     }
 
     #[test]
-    fn keyed_sampling_is_deterministic_and_independent_of_parallelism() {
-        let g = path(0.5);
-        let cfg = WorldsConfig { num_worlds: 16, seed: 9, ..Default::default() };
-        let serial =
-            WorldsConfig { num_worlds: 16, seed: 9, parallelism: ParallelismConfig::fixed(1) };
-        let a = WorldCollection::sample_keyed(&g, &cfg).unwrap();
-        let b = WorldCollection::sample_keyed(&g, &serial).unwrap();
-        assert_worlds_bitwise_eq(&a, &b);
-        assert!(matches!(
-            WorldCollection::sample_keyed(
-                &g,
-                &WorldsConfig { num_worlds: 0, seed: 0, ..Default::default() }
-            ),
-            Err(DiffusionError::NoSamples)
-        ));
+    fn keyed_ic_coins_match_edge_probabilities_and_pair_independently() {
+        // A fan-out (0 → 1..=4), a fan-in (5..=8 → 9) and a reverse pair
+        // 10 ⇄ 11, every edge with its own probability.
+        let mut b = GraphBuilder::new();
+        let n = b.add_nodes(12, GroupId(0));
+        let mut edges = Vec::new();
+        for (k, &leaf) in n[1..=4].iter().enumerate() {
+            edges.push((n[0], leaf, 0.15 + 0.2 * k as f64));
+        }
+        for (k, &source) in n[5..=8].iter().enumerate() {
+            edges.push((source, n[9], 0.1 + 0.25 * k as f64));
+        }
+        edges.push((n[10], n[11], 0.3));
+        edges.push((n[11], n[10], 0.6));
+        for &(u, v, p) in &edges {
+            b.add_edge(u, v, p).unwrap();
+        }
+        let g = b.build().unwrap();
+        let trials = 20_000;
+        let worlds = WorldCollection::sample(
+            &g,
+            &WorldsConfig { num_worlds: trials, seed: 31, ..Default::default() },
+        )
+        .unwrap();
+        let live = |w: &LiveEdgeWorld, u: NodeId, v: NodeId| w.out_neighbors(u).contains(&v.0);
+        let eps = hoeffding_half_width(trials, edges.len() + 1);
+        for &(u, v, p) in &edges {
+            let hits = worlds.worlds().iter().filter(|w| live(w, u, v)).count();
+            let freq = hits as f64 / trials as f64;
+            assert!((freq - p).abs() < eps, "edge {u:?}->{v:?}: frequency {freq} vs p {p}");
+        }
+        let both = worlds
+            .worlds()
+            .iter()
+            .filter(|w| live(w, n[10], n[11]) && live(w, n[11], n[10]))
+            .count();
+        let joint = both as f64 / trials as f64;
+        assert!((joint - 0.3 * 0.6).abs() < eps, "reverse pair joint frequency {joint}");
+    }
+
+    #[test]
+    fn keyed_lt_picks_match_normalised_weights() {
+        // Node 3's in-weights sum to 0.6 (kept raw, so 0.4 no-pick mass);
+        // node 7's sum to 2.0 and normalise to 0.45 / 0.30 / 0.25.
+        let mut b = GraphBuilder::new();
+        let n = b.add_nodes(8, GroupId(0));
+        for (&u, p) in n[0..3].iter().zip([0.1, 0.2, 0.3]) {
+            b.add_edge(u, n[3], p).unwrap();
+        }
+        for (&u, p) in n[4..7].iter().zip([0.9, 0.6, 0.5]) {
+            b.add_edge(u, n[7], p).unwrap();
+        }
+        let g = b.build().unwrap();
+        let weights = crate::lt::LtWeights::from_graph(&g);
+        let trials = 20_000;
+        let worlds = WorldCollection::sample_lt(
+            &g,
+            &weights,
+            &WorldsConfig { num_worlds: trials, seed: 47, ..Default::default() },
+        )
+        .unwrap();
+        let eps = hoeffding_half_width(trials, 8);
+        for target in [n[3], n[7]] {
+            let in_edges = weights.in_edges(target);
+            let mut picked = 0;
+            for &(u, w) in in_edges {
+                let hits = worlds
+                    .worlds()
+                    .iter()
+                    .filter(|x| x.out_neighbors(u).contains(&target.0))
+                    .count();
+                picked += hits;
+                let freq = hits as f64 / trials as f64;
+                assert!((freq - w).abs() < eps, "pick {u:?}->{target:?}: {freq} vs weight {w}");
+            }
+            let none = 1.0 - picked as f64 / trials as f64;
+            let expected = 1.0 - in_edges.iter().map(|&(_, w)| w).sum::<f64>();
+            assert!(
+                (none - expected).abs() < eps,
+                "no-pick mass of {target:?}: {none} vs {expected}"
+            );
+        }
     }
 
     #[test]
@@ -725,7 +755,7 @@ mod tests {
         use tcim_graph::MutationOp;
         let g = path(0.5);
         let cfg = WorldsConfig { num_worlds: 24, seed: 7, ..Default::default() };
-        let base = WorldCollection::sample_keyed(&g, &cfg).unwrap();
+        let base = WorldCollection::sample(&g, &cfg).unwrap();
         let cases = [
             MutationOp::AddEdge { source: NodeId(0), target: NodeId(2), probability: 0.6 },
             MutationOp::RemoveEdge { source: NodeId(1), target: NodeId(2) },
@@ -735,7 +765,7 @@ mod tests {
             let mutated = g.apply(&[op]).unwrap();
             let (source, _) = op.endpoints();
             let patched = base.patch(&mutated, &[source], &cfg).unwrap();
-            let cold = WorldCollection::sample_keyed(&mutated, &cfg).unwrap();
+            let cold = WorldCollection::sample(&mutated, &cfg).unwrap();
             assert_worlds_bitwise_eq(&patched, &cold);
         }
     }
@@ -744,7 +774,7 @@ mod tests {
     fn patch_rejects_mismatched_shapes() {
         let g = path(0.5);
         let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
-        let base = WorldCollection::sample_keyed(&g, &cfg).unwrap();
+        let base = WorldCollection::sample(&g, &cfg).unwrap();
         let wrong_count = WorldsConfig { num_worlds: 9, seed: 3, ..Default::default() };
         assert!(matches!(
             base.patch(&g, &[], &wrong_count),
@@ -761,30 +791,24 @@ mod tests {
     }
 
     #[test]
-    fn keyed_lt_worlds_keep_at_most_one_in_edge_and_match_patchless_rebuild() {
-        let mut b = GraphBuilder::new();
-        let nodes = b.add_nodes(3, GroupId(0));
-        b.add_edge(nodes[0], nodes[2], 0.9).unwrap();
-        b.add_edge(nodes[1], nodes[2], 0.9).unwrap();
-        let g = b.build().unwrap();
+    fn patch_rejects_a_config_with_another_seed() {
+        let g = path(0.5);
+        let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
+        let base = WorldCollection::sample(&g, &cfg).unwrap();
+        let reseeded = WorldsConfig { seed: 4, ..cfg };
+        let err = base.patch(&g, &[NodeId(0)], &reseeded).unwrap_err();
+        assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");
+        assert!(err.to_string().contains("seed 3"), "{err}");
+    }
+
+    #[test]
+    fn patch_rejects_linear_threshold_collections() {
+        let g = lt_fan_in();
         let weights = crate::lt::LtWeights::from_graph(&g);
-        for seed in 0..50 {
-            let world = LiveEdgeWorld::sample_lt_keyed(&g, &weights, seed);
-            let in_degree_of_2 = world.out_neighbors(NodeId(0)).contains(&2) as usize
-                + world.out_neighbors(NodeId(1)).contains(&2) as usize;
-            assert!(in_degree_of_2 <= 1);
-        }
-        let cfg = WorldsConfig { num_worlds: 12, seed: 5, ..Default::default() };
-        let a = WorldCollection::sample_lt_keyed(&g, &weights, &cfg).unwrap();
-        let b2 = WorldCollection::sample_lt_keyed(&g, &weights, &cfg).unwrap();
-        assert_worlds_bitwise_eq(&a, &b2);
-        assert!(matches!(
-            WorldCollection::sample_lt_keyed(
-                &g,
-                &weights,
-                &WorldsConfig { num_worlds: 0, seed: 0, ..Default::default() }
-            ),
-            Err(DiffusionError::NoSamples)
-        ));
+        let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
+        let base = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
+        let err = base.patch(&g, &[NodeId(0)], &cfg).unwrap_err();
+        assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");
+        assert!(err.to_string().contains("linear-threshold"), "{err}");
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! `--smoke` is the CI preset (a small SBM + BA sweep, threads 1,2,8);
 //! the remaining flags size a custom run. Exit codes: 0 when every thread
-//! count matches the cold reference, 1 on divergence, 2 on usage errors.
+//! count matches the cold reference, 1 on divergence or when a run took
+//! fewer RIS refreshes or world patches than it had mutation steps (the
+//! comparison then did not exercise the incremental paths), 2 on usage
+//! errors.
 //!
 //! This is the standalone twin of `crates/service/tests/churn.rs`: the test
 //! pins the invariant at `cargo test` time, the binary makes the same check
@@ -173,26 +176,31 @@ fn run(cli: &Cli) -> Result<bool, String> {
             let served: Vec<String> =
                 engine.serve_batch(&batch).into_iter().map(|r| r.to_string()).collect();
             let diverged = served.iter().zip(&cold).position(|(a, b)| a != b);
-            match diverged {
-                None => {
-                    if !cli.quiet {
-                        eprintln!(
-                            "{name}: {} request(s) at {threads} thread(s) match the cold \
-                             rebuild ({} refresh(es), {} patch(es))",
-                            batch.len(),
-                            engine.cache().ris_refreshes(),
-                            engine.cache().world_patches(),
-                        );
-                    }
-                }
-                Some(at) => {
-                    clean = false;
-                    eprintln!(
-                        "{name}: DIVERGENCE at {threads} thread(s), response {at}:\n  \
-                         incremental: {}\n  cold:        {}",
-                        served[at], cold[at]
-                    );
-                }
+            let refreshes = engine.cache().ris_refreshes();
+            let patches = engine.cache().world_patches();
+            let steps = sequence.steps.len() as u64;
+            if let Some(at) = diverged {
+                clean = false;
+                eprintln!(
+                    "{name}: DIVERGENCE at {threads} thread(s), response {at}:\n  \
+                     incremental: {}\n  cold:        {}",
+                    served[at], cold[at]
+                );
+            } else if refreshes < steps || patches < steps {
+                // Matching the cold reference proves nothing unless every
+                // step actually took the incremental paths.
+                clean = false;
+                eprintln!(
+                    "{name}: at {threads} thread(s), {steps} mutation step(s) ran only \
+                     {refreshes} RIS refresh(es) and {patches} world patch(es); \
+                     the incremental paths skipped a step"
+                );
+            } else if !cli.quiet {
+                eprintln!(
+                    "{name}: {} request(s) at {threads} thread(s) match the cold rebuild \
+                     ({refreshes} refresh(es), {patches} patch(es))",
+                    batch.len(),
+                );
             }
         }
     }

@@ -43,17 +43,17 @@
 //! [`OracleCache::mutate`] applies [`MutationOp`]s to a dataset's graph and
 //! advances its *mutable head*. Every derived key embeds the head's
 //! `graph_version` (`{base}@v{g}` for `g > 0`, the bare fingerprint at
-//! version 0 so all pre-mutation keys — and the frozen goldens — are
-//! unchanged), which makes stale worlds/oracles unreachable the instant a
-//! mutation lands: they age out of the byte budget instead of being served.
-//! Generation `g-2` entries are purged eagerly (crediting their exact
-//! charged bytes); generation `g-1` stays resident as the donor for the two
-//! incremental rebuild paths — RIS sketch refresh
-//! (`RisEstimator::refresh`, invalidating by mutated edge targets) and
-//! keyed world-pool patching ([`WorldCollection::patch`], re-drawing
-//! mutated source rows). Both are bitwise-identical to the cold rebuild
-//! taken when the donor has been evicted, so cache temperature still never
-//! changes answers.
+//! version 0 so all pre-mutation keys are unchanged), which makes stale
+//! worlds/oracles unreachable the instant a mutation lands: they age out of
+//! the byte budget instead of being served. Generation `g-2` entries are
+//! purged eagerly (crediting their exact charged bytes); generation `g-1`
+//! stays resident as the donor for the two incremental rebuild paths — RIS
+//! sketch refresh (`RisEstimator::refresh`, invalidating by mutated edge
+//! targets) and IC world-pool patching ([`WorldCollection::patch`],
+//! re-drawing mutated source rows; every pool draws keyed coins, so this
+//! starts at the first mutation). Both are bitwise-identical to the cold
+//! rebuild taken when the donor has been evicted, so cache temperature
+//! still never changes answers.
 //!
 //! # Determinism
 //!
@@ -203,10 +203,10 @@ impl OracleSpec {
 }
 
 /// The dataset fingerprint at a given mutation generation: bare at version
-/// 0 (so every pre-mutation key — including the frozen goldens — is
-/// unchanged), `{base}@v{g}` afterwards. Every derived key (graph, LT,
-/// worlds, oracle) embeds this, which is what makes stale entries
-/// unreachable after a mutation instead of merely suspect.
+/// 0 (so every pre-mutation key is unchanged), `{base}@v{g}` afterwards.
+/// Every derived key (graph, LT, worlds, oracle) embeds this, which is what
+/// makes stale entries unreachable after a mutation instead of merely
+/// suspect.
 fn versioned_fingerprint(base: &str, version: u64) -> String {
     if version == 0 {
         base.to_string()
@@ -931,12 +931,11 @@ impl OracleCache {
     /// the dataset's current graph version, sampled on first use and shared
     /// across every deadline thereafter.
     ///
-    /// Version 0 keeps the sequential sampler (the frozen goldens pin its
-    /// output). Mutated graphs use **keyed** coins, which makes a patched
-    /// pool ([`WorldCollection::patch`]) bitwise-identical to a cold keyed
-    /// rebuild — so when the previous version's pool is still resident, only
-    /// the mutated source rows are re-drawn, and when it has been evicted
-    /// the cold keyed path gives the exact same bytes.
+    /// Every pool draws **keyed** coins, which makes a patched IC pool
+    /// ([`WorldCollection::patch`]) bitwise-identical to a cold resample —
+    /// so from the first mutation on, when the previous version's pool is
+    /// still resident only the mutated source rows are re-drawn, and when
+    /// it has been evicted the cold path gives the exact same bytes.
     ///
     /// # Errors
     ///
@@ -975,39 +974,27 @@ impl OracleCache {
             },
             || {
                 let graph = self.graph(spec)?;
-                let collection = match (model, &head) {
-                    (ModelKind::IndependentCascade, None) => {
-                        WorldCollection::sample(&graph, config)?
-                    }
-                    (ModelKind::IndependentCascade, Some((_, _, sources))) => {
-                        // The donor must itself be keyed: the version-0 pool
-                        // uses the sequential sampler (frozen goldens), so
-                        // the first mutated generation always rebuilds cold
-                        // and patching starts from generation 2.
-                        let predecessor = (version >= 2)
-                            .then(|| self.lookup(&worlds_key(version - 1)))
-                            .flatten()
-                            .map(CacheValue::into_worlds)
-                            .and_then(|prev| prev.patch(&graph, sources, config).ok());
-                        match predecessor {
+                let collection = match model {
+                    ModelKind::IndependentCascade => {
+                        // Patch the resident generation g-1 pool, if any.
+                        let patched = head.as_ref().and_then(|(_, _, sources)| {
+                            let donor = self.lookup(&worlds_key(version - 1))?.into_worlds();
+                            donor.patch(&graph, sources, config).ok()
+                        });
+                        match patched {
                             Some(patched) => {
                                 self.world_patches.fetch_add(1, Ordering::Relaxed);
                                 patched
                             }
-                            None => WorldCollection::sample_keyed(&graph, config)?,
+                            None => WorldCollection::sample(&graph, config)?,
                         }
-                    }
-                    (ModelKind::LinearThreshold, None) => {
-                        let weights = self.lt_weights(spec)?;
-                        WorldCollection::sample_lt(&graph, &weights, config)?
                     }
                     // LT picks are keyed by *target* node while world rows
                     // are source-major, so a row-wise patch cannot express
-                    // an LT re-pick: mutated LT pools always rebuild cold
-                    // (still keyed, still deterministic).
-                    (ModelKind::LinearThreshold, Some(_)) => {
+                    // an LT re-pick: LT pools always sample cold.
+                    ModelKind::LinearThreshold => {
                         let weights = self.lt_weights(spec)?;
-                        WorldCollection::sample_lt_keyed(&graph, &weights, config)?
+                        WorldCollection::sample_lt(&graph, &weights, config)?
                     }
                 };
                 Ok(Arc::new(collection))
@@ -1499,14 +1486,14 @@ mod tests {
         warm.oracle(&ris_spec).unwrap();
         warm.oracle(&worlds_spec).unwrap();
         assert_eq!(warm.ris_refreshes(), 1, "the incremental RIS path must engage");
-        // Generation 1 rebuilds worlds cold (the version-0 donor is not
-        // keyed); generation 2 patches off the keyed generation-1 pool.
-        assert_eq!(warm.world_patches(), 0);
+        // Every pool is keyed, so generation 1 already patches off the
+        // version-0 pool, and generation 2 off generation 1.
+        assert_eq!(warm.world_patches(), 1, "the world patch path must engage");
         warm.mutate(&dataset, &[op2]).unwrap();
         let warm_ris = warm.oracle(&ris_spec).unwrap();
         let warm_worlds = warm.oracle(&worlds_spec).unwrap();
         assert_eq!(warm.ris_refreshes(), 2);
-        assert_eq!(warm.world_patches(), 1, "the world patch path must engage");
+        assert_eq!(warm.world_patches(), 2);
 
         // A cold cache replaying the same mutations must answer identically.
         let cold = OracleCache::new();

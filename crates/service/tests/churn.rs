@@ -112,10 +112,10 @@ fn interleaved_churn_matches_cold_rebuilds_at_every_thread_count() {
             let served = render(engine.serve_batch(&batch));
             assert_eq!(served, cold, "incremental diverged from cold at {threads} threads");
             // The comparison is only meaningful if the incremental paths
-            // actually ran: every step refreshes the resident RIS pool, and
-            // every step past the first patches the keyed world pool.
+            // actually ran: every step refreshes the resident RIS pool and
+            // patches the resident world pool.
             assert_eq!(engine.cache().ris_refreshes(), steps.len() as u64);
-            assert_eq!(engine.cache().world_patches(), steps.len() as u64 - 1);
+            assert_eq!(engine.cache().world_patches(), steps.len() as u64);
             assert_eq!(engine.cache().mutations(), steps.len() as u64);
         }
     }

@@ -217,6 +217,9 @@ fn golden_churn_files_stay_in_sync() {
     // those bytes (the diffcheck harness proves incremental == cold).
     assert_eq!(engine.cache().mutations(), 2, "the batch carries two mutate requests");
     assert!(engine.cache().ris_refreshes() >= 1, "the RIS pool must refresh incrementally");
+    // Ids 7 and 10 patch the resident world pool (the first off the
+    // version-0 pool), and their bytes equal a cold resample's.
+    assert_eq!(engine.cache().world_patches(), 2, "each mutation must patch the world pool");
 }
 
 #[test]
@@ -249,4 +252,35 @@ fn golden_smoke_files_stay_in_sync() {
          tcim_serve -- --quiet --input crates/service/tests/golden/smoke_requests.jsonl \
          > crates/service/tests/golden/smoke_responses.jsonl"
     );
+}
+
+#[test]
+fn protocol_doc_examples_are_verbatim_golden_lines() {
+    // docs/PROTOCOL.md's "Examples" section claims its request/response
+    // lines are lifted from the golden pairs; hold it to that, so a golden
+    // regeneration cannot leave stale answers in the docs.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("../../docs/PROTOCOL.md")).unwrap();
+    let golden: std::collections::HashSet<String> = [
+        "smoke_requests.jsonl",
+        "smoke_responses.jsonl",
+        "churn_requests.jsonl",
+        "churn_responses.jsonl",
+    ]
+    .iter()
+    .flat_map(|name| {
+        let text = std::fs::read_to_string(root.join("tests/golden").join(name)).unwrap();
+        text.lines().map(str::to_string).collect::<Vec<_>>()
+    })
+    .collect();
+    let section = doc
+        .split("\n## Examples\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("docs/PROTOCOL.md has an Examples section");
+    let quoted: Vec<&str> = section.lines().filter(|line| line.starts_with(r#"{"id":"#)).collect();
+    assert!(quoted.len() >= 10, "expected the five request/response pairs, found {quoted:?}");
+    for line in quoted {
+        assert!(golden.contains(line), "docs/PROTOCOL.md example is not a golden line:\n  {line}");
+    }
 }
