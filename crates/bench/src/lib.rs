@@ -8,6 +8,8 @@
 //! who wins, by roughly what factor, where the crossovers fall — is the
 //! reproduction target; `EXPERIMENTS.md` records the comparison.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -153,7 +153,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 10);
-        let distinct: std::collections::HashSet<_> = a.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = a.iter().collect();
         assert_eq!(distinct.len(), 10);
     }
 

@@ -210,7 +210,7 @@ mod tests {
         let report =
             solve_budget_exhaustive(&est, 2, None, ExhaustiveObjective::Fair(ConcaveWrapper::Log))
                 .unwrap();
-        let groups: std::collections::HashSet<u32> =
+        let groups: std::collections::BTreeSet<u32> =
             report.seeds.iter().map(|s| est.graph().group_of(*s).0).collect();
         assert_eq!(groups.len(), 2, "fair optimum should span both groups");
         assert!(report.label.contains("optimal"));

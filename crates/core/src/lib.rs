@@ -62,6 +62,7 @@
 //! # Ok::<(), tcim_core::CoreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(

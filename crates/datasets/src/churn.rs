@@ -87,6 +87,10 @@ impl ChurnConfig {
         // flat list for uniform removal/reweight picks.
         let mut edges: Vec<(u32, u32)> =
             base.edges().map(|(source, target, _)| (source.0, target.0)).collect();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership-only edge set: never iterated, so order never escapes"
+        )]
         let mut present: std::collections::HashSet<(u32, u32)> = edges.iter().copied().collect();
         let mut steps = Vec::with_capacity(self.steps);
         for step in 0..self.steps {
@@ -105,6 +109,10 @@ impl ChurnConfig {
 }
 
 /// Draws the next valid mutation, updating the tracked edge set.
+#[expect(
+    clippy::disallowed_types,
+    reason = "`present` is the membership-only set `generate` builds"
+)]
 fn next_op(
     rng: &mut StdRng,
     n: u32,
@@ -213,7 +221,7 @@ mod tests {
         assert_eq!(sequence.steps.len(), 10);
         assert!(sequence.steps.iter().all(|ops| ops.len() == 5));
         // All three kinds appear in a mixed run of this size.
-        let labels: std::collections::HashSet<&str> =
+        let labels: std::collections::BTreeSet<&str> =
             sequence.steps.iter().flatten().map(|op| op.label()).collect();
         assert_eq!(labels.len(), 3, "expected add/remove/reweight, got {labels:?}");
         let graphs = sequence.replay(&graph).unwrap();

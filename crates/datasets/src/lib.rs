@@ -43,6 +43,7 @@
 //!
 //! [`Dataset::Scenario`]: registry::Dataset::Scenario
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(

@@ -800,7 +800,7 @@ mod tests {
     fn fingerprints_discriminate_every_dimension() {
         let base = ScenarioSpec::sbm(200, 0.05, 0.01).unwrap();
         assert_eq!(base.fingerprint(), "sbm(pw=0.05,pa=0.01)|n=200|g=mm:0.7|w=uic:0.05");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for spec in [
             base.clone(),
             ScenarioSpec::sbm(201, 0.05, 0.01).unwrap(),

@@ -40,6 +40,7 @@
 //! assert!(influence.total() >= 2.0); // at least the seeds themselves
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(

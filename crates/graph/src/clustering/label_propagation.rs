@@ -90,7 +90,7 @@ pub fn label_propagation(graph: &Graph, config: &LabelPropagationConfig) -> Vec<
     }
 
     // Compact labels.
-    let mut remap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    let mut remap: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
     labels
         .iter()
         .map(|&l| {
@@ -145,7 +145,7 @@ mod tests {
         // Within each planted block the modal label should dominate.
         for block in 0..2 {
             let members: Vec<usize> = (0..60).filter(|&i| planted[i] == block).collect();
-            let mut counts = std::collections::HashMap::new();
+            let mut counts = std::collections::BTreeMap::new();
             for &m in &members {
                 *counts.entry(labels[m]).or_insert(0usize) += 1;
             }
@@ -162,7 +162,7 @@ mod tests {
         let labels = label_propagation(&g, &LabelPropagationConfig::default());
         assert_eq!(labels.len(), 3);
         // All isolated: three distinct communities.
-        let distinct: std::collections::HashSet<_> = labels.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(distinct.len(), 3);
     }
 

@@ -150,6 +150,10 @@ pub fn stochastic_block_model(config: &SbmConfig) -> Result<Graph> {
                 let mut placed = 0usize;
                 let mut attempts = 0usize;
                 let max_attempts = count.saturating_mul(20).max(64);
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "membership-only pair dedup: never iterated, so order never escapes"
+                )]
                 let mut seen = std::collections::HashSet::with_capacity(count * 2);
                 while placed < count && attempts < max_attempts {
                     attempts += 1;

@@ -11,7 +11,7 @@
 //! * **Group file** — one node per line: `node group`. Nodes missing from the
 //!   file fall into group 0.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -42,15 +42,15 @@ pub struct LoadedGraph {
     /// The parsed graph (all nodes initially in group 0 unless regrouped).
     pub graph: Graph,
     /// Maps original ids (as they appear in the file) to dense node ids.
-    pub id_map: HashMap<u64, NodeId>,
+    pub id_map: BTreeMap<u64, NodeId>,
 }
 
 /// Reads an edge list from any reader.
 pub fn read_edge_list<R: Read>(reader: R, options: &EdgeListOptions) -> Result<LoadedGraph> {
     let reader = BufReader::new(reader);
-    let mut id_map: HashMap<u64, NodeId> = HashMap::new();
+    let mut id_map: BTreeMap<u64, NodeId> = BTreeMap::new();
     let mut builder = GraphBuilder::new();
-    let intern = |raw: u64, builder: &mut GraphBuilder, map: &mut HashMap<u64, NodeId>| {
+    let intern = |raw: u64, builder: &mut GraphBuilder, map: &mut BTreeMap<u64, NodeId>| {
         *map.entry(raw).or_insert_with(|| builder.add_node(GroupId(0)))
     };
 
@@ -107,7 +107,7 @@ pub fn read_edge_list_file<P: AsRef<Path>>(
 pub fn read_group_file<R: Read>(reader: R, loaded: &LoadedGraph) -> Result<Vec<GroupId>> {
     let reader = BufReader::new(reader);
     let mut groups = vec![GroupId(0); loaded.graph.num_nodes()];
-    let mut label_map: HashMap<u64, GroupId> = HashMap::new();
+    let mut label_map: BTreeMap<u64, GroupId> = BTreeMap::new();
 
     for (line_no, line) in reader.lines().enumerate() {
         let line = line?;

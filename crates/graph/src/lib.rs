@@ -33,6 +33,7 @@
 //! assert!(stats.assortativity > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(

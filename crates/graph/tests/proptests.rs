@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn csr_preserves_edges((n, edges) in edge_list(30, 120)) {
         let graph = build_graph(n, &edges);
-        let mut unique: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+        let mut unique: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
         for &(s, t, _) in &edges {
             unique.insert((s, t));
         }

@@ -2,7 +2,7 @@
 // produces a finding at the annotated site — stale allowances rot into
 // false documentation.
 
-// lint:allow(hash-iter): left over from a deleted HashMap iteration
+// lint:allow(debug-format): left over from a deleted Debug encoding
 pub fn total(values: &[u32]) -> u32 {
     values.iter().sum()
 }

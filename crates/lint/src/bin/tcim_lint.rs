@@ -117,13 +117,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // The unsafe-count pin is a workspace-total invariant: it is meaningful
-    // only when the whole tree is in view, so explicit-file runs skip it.
-    let policy = if args.workspace {
-        Policy::default()
-    } else {
-        Policy { unsafe_pin: None, ..Policy::default() }
-    };
+    let policy = Policy::default();
     let mut analyzer = Analyzer::new(policy.clone());
     let mut checked = 0usize;
 

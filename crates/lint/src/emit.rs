@@ -62,7 +62,7 @@ mod tests {
     #[test]
     fn github_annotations_escape_newlines() {
         let report = report_with(vec![Finding::new(
-            crate::HASH_ITER,
+            crate::DEBUG_FORMAT,
             "a.rs",
             3,
             "line one\nline two".into(),
@@ -70,7 +70,7 @@ mod tests {
         let text = render_github(&report.findings);
         assert_eq!(
             text,
-            "::error file=a.rs,line=3,title=tcim-lint hash-iter::line one%0Aline two\n"
+            "::error file=a.rs,line=3,title=tcim-lint debug-format::line one%0Aline two\n"
         );
     }
 
@@ -80,12 +80,12 @@ mod tests {
             findings: Vec::new(),
             lock_graph: LockGraph::default(),
             stats: vec![
-                RuleStats { rule: crate::HASH_ITER, findings: 0, suppressions_used: 3 },
+                RuleStats { rule: crate::DEBUG_FORMAT, findings: 0, suppressions_used: 3 },
                 RuleStats { rule: crate::LOCK_ORDER, findings: 1, suppressions_used: 0 },
             ],
         };
         let table = render_stats(&report);
-        assert!(table.contains("hash-iter"));
+        assert!(table.contains("debug-format"));
         assert!(table.contains("lock-order"));
         assert!(table.lines().count() == 3, "header + one row per rule");
     }

@@ -584,6 +584,27 @@ mod tests {
     }
 
     #[test]
+    fn fn_spans_carry_names_and_bodies() {
+        let src = "impl X { fn fingerprint(&self) -> String { self.inner() } }\nfn other() {}";
+        let model = FileModel::parse(src, false);
+        let items = parse_items(&model);
+        let names: Vec<&str> = items.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["fingerprint", "other"]);
+        let inner = model.tokens.iter().position(|t| t.is_ident("inner")).expect("inner");
+        assert!(items[0].body.contains(inner));
+        assert!(!items[1].body.contains(inner));
+    }
+
+    #[test]
+    fn trait_methods_without_bodies_are_skipped() {
+        let names: Vec<String> = parse("trait T { fn no_body(&self); fn with(&self) {} }")
+            .into_iter()
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(names, vec!["with"]);
+    }
+
+    #[test]
     fn trait_impl_owner_is_the_type_not_the_trait() {
         let items = parse("impl Drop for Guard<'_> { fn drop(&mut self) { self.release(); } }");
         assert_eq!(items[0].owner.as_deref(), Some("Guard"));

@@ -2,30 +2,29 @@
 //!
 //! The workspace invariant checker: project-specific rules that turn the
 //! determinism contract (see `docs/ARCHITECTURE.md` and `docs/LINTS.md`)
-//! into a blocking static pass. Clippy owns everything a standard lint can
-//! say — panics and stdout in library code, wall-clock reads, undocumented
-//! `unsafe` (the crate roots' `#![deny(…)]`, the workspace `[lints]` table
-//! and `clippy.toml`). This tool keeps only what clippy cannot express: no
-//! randomized iteration feeding a fingerprint, no `{:?}` in a wire
-//! encoding, no RNG that is not derived from the run seed, no lock-order
-//! cycles in the serving tier, no assertion reachable from the public API
-//! without a stated invariant, and a pinned unsafe surface.
+//! into a blocking static pass. Clippy and rustc own everything a standard
+//! lint can say — panics and stdout in library code, wall-clock reads,
+//! hash containers, `unsafe` (the crate roots' `#![deny(…)]` and
+//! `#![forbid(unsafe_code)]`, the workspace `[lints]` table and
+//! `clippy.toml`). This tool keeps only what they cannot express: no `{:?}`
+//! in a fingerprint or wire encoding (`clippy::use_debug` misses
+//! `format!`), no RNG that is not derived from the run seed, no lock-order
+//! cycles in the serving tier, and no assertion reachable from the public
+//! API without a stated invariant.
 //!
 //! Hand-rolled on a small lexer (same spirit as the service crate's
 //! `minijson`), with a lightweight item parser and a workspace call graph
 //! on top: the per-file rules are syntactic, and the workspace rules
-//! (interprocedural lock-order, panic-reachability, the unsafe pin) run
-//! over the pooled function index once every file is absorbed.
+//! (interprocedural lock-order, panic-reachability) run over the pooled
+//! function index once every file is absorbed.
 //!
 //! ## Rules
 //!
 //! | Rule | Family | What it forbids |
 //! |------|--------|-----------------|
-//! | `hash-iter` | determinism | HashMap/HashSet iteration order reaching output |
 //! | `debug-format` | determinism | `{:?}` in fingerprints/canonical/protocol writers |
 //! | `seed-provenance` | determinism | RNGs in sampling code not derived from the run seed |
 //! | `panic-reachability` | robustness | public API transitively reaching panics clippy cannot see |
-//! | `unsafe-count` | audit | any change to the pinned workspace unsafe count |
 //! | `lock-order` | concurrency | lock-acquisition cycles (cross-function) in `crates/service` |
 //! | `suppression` | meta | malformed/unknown `lint:allow` annotations |
 //! | `unused-suppression` | meta | `lint:allow` annotations that suppress nothing |
@@ -37,10 +36,9 @@
 //! "…")]` instead.) The reason is mandatory; unknown rule names and missing
 //! reasons are themselves violations, and an annotation that no longer
 //! suppresses anything is an `unused-suppression` finding — so
-//! suppressions cannot rot in either direction. The `unsafe-count` pin is
-//! not suppressible — widening the unsafe surface requires editing
-//! [`Policy`] in a reviewed change.
+//! suppressions cannot rot in either direction.
 
+#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -69,18 +67,14 @@ use callgraph::Workspace;
 use items::FnItem;
 use model::FileModel;
 use rules::locks::{GuardedCall, LockFacts};
-use rules::{LockGraph, RuleCtx, UnsafeSite};
+use rules::{LockGraph, RuleCtx};
 
-/// Rule name: HashMap/HashSet iteration order reaching output.
-pub const HASH_ITER: &str = "hash-iter";
 /// Rule name: `{:?}` in determinism-critical scopes.
 pub const DEBUG_FORMAT: &str = "debug-format";
 /// Rule name: RNG constructions not derived from the run seed.
 pub const SEED_PROVENANCE: &str = "seed-provenance";
 /// Rule name: public API reaching unannotated panics through calls.
 pub const PANIC_REACH: &str = "panic-reachability";
-/// Rule name: the workspace unsafe-count pin.
-pub const UNSAFE_COUNT: &str = "unsafe-count";
 /// Rule name: lock-acquisition cycles.
 pub const LOCK_ORDER: &str = "lock-order";
 /// Rule name: malformed suppression comments.
@@ -89,16 +83,8 @@ pub const SUPPRESSION: &str = "suppression";
 pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 
 /// Every rule name the suppression syntax accepts.
-pub const KNOWN_RULES: &[&str] = &[
-    HASH_ITER,
-    DEBUG_FORMAT,
-    SEED_PROVENANCE,
-    PANIC_REACH,
-    UNSAFE_COUNT,
-    LOCK_ORDER,
-    SUPPRESSION,
-    UNUSED_SUPPRESSION,
-];
+pub const KNOWN_RULES: &[&str] =
+    &[DEBUG_FORMAT, SEED_PROVENANCE, PANIC_REACH, LOCK_ORDER, SUPPRESSION, UNUSED_SUPPRESSION];
 
 /// One rule violation at one source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +112,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The project policy: which paths get which rules, and the unsafe pin.
+/// The project policy: which paths get which rules.
 ///
 /// Paths are workspace-relative with `/` separators. The default policy is
 /// the one CI enforces; tests construct custom policies to drive fixtures
@@ -140,8 +126,8 @@ pub struct Policy {
     /// Path prefixes outside the crate-root clippy panic deny: the bench
     /// harness measures, prints and panics by design.
     pub bench_prefixes: Vec<String>,
-    /// Determinism-critical protocol-writer files where hash containers
-    /// and `{:?}` are banned outright.
+    /// Determinism-critical protocol-writer files where `{:?}` is banned
+    /// outright.
     pub critical_files: Vec<String>,
     /// Path prefixes whose lock acquisitions enter the order graph.
     pub lock_scope_prefixes: Vec<String>,
@@ -152,18 +138,6 @@ pub struct Policy {
     /// Path prefixes whose `pub fn`s are panic-reachability roots (the
     /// orchestration crate and the facade).
     pub api_root_prefixes: Vec<String>,
-    /// The unsafe pin: exact expected count and the files allowed to
-    /// contain `unsafe`. `None` disables the pin (fixture testing).
-    pub unsafe_pin: Option<UnsafePin>,
-}
-
-/// The workspace unsafe-count pin.
-#[derive(Debug, Clone)]
-pub struct UnsafePin {
-    /// Exactly how many `unsafe` keywords the workspace may contain.
-    pub count: usize,
-    /// The only files allowed to contain them.
-    pub files: Vec<String>,
 }
 
 impl Default for Policy {
@@ -188,14 +162,6 @@ impl Default for Policy {
                 "crates/datasets/src/".to_string(),
             ],
             api_root_prefixes: vec!["crates/core/src/".to_string(), "src/".to_string()],
-            unsafe_pin: Some(UnsafePin {
-                // The one signal(2) FFI block behind graceful shutdown; see
-                // crates/service/src/server.rs and docs/LINTS.md. Growing
-                // this number is a reviewed change to this file, not a
-                // suppression comment.
-                count: 1,
-                files: vec!["crates/service/src/server.rs".to_string()],
-            }),
         }
     }
 }
@@ -263,7 +229,6 @@ pub struct FileOutcome {
     path: String,
     skipped: bool,
     findings: Vec<Finding>,
-    unsafe_sites: Vec<UnsafeSite>,
     lock_graph: LockGraph,
     lock_facts: LockFacts,
     items: Vec<FnItem>,
@@ -288,7 +253,6 @@ pub fn analyze_file(policy: &Policy, path: &str, source: &str) -> FileOutcome {
         path: path.to_string(),
         skipped: false,
         findings: Vec::new(),
-        unsafe_sites: Vec::new(),
         lock_graph: LockGraph::default(),
         lock_facts: LockFacts::default(),
         items: Vec::new(),
@@ -303,6 +267,7 @@ pub fn analyze_file(policy: &Policy, path: &str, source: &str) -> FileOutcome {
     let items = items::parse_items(&model);
     let mut ctx = RuleCtx {
         model: &model,
+        items: &items,
         path,
         policy_in_seed_scope: policy.in_seed_scope(path),
         critical_file: policy.is_critical(path),
@@ -310,11 +275,9 @@ pub fn analyze_file(policy: &Policy, path: &str, source: &str) -> FileOutcome {
     };
     rules::determinism::check(&mut ctx);
     rules::seed::check(&mut ctx);
-    let unsafe_sites = rules::unsafe_audit::collect(&ctx);
     if policy.in_lock_scope(path) {
         rules::locks::collect(
             &ctx,
-            &items,
             &mut outcome.lock_graph,
             &mut outcome.lock_facts,
             &mut outcome.used,
@@ -367,7 +330,6 @@ pub fn analyze_file(policy: &Policy, path: &str, source: &str) -> FileOutcome {
             outcome.used.insert((l, PANIC_REACH.to_string()));
         }
     }
-    outcome.unsafe_sites = unsafe_sites;
     outcome.findings = findings;
     outcome.items = items;
     outcome
@@ -395,13 +357,12 @@ pub struct Report {
 }
 
 /// Accumulates per-file outcomes and finishes with the workspace-level
-/// verdicts (unsafe pin, interprocedural lock cycles, panic-reachability,
-/// unused suppressions).
+/// verdicts (interprocedural lock cycles, panic-reachability, unused
+/// suppressions).
 pub struct Analyzer {
     policy: Policy,
     findings: Vec<Finding>,
     lock_graph: LockGraph,
-    unsafe_sites: Vec<UnsafeSite>,
     ws: Workspace,
     guarded: Vec<(usize, GuardedCall)>,
     acquires: BTreeMap<usize, BTreeSet<String>>,
@@ -416,7 +377,6 @@ impl Analyzer {
             policy,
             findings: Vec::new(),
             lock_graph: LockGraph::default(),
-            unsafe_sites: Vec::new(),
             ws: Workspace::default(),
             guarded: Vec::new(),
             acquires: BTreeMap::new(),
@@ -439,7 +399,6 @@ impl Analyzer {
             return;
         }
         self.findings.extend(outcome.findings);
-        self.unsafe_sites.extend(outcome.unsafe_sites);
         self.lock_graph.merge(outcome.lock_graph);
         let global = self.ws.add_file(&outcome.path, outcome.items);
         for (item_idx, classes) in outcome.lock_facts.acquires {
@@ -463,7 +422,6 @@ impl Analyzer {
     /// Finishes the run: applies the workspace-level rules and returns the
     /// report with findings sorted by `(path, line, rule)`.
     pub fn finish(mut self) -> Report {
-        self.apply_unsafe_pin();
         rules::locks::interprocedural_edges(
             &self.ws,
             &self.policy,
@@ -496,45 +454,6 @@ impl Analyzer {
         self.findings.dedup();
         let stats = self.build_stats();
         Report { findings: self.findings, lock_graph: self.lock_graph, stats }
-    }
-
-    fn apply_unsafe_pin(&mut self) {
-        let Some(pin) = self.policy.unsafe_pin.clone() else {
-            return;
-        };
-        for site in &self.unsafe_sites {
-            if !pin.files.iter().any(|f| f == &site.path) {
-                self.findings.push(Finding::new(
-                    UNSAFE_COUNT,
-                    &site.path,
-                    site.line,
-                    format!(
-                        "`unsafe` outside the pinned file(s) [{}]; the workspace unsafe \
-                         surface is pinned — widening it must edit the lint Policy",
-                        pin.files.join(", ")
-                    ),
-                ));
-            }
-        }
-        if self.unsafe_sites.len() != pin.count {
-            let line = self.unsafe_sites.first().map(|s| s.line).unwrap_or(0);
-            let path = self
-                .unsafe_sites
-                .first()
-                .map(|s| s.path.clone())
-                .unwrap_or_else(|| pin.files.first().cloned().unwrap_or_default());
-            self.findings.push(Finding::new(
-                UNSAFE_COUNT,
-                &path,
-                line,
-                format!(
-                    "workspace contains {} `unsafe` keyword(s), pinned to exactly {}; \
-                     changing the unsafe surface must edit the lint Policy",
-                    self.unsafe_sites.len(),
-                    pin.count
-                ),
-            ));
-        }
     }
 
     /// An annotation nothing consulted is itself a finding: stale

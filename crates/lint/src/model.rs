@@ -1,11 +1,11 @@
-//! Structural view of one source file: function spans, `#[cfg(test)]`
-//! ranges and suppression comments, recovered from the raw token stream.
+//! Structural view of one source file: `#[cfg(test)]` ranges and
+//! suppression comments, recovered from the raw token stream (function
+//! bodies are [`crate::items`]' job).
 //!
 //! The recovery is deliberately syntactic — brace matching and attribute
 //! pattern matching over [`crate::lexer`] tokens, no parse tree — which is
 //! exactly enough for scope questions the rules ask: "is this token inside
-//! test code?", "is this token inside a function named `fingerprint`?",
-//! "does this line carry a suppression for rule X?".
+//! test code?", "does this line carry a suppression for rule X?".
 
 use std::collections::BTreeMap;
 
@@ -25,16 +25,6 @@ impl Span {
     pub fn contains(&self, i: usize) -> bool {
         self.start <= i && i < self.end
     }
-}
-
-/// One `fn` item: its name and the token span of its body (braces
-/// included).
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// Token span of the body block, `{` and `}` included.
-    pub body: Span,
 }
 
 /// A parsed `// lint:allow(rule): reason` comment.
@@ -64,8 +54,6 @@ pub struct FileModel {
     pub tokens: Vec<Token>,
     /// Body spans of test code: `#[cfg(test)]` items and `#[test]` fns.
     pub test_spans: Vec<Span>,
-    /// Every `fn` item with a body, in source order (nested fns included).
-    pub fn_spans: Vec<FnSpan>,
     /// Well-formed suppressions, keyed by line.
     pub suppressions: BTreeMap<u32, Vec<Suppression>>,
     /// Malformed suppression comments.
@@ -80,27 +68,13 @@ impl FileModel {
     pub fn parse(source: &str, whole_file_is_test: bool) -> FileModel {
         let tokens = tokenize(source);
         let test_spans = find_test_spans(&tokens);
-        let fn_spans = find_fn_spans(&tokens);
         let (suppressions, bad_suppressions) = find_suppressions(&tokens);
-        FileModel {
-            tokens,
-            test_spans,
-            fn_spans,
-            suppressions,
-            bad_suppressions,
-            whole_file_is_test,
-        }
+        FileModel { tokens, test_spans, suppressions, bad_suppressions, whole_file_is_test }
     }
 
     /// Whether token index `i` is inside test code.
     pub fn in_test(&self, i: usize) -> bool {
         self.whole_file_is_test || self.test_spans.iter().any(|s| s.contains(i))
-    }
-
-    /// Whether token index `i` is inside the body of a function named
-    /// `name`.
-    pub fn in_fn_named(&self, i: usize, name: &str) -> bool {
-        self.fn_spans.iter().any(|f| f.name == name && f.body.contains(i))
     }
 
     /// Whether a violation of `rule` on `line` is suppressed: an allow
@@ -228,29 +202,6 @@ fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// Finds every `fn name … { body }` item (methods, free functions, nested
-/// fns; trait declarations without a body are skipped).
-fn find_fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
-    let mut spans = Vec::new();
-    for i in 0..tokens.len() {
-        if !tokens[i].is_ident("fn") {
-            continue;
-        }
-        // `fn` inside a bound like `Fn(…)` lexes as `Fn`, never `fn`; a
-        // preceding `.` would mean a method call named `fn`, impossible.
-        let Some(name_tok) = tokens.get(i + 1) else {
-            continue;
-        };
-        if name_tok.kind != TokenKind::Ident {
-            continue;
-        }
-        if let Some(body) = next_brace_block(tokens, i + 2) {
-            spans.push(FnSpan { name: name_tok.text.clone(), body });
-        }
-    }
-    spans
-}
-
 /// The suppression grammar: `// lint:allow(<rule>): <reason>`.
 ///
 /// Both pieces are mandatory: the rule name (validated against the registry
@@ -338,31 +289,13 @@ mod tests {
     }
 
     #[test]
-    fn fn_spans_carry_names_and_bodies() {
-        let src = "impl X { fn fingerprint(&self) -> String { self.inner() } }\nfn other() {}";
-        let model = FileModel::parse(src, false);
-        let names: Vec<&str> = model.fn_spans.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["fingerprint", "other"]);
-        let inner = model.tokens.iter().position(|t| t.is_ident("inner")).expect("inner");
-        assert!(model.in_fn_named(inner, "fingerprint"));
-        assert!(!model.in_fn_named(inner, "other"));
-    }
-
-    #[test]
-    fn trait_methods_without_bodies_are_skipped() {
-        let model = FileModel::parse("trait T { fn no_body(&self); fn with(&self) {} }", false);
-        let names: Vec<&str> = model.fn_spans.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["with"]);
-    }
-
-    #[test]
     fn suppressions_parse_and_reject() {
-        let src = "\n// lint:allow(hash-iter): order-independent sum\nm.values().sum();\n// lint:allow(hash-iter)\n// lint:allow(hash-iter):\n// lint:allow(): no rule\n";
+        let src = "\n// lint:allow(debug-format): a log line, not an encoding\nformat!(\"{v:?}\");\n// lint:allow(debug-format)\n// lint:allow(debug-format):\n// lint:allow(): no rule\n";
         let model = FileModel::parse(src, false);
-        assert!(model.is_suppressed("hash-iter", 2), "same line");
-        assert!(model.is_suppressed("hash-iter", 3), "line above");
-        assert!(!model.is_suppressed("hash-iter", 5));
-        assert!(!model.is_suppressed("debug-format", 3));
+        assert!(model.is_suppressed("debug-format", 2), "same line");
+        assert!(model.is_suppressed("debug-format", 3), "line above");
+        assert!(!model.is_suppressed("debug-format", 5));
+        assert!(!model.is_suppressed("seed-provenance", 3));
         assert_eq!(model.bad_suppressions.len(), 3);
         assert!(model.bad_suppressions[0].message.contains("missing its `: <reason>`"));
         assert!(model.bad_suppressions[1].message.contains("empty reason"));

@@ -165,12 +165,11 @@ pub(crate) struct LockFacts {
 /// annotation lines are marked used.
 pub(crate) fn collect(
     ctx: &RuleCtx<'_>,
-    items: &[FnItem],
     graph: &mut LockGraph,
     facts: &mut LockFacts,
     used: &mut BTreeSet<(u32, String)>,
 ) {
-    for (idx, item) in items.iter().enumerate() {
+    for (idx, item) in ctx.items.iter().enumerate() {
         if item.is_test {
             continue;
         }

@@ -122,8 +122,7 @@ pub(crate) fn check(ctx: &mut RuleCtx<'_>) {
 /// The name of the innermost enclosing function when it marks an
 /// incremental churn path (`refresh` / `resample` / `patch` / `mutate`).
 fn churn_fn_name(ctx: &RuleCtx<'_>, i: usize) -> Option<String> {
-    let f =
-        ctx.model.fn_spans.iter().filter(|f| f.body.contains(i)).max_by_key(|f| f.body.start)?;
+    let f = ctx.innermost_fn(i)?;
     let lower = f.name.to_lowercase();
     CHURN_FN_MARKERS.iter().any(|m| lower.contains(m)).then(|| f.name.clone())
 }
@@ -151,7 +150,7 @@ fn is_seedish(name: &str) -> bool {
 /// source (seed-ish / index-ish) or already-tainted identifier.
 fn tainted_locals(ctx: &RuleCtx<'_>, site: usize, is_source: fn(&str) -> bool) -> BTreeSet<String> {
     let tokens = &ctx.model.tokens;
-    let body = innermost_fn(ctx, site).unwrap_or(Span { start: 0, end: tokens.len() });
+    let body = ctx.innermost_fn(site).map_or(Span { start: 0, end: tokens.len() }, |f| f.body);
     let mut tainted: BTreeSet<String> = BTreeSet::new();
     loop {
         let mut changed = false;
@@ -206,11 +205,6 @@ fn tainted_locals(ctx: &RuleCtx<'_>, site: usize, is_source: fn(&str) -> bool) -
             return tainted;
         }
     }
-}
-
-/// Body span of the innermost function containing token `i`.
-fn innermost_fn(ctx: &RuleCtx<'_>, i: usize) -> Option<Span> {
-    ctx.model.fn_spans.iter().filter(|f| f.body.contains(i)).map(|f| f.body).max_by_key(|s| s.start)
 }
 
 /// Next non-comment token index at or after `i`.

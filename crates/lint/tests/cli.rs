@@ -9,10 +9,10 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_tcim_lint")
 }
 
-/// A library file whose line 2 iterates a `HashMap` (a `hash-iter`
-/// violation).
-const HASH_ITER_LIB: &str = "pub fn keys(m: &std::collections::HashMap<u32, u32>) -> usize {\n    \
-                             m.keys().count()\n}\n";
+/// A library file whose line 2 Debug-formats inside a fingerprint (a
+/// `debug-format` violation).
+const DEBUG_FORMAT_LIB: &str =
+    "pub fn fingerprint(v: &[u32]) -> String {\n    format!(\"{v:?}\")\n}\n";
 
 /// A unique scratch workspace for one test, removed on drop.
 struct Tree {
@@ -24,15 +24,7 @@ impl Tree {
         let root = std::env::temp_dir().join(format!("tcim-lint-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(&root).expect("create scratch root");
-        let tree = Tree { root };
-        // Satisfy the workspace unsafe-count pin so tests exercise the rule
-        // under test, not the pin.
-        tree.write(
-            "crates/service/src/server.rs",
-            "// SAFETY: scratch-tree stand-in for the pinned signal-FFI block.\n\
-             pub unsafe fn pinned() {}\n",
-        );
-        tree
+        Tree { root }
     }
 
     fn write(&self, rel: &str, contents: &str) {
@@ -77,19 +69,19 @@ fn clean_tree_exits_zero() {
 #[test]
 fn violations_exit_one_and_name_file_and_line() {
     let tree = Tree::new("violation");
-    tree.write("crates/x/src/lib.rs", HASH_ITER_LIB);
+    tree.write("crates/x/src/lib.rs", DEBUG_FORMAT_LIB);
     let out = tree.run(&["--workspace"]);
     assert_eq!(code(&out), 1);
     let text = stdout(&out);
     assert!(text.contains("crates/x/src/lib.rs:2"), "must name file:line, got: {text}");
-    assert!(text.contains("[hash-iter]"), "must name the rule, got: {text}");
+    assert!(text.contains("[debug-format]"), "must name the rule, got: {text}");
 }
 
 #[test]
 fn single_file_mode_checks_only_the_named_file() {
     let tree = Tree::new("single");
-    tree.write("crates/x/src/lib.rs", HASH_ITER_LIB);
-    tree.write("crates/y/src/lib.rs", HASH_ITER_LIB);
+    tree.write("crates/x/src/lib.rs", DEBUG_FORMAT_LIB);
+    tree.write("crates/y/src/lib.rs", DEBUG_FORMAT_LIB);
     let out = tree.run(&["crates/x/src/lib.rs"]);
     assert_eq!(code(&out), 1);
     let text = stdout(&out);
@@ -102,9 +94,9 @@ fn suppression_with_reason_silences_the_site() {
     let tree = Tree::new("suppressed");
     tree.write(
         "crates/x/src/lib.rs",
-        "pub fn ok(m: &std::collections::HashMap<u32, u32>) -> usize {\n    \
-         // lint:allow(hash-iter): a count is order-independent\n    \
-         m.keys().count()\n}\n",
+        "pub fn fingerprint(v: u32) -> String {\n    \
+         // lint:allow(debug-format): integer Debug output is its Display output\n    \
+         format!(\"{v:?}\")\n}\n",
     );
     let out = tree.run(&["--workspace"]);
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
@@ -115,15 +107,18 @@ fn suppression_without_reason_is_rejected() {
     let tree = Tree::new("no-reason");
     tree.write(
         "crates/x/src/lib.rs",
-        "pub fn bad(m: &std::collections::HashMap<u32, u32>) -> usize {\n    \
-         // lint:allow(hash-iter)\n    \
-         m.keys().count()\n}\n",
+        "pub fn fingerprint(v: u32) -> String {\n    \
+         // lint:allow(debug-format)\n    \
+         format!(\"{v:?}\")\n}\n",
     );
     let out = tree.run(&["--workspace"]);
     assert_eq!(code(&out), 1);
     let text = stdout(&out);
     assert!(text.contains("[suppression]"), "must flag the annotation, got: {text}");
-    assert!(text.contains("[hash-iter]"), "a malformed annotation must not suppress, got: {text}");
+    assert!(
+        text.contains("[debug-format]"),
+        "a malformed annotation must not suppress, got: {text}"
+    );
 }
 
 #[test]
@@ -132,12 +127,12 @@ fn suppression_with_unknown_rule_is_rejected() {
     tree.write(
         "crates/x/src/lib.rs",
         "pub fn f(v: u32) -> u32 {\n    \
-         // lint:allow(hash-iters): typo in the rule name\n    \
+         // lint:allow(debug-formats): typo in the rule name\n    \
          v\n}\n",
     );
     let out = tree.run(&["--workspace"]);
     assert_eq!(code(&out), 1);
-    assert!(stdout(&out).contains("unknown rule 'hash-iters'"), "got: {}", stdout(&out));
+    assert!(stdout(&out).contains("unknown rule 'debug-formats'"), "got: {}", stdout(&out));
 }
 
 #[test]
@@ -172,7 +167,7 @@ fn missing_file_is_an_io_error() {
 /// A scratch tree with one violation, for output-format tests.
 fn violating_tree(name: &str) -> Tree {
     let tree = Tree::new(name);
-    tree.write("crates/x/src/lib.rs", HASH_ITER_LIB);
+    tree.write("crates/x/src/lib.rs", DEBUG_FORMAT_LIB);
     tree
 }
 
@@ -183,7 +178,7 @@ fn emit_github_writes_error_annotations() {
     assert_eq!(code(&out), 1);
     let text = stdout(&out);
     assert!(
-        text.starts_with("::error file=crates/x/src/lib.rs,line=2,title=tcim-lint hash-iter::"),
+        text.starts_with("::error file=crates/x/src/lib.rs,line=2,title=tcim-lint debug-format::"),
         "got: {text}"
     );
 }
@@ -201,7 +196,12 @@ fn stats_table_lands_on_stderr() {
     let out = tree.run(&["--workspace", "--stats"]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("findings  suppressions-used"), "stats header on stderr, got: {err}");
-    assert!(err.contains("hash-iter"), "per-rule rows, got: {err}");
+    let row = err.lines().find(|l| l.starts_with("debug-format")).unwrap_or_default();
+    assert_eq!(
+        row.split_whitespace().collect::<Vec<_>>(),
+        ["debug-format", "1", "0"],
+        "got: {err}"
+    );
 }
 
 #[test]
@@ -210,7 +210,7 @@ fn output_is_byte_identical_across_thread_counts() {
     // Violations across several files so the parallel scan has real work
     // whose merge order could drift if absorption were racy.
     for i in 0..6 {
-        tree.write(&format!("crates/x/src/m{i}.rs"), HASH_ITER_LIB);
+        tree.write(&format!("crates/x/src/m{i}.rs"), DEBUG_FORMAT_LIB);
     }
     let run = |threads: &str| {
         tree.command(&["--workspace"])
@@ -229,7 +229,7 @@ fn unused_suppression_is_flagged_through_the_binary() {
     let tree = Tree::new("unused-sup");
     tree.write(
         "crates/x/src/lib.rs",
-        "// lint:allow(hash-iter): left over from deleted code\npub fn id(v: u32) -> u32 { v }\n",
+        "// lint:allow(debug-format): left over from deleted code\npub fn id(v: u32) -> u32 { v }\n",
     );
     let out = tree.run(&["--workspace"]);
     assert_eq!(code(&out), 1);
@@ -268,9 +268,10 @@ fn the_real_workspace_is_clean() {
 
 #[test]
 fn clippy_keeps_the_rules_it_took_over() {
-    // Panics, stdout, wall clocks and undocumented `unsafe` are clippy's
-    // (docs/LINTS.md). Nothing else fails if a crate root drops its deny
-    // or clippy.toml loses an entry, so pin the configuration here.
+    // Panics, stdout, wall clocks, hash containers and undocumented `unsafe`
+    // are clippy's, and `unsafe` itself is rustc's (docs/LINTS.md). Nothing
+    // else fails if a crate root drops its deny or forbid or a clippy.toml
+    // loses an entry, so pin the configuration here.
     let root = workspace_root();
     let read = |rel: &str| {
         fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("reading {rel}: {e}"))
@@ -296,6 +297,12 @@ fn clippy_keeps_the_rules_it_took_over() {
     ];
     for lib in library_roots {
         let source = read(lib);
+        let forbids_unsafe = source.lines().any(|l| l == "#![forbid(unsafe_code)]");
+        assert_eq!(
+            forbids_unsafe,
+            lib != "crates/service/src/lib.rs",
+            "every library root but tcim-service's must #![forbid(unsafe_code)]: {lib}"
+        );
         let deny = source
             .split_once("\n#![deny(")
             .and_then(|(_, rest)| rest.split_once(")]"))
@@ -324,7 +331,33 @@ fn clippy_keeps_the_rules_it_took_over() {
         );
     }
     assert!(
+        read("crates/bench/src/lib.rs").lines().any(|l| l == "#![forbid(unsafe_code)]"),
+        "crates/bench/src/lib.rs must #![forbid(unsafe_code)]"
+    );
+    // crates/bench's own clippy.toml replaces the root one, so it repeats
+    // the hash-container ban.
+    for file in ["clippy.toml", "crates/bench/clippy.toml"] {
+        let config = read(file);
+        for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
+            assert!(config.contains(&format!("path = \"{ty}\"")), "{file} must disallow {ty}");
+        }
+    }
+    assert!(
         read("Cargo.toml").lines().any(|l| l.trim() == "undocumented_unsafe_blocks = \"deny\""),
         "the workspace lints must deny clippy::undocumented_unsafe_blocks"
     );
+    // The one `unsafe` block (server.rs's signal FFI) carries the one
+    // allowance, as an `#[expect]` that fails once the block is gone.
+    let lint = "unsafe_code";
+    let (allow, expect) = (format!("allow({lint}"), format!("expect({lint}"));
+    let mut expects = Vec::new();
+    for (rel, abs) in tcim_lint::walk::rust_sources(root).expect("walk the workspace") {
+        let source: String = fs::read_to_string(&abs)
+            .unwrap_or_else(|e| panic!("reading {rel}: {e}"))
+            .split_whitespace()
+            .collect();
+        assert!(!source.contains(&allow), "{rel} allows {lint}; narrow it to one #[expect]");
+        expects.extend(std::iter::repeat_n(rel, source.matches(&expect).count()));
+    }
+    assert_eq!(expects, ["crates/service/src/server.rs"], "exactly one {lint} allowance");
 }

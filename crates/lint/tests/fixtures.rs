@@ -16,15 +16,8 @@ fn fixture(family: &str, which: &str) -> String {
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// Policy for fixture runs: default scopes, but no unsafe pin (the pin has
-/// its own dedicated tests below) and no skip list (fixtures are fed under
-/// virtual paths anyway).
-fn fixture_policy() -> Policy {
-    Policy { unsafe_pin: None, ..Policy::default() }
-}
-
 fn check(family: &str, which: &str, virtual_path: &str) -> Vec<Finding> {
-    let mut analyzer = Analyzer::new(fixture_policy());
+    let mut analyzer = Analyzer::new(Policy::default());
     analyzer.check_file(virtual_path, &fixture(family, which));
     analyzer.finish().findings
 }
@@ -44,13 +37,6 @@ fn assert_clean(findings: &[Finding]) {
 }
 
 #[test]
-fn hash_iter_fires_and_passes() {
-    let fail = check("hash_iter", "fail", LIB_PATH);
-    assert_fires(&fail, "hash-iter", 2);
-    assert_clean(&check("hash_iter", "pass", LIB_PATH));
-}
-
-#[test]
 fn debug_format_fires_and_passes() {
     let fail = check("debug_format", "fail", LIB_PATH);
     assert_fires(&fail, "debug-format", 2);
@@ -58,52 +44,20 @@ fn debug_format_fires_and_passes() {
 }
 
 #[test]
-fn debug_format_critical_files_ban_hash_containers_outright() {
-    // In a protocol-writer file even a non-iterated HashMap mention fails.
-    let source = "pub fn encode(m: &std::collections::HashMap<u32, u32>) -> usize { m.len() }\n";
-    let mut analyzer = Analyzer::new(fixture_policy());
+fn debug_format_critical_files_ban_debug_output_outright() {
+    // In a protocol-writer file `{:?}` fails even outside any fingerprint
+    // or canonical fn; the same source elsewhere is a log line.
+    let source = "pub fn encode(v: &[u32]) -> String {\n    format!(\"{v:?}\")\n}\n";
+    let mut analyzer = Analyzer::new(Policy::default());
     analyzer.check_file("crates/service/src/protocol.rs", source);
+    analyzer.check_file(LIB_PATH, source);
     let findings = analyzer.finish().findings;
-    assert_fires(&findings, "hash-iter", 1);
-}
-
-#[test]
-fn unsafe_count_pin_rejects_new_sites() {
-    // The count matches but the site sits outside the pinned file.
-    let mut analyzer = Analyzer::new(Policy::default());
-    analyzer.check_file(LIB_PATH, &fixture("unsafe_count", "site"));
-    let findings = analyzer.finish().findings;
-    assert_fires(&findings, "unsafe-count", 1);
-    assert!(findings.iter().all(|f| f.rule == "unsafe-count"), "got {findings:?}");
-}
-
-#[test]
-fn unsafe_count_pin_rejects_a_second_site() {
-    // Pinned site present *and* a new one elsewhere: off-pin location plus
-    // count mismatch (2 != 1).
-    let mut analyzer = Analyzer::new(Policy::default());
-    analyzer.check_file("crates/service/src/server.rs", &fixture("unsafe_count", "site"));
-    analyzer.check_file(LIB_PATH, &fixture("unsafe_count", "site"));
-    let findings = analyzer.finish().findings;
-    assert_fires(&findings, "unsafe-count", 2);
-}
-
-#[test]
-fn unsafe_count_pin_accepts_the_pinned_site() {
-    let mut analyzer = Analyzer::new(Policy::default());
-    analyzer.check_file("crates/service/src/server.rs", &fixture("unsafe_count", "site"));
-    let findings = analyzer.finish().findings;
-    assert_clean(&findings);
-}
-
-#[test]
-fn unsafe_count_pin_flags_a_missing_site() {
-    // Zero unsafe where the pin demands one: the surface shrank, the pin
-    // must still fail so it gets re-pinned consciously.
-    let mut analyzer = Analyzer::new(Policy::default());
-    analyzer.check_file("crates/service/src/server.rs", "pub fn safe() {}\n");
-    let findings = analyzer.finish().findings;
-    assert_fires(&findings, "unsafe-count", 1);
+    assert_eq!(findings.len(), 1, "got {findings:?}");
+    assert_eq!(findings[0].rule, "debug-format");
+    assert_eq!(
+        (findings[0].path.as_str(), findings[0].line),
+        ("crates/service/src/protocol.rs", 2)
+    );
 }
 
 #[test]
@@ -204,16 +158,16 @@ fn unused_suppression_fires_and_passes() {
 fn suppression_grammar_is_checked() {
     let fail = check("suppression", "fail", LIB_PATH);
     assert_fires(&fail, "suppression", 3);
-    // The malformed annotations do not suppress: the iterations still fire.
-    assert_fires(&fail, "hash-iter", 2);
+    // The malformed annotations do not suppress: the formats still fire.
+    assert_fires(&fail, "debug-format", 2);
     assert_clean(&check("suppression", "pass", LIB_PATH));
 }
 
 #[test]
 fn findings_are_sorted_and_deduplicated() {
-    let mut analyzer = Analyzer::new(fixture_policy());
-    analyzer.check_file("crates/b/src/lib.rs", &fixture("hash_iter", "fail"));
-    analyzer.check_file("crates/a/src/lib.rs", &fixture("hash_iter", "fail"));
+    let mut analyzer = Analyzer::new(Policy::default());
+    analyzer.check_file("crates/b/src/lib.rs", &fixture("debug_format", "fail"));
+    analyzer.check_file("crates/a/src/lib.rs", &fixture("debug_format", "fail"));
     let findings = analyzer.finish().findings;
     let keys: Vec<(String, u32)> = findings.iter().map(|f| (f.path.clone(), f.line)).collect();
     let mut sorted = keys.clone();
@@ -226,26 +180,30 @@ fn findings_are_sorted_and_deduplicated() {
 #[test]
 fn skip_prefixes_exempt_vendored_code() {
     let mut analyzer = Analyzer::new(Policy::default());
-    analyzer.check_file("vendor/rand/src/lib.rs", &fixture("hash_iter", "fail"));
-    analyzer.check_file("crates/lint/fixtures/hash_iter/fail.rs", &fixture("hash_iter", "fail"));
-    // The pin still sees zero unsafe sites and complains; filter it out —
-    // this test is about the per-file rules being skipped.
-    let findings: Vec<Finding> =
-        analyzer.finish().findings.into_iter().filter(|f| f.rule != "unsafe-count").collect();
+    analyzer.check_file("vendor/rand/src/lib.rs", &fixture("debug_format", "fail"));
+    analyzer
+        .check_file("crates/lint/fixtures/debug_format/fail.rs", &fixture("debug_format", "fail"));
+    let findings = analyzer.finish().findings;
     assert!(findings.is_empty(), "skipped paths must produce no findings, got {findings:?}");
 }
 
 #[test]
 fn retired_rule_names_are_unknown_outside_the_benchmark() {
-    // The four rules clippy took over are no longer suppression targets:
-    // an old annotation is a `suppression` finding, except under
+    // The rules clippy and rustc took over are no longer suppression
+    // targets: an old annotation is a `suppression` finding, except under
     // perfbench/ (its own cargo workspace, skipped, and not to be edited).
-    let source = "// lint:allow(wall-clock): the benchmark's own timer\npub fn t() {}\n";
-    let mut analyzer = Analyzer::new(fixture_policy());
-    analyzer.check_file("perfbench/bin/clock.rs", source);
-    analyzer.check_file(LIB_PATH, source);
-    let findings = analyzer.finish().findings;
-    assert_eq!(findings.len(), 1, "got {findings:?}");
-    assert_eq!((findings[0].rule, findings[0].path.as_str()), ("suppression", LIB_PATH));
-    assert!(findings[0].message.contains("unknown rule 'wall-clock'"), "got {findings:?}");
+    for rule in ["wall-clock", "hash-iter", "unsafe-count"] {
+        let source =
+            format!("// lint:allow({rule}): a retired rule's old allowance\npub fn t() {{}}\n");
+        let mut analyzer = Analyzer::new(Policy::default());
+        analyzer.check_file("perfbench/bin/clock.rs", &source);
+        analyzer.check_file(LIB_PATH, &source);
+        let findings = analyzer.finish().findings;
+        assert_eq!(findings.len(), 1, "got {findings:?}");
+        assert_eq!((findings[0].rule, findings[0].path.as_str()), ("suppression", LIB_PATH));
+        assert!(
+            findings[0].message.contains(&format!("unknown rule '{rule}'")),
+            "got {findings:?}"
+        );
+    }
 }

@@ -63,7 +63,9 @@
 //! thread count and any cache temperature — the service-level tests and the
 //! CI golden files pin this down.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "the three request-path maps below say why")]
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -448,6 +450,11 @@ struct Entry {
 /// Probation is evicted first, so one-shot keys churn without displacing
 /// the entries that are actually re-used.
 struct Shard {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups on the request path; purges sort the keys and recounts sum, \
+                  so order never escapes"
+    )]
     entries: HashMap<String, Entry>,
     probation: BTreeMap<u64, String>,
     protected: BTreeMap<u64, String>,
@@ -466,6 +473,7 @@ struct Shard {
 impl Shard {
     fn new(bytes_budget: usize) -> Self {
         Shard {
+            #[expect(clippy::disallowed_types, reason = "the `entries` map, see its field")]
             entries: HashMap::new(),
             probation: BTreeMap::new(),
             protected: BTreeMap::new(),
@@ -597,7 +605,6 @@ impl Shard {
     /// `bytes_used` equal to a from-scratch recount across version purges.
     /// Purged entries count as evictions (they left to protect the budget).
     fn purge_matching(&mut self, matches: impl Fn(&str) -> bool) -> u64 {
-        // lint:allow(hash-iter): the collected keys are sorted before use
         let mut keys: Vec<String> = self.entries.keys().filter(|k| matches(k)).cloned().collect();
         keys.sort_unstable();
         for key in &keys {
@@ -617,7 +624,6 @@ impl Shard {
 
     /// `bytes_used` recomputed from the resident entries, for drift checks.
     fn recount_bytes(&self) -> usize {
-        // lint:allow(hash-iter): an unordered sum is order-independent
         self.entries.values().map(|entry| entry.cost).sum()
     }
 
@@ -656,11 +662,13 @@ pub struct OracleCache {
     /// its lock and then take the cache hit — without this, a parallel
     /// batch over one world pool would sample it once per worker thread
     /// and throw all but one result away.
+    #[expect(clippy::disallowed_types, reason = "point lookups only, never iterated")]
     building: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// Mutable heads, keyed by base dataset fingerprint. A dataset appears
     /// here only after its first `mutate`; until then every key is the bare
     /// version-0 fingerprint and this map is never consulted on the hot
     /// path beyond one lock per graph lookup.
+    #[expect(clippy::disallowed_types, reason = "point lookups only, never iterated")]
     heads: Mutex<HashMap<String, MutableHead>>,
     mutations: AtomicU64,
     ris_refreshes: AtomicU64,

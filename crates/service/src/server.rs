@@ -558,7 +558,6 @@ fn serve_queue(
 /// crate), so the `signal(2)` binding is declared by hand; the handler does
 /// the only async-signal-safe thing possible — store to a static atomic —
 /// and [`Server::run`] polls it alongside its own flag.
-#[allow(unsafe_code)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -583,6 +582,7 @@ mod sig {
         // return value — the previous handler — is pointer-sized and
         // ignored). `on_signal` only stores to a static atomic, which is
         // async-signal-safe.
+        #[expect(unsafe_code, reason = "no libc crate: signal(2) is declared by hand")]
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);

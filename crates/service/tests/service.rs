@@ -261,7 +261,7 @@ fn protocol_doc_examples_are_verbatim_golden_lines() {
     // regeneration cannot leave stale answers in the docs.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let doc = std::fs::read_to_string(root.join("../../docs/PROTOCOL.md")).unwrap();
-    let golden: std::collections::HashSet<String> = [
+    let golden: std::collections::BTreeSet<String> = [
         "smoke_requests.jsonl",
         "smoke_responses.jsonl",
         "churn_requests.jsonl",

@@ -31,6 +31,7 @@
 //! assert_eq!(trace.final_value(), 6.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(

@@ -45,6 +45,7 @@
 //! assert!(fair.disparity() <= unfair.disparity() + 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(
