@@ -176,8 +176,10 @@ fn main() {
 
     // --- Seed-set quality under a common held-out estimator ---------------
     // Deterministic (fixed seeds), so the 25% gate also catches correctness
-    // regressions that silently degrade selection quality.
-    let held_out = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 400, 99).unwrap();
+    // regressions that silently degrade selection quality. MC walks the keyed
+    // worlds `[seed, seed + 400)`; base 2^32 keeps them disjoint from the
+    // worlds pool (`1..201`) that chose `mc_report`'s seeds.
+    let held_out = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 400, 1 << 32).unwrap();
     let mc_quality = held_out.evaluate(&mc_report.seeds).unwrap().total();
     let ris_quality = held_out.evaluate(&ris_report.seeds).unwrap().total();
     record.push("mc_quality", mc_quality);

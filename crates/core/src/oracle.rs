@@ -6,8 +6,10 @@
 //! the sampled worlds. The RIS backend ([`RisEstimator`]) wins on large
 //! sparse graphs where forward world sampling touches far more edges than
 //! the reverse sketches do; its [`tcim_diffusion::RisCursor`] drives
-//! greedy/CELF just as incrementally. The Monte-Carlo backend re-samples per
-//! query and serves as an unbiased held-out cross-check.
+//! greedy/CELF just as incrementally. The Monte-Carlo backend walks the same
+//! keyed worlds as `Worlds` without storing them (bitwise-equal at the same
+//! `samples`/`seed`) and serves as the held-out re-scorer, on a seed range
+//! disjoint from the pool that chose the seeds.
 
 use std::sync::Arc;
 
@@ -28,11 +30,12 @@ use crate::error::{CoreError, Result};
 pub enum EstimatorConfig {
     /// Pre-sampled live-edge worlds (common random numbers); the default.
     Worlds(WorldsConfig),
-    /// Fresh independent-cascade simulations per query.
+    /// The keyed live-edge worlds of `Worlds`, walked per query instead of
+    /// stored.
     MonteCarlo {
-        /// Cascades per query.
+        /// Worlds per query.
         samples: usize,
-        /// RNG seed.
+        /// Base world seed: worlds `[seed, seed + samples)`.
         seed: u64,
     },
     /// Reverse-reachable sketches with the incremental coverage cursor.

@@ -4,17 +4,14 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
 use tcim_graph::{Graph, GroupId, NodeId};
 
 use crate::bitset::BitSet;
 use crate::deadline::Deadline;
 use crate::error::Result;
-use crate::ic::simulate_ic;
 use crate::parallel::ParallelismConfig;
-use crate::worlds::{VisitScratch, WorldCollection, WorldsConfig};
+use crate::worlds::{bounded_bfs, live_ic_row, VisitScratch, WorldCollection, WorldsConfig};
 
 /// Expected number of influenced nodes per group before the deadline — the
 /// vector `(f_τ(S; V_1), …, f_τ(S; V_k))`.
@@ -240,25 +237,54 @@ impl WorldEstimator {
     }
 
     fn evaluate_worlds(&self, seeds: &[NodeId]) -> GroupInfluence {
+        let worlds = self.worlds.worlds();
+        let n = self.graph.num_nodes();
         let k = self.group_sizes.len();
-        // Per-group activations are counted in u64 and only converted to f64
-        // once at the end: integer addition is associative, so chunk
-        // boundaries (and hence the thread count) cannot change the result.
-        let counts: Vec<u64> = self.parallelism.run(|| {
-            self.worlds
-                .worlds()
-                .par_iter()
+        mean_world_counts(self.parallelism, None, worlds.len(), k, |i, scratch, counts| {
+            let world = &worlds[i];
+            let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+            bounded_bfs(n, seeds, self.deadline, scratch, row, |node, _| {
+                counts[self.group_of[node.index()] as usize] += 1;
+            });
+        })
+    }
+}
+
+/// The one per-world count behind every forward estimate:
+/// `count_world(i, scratch, counts)` adds world `i`'s per-group hits to
+/// `counts`, and the mean over worlds `0..num_worlds` comes back. Counts stay
+/// `u64` until the single final scaling: integer addition is associative, so
+/// chunk boundaries (and hence the thread count) cannot change the result.
+/// With `serial = Some(scratch)` the worlds run in order on the caller's
+/// scratch; with `None` they fan out under `parallelism`, one scratch per
+/// worker.
+fn mean_world_counts(
+    parallelism: ParallelismConfig,
+    serial: Option<&mut VisitScratch>,
+    num_worlds: usize,
+    num_groups: usize,
+    count_world: impl Fn(usize, &mut VisitScratch, &mut [u64]) + Sync,
+) -> GroupInfluence {
+    let counts: Vec<u64> = match serial {
+        Some(scratch) => {
+            let mut counts = vec![0u64; num_groups];
+            for i in 0..num_worlds {
+                count_world(i, scratch, &mut counts);
+            }
+            counts
+        }
+        None => parallelism.run(|| {
+            (0..num_worlds)
+                .into_par_iter()
                 .fold(
-                    || (vec![0u64; k], VisitScratch::new(self.graph.num_nodes())),
-                    |(mut counts, mut scratch), world| {
-                        world.bounded_bfs(seeds, self.deadline, &mut scratch, |node, _| {
-                            counts[self.group_of[node.index()] as usize] += 1;
-                        });
+                    || (vec![0u64; num_groups], VisitScratch::new(0)),
+                    |(mut counts, mut scratch), i| {
+                        count_world(i, &mut scratch, &mut counts);
                         (counts, scratch)
                     },
                 )
                 .reduce(
-                    || (vec![0u64; k], VisitScratch::new(0)),
+                    || (vec![0u64; num_groups], VisitScratch::new(0)),
                     |(mut acc, scratch), (partial, _)| {
                         for (a, p) in acc.iter_mut().zip(&partial) {
                             *a += p;
@@ -267,11 +293,10 @@ impl WorldEstimator {
                     },
                 )
                 .0
-        });
-
-        let scale = 1.0 / self.worlds.len() as f64;
-        GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect())
-    }
+        }),
+    };
+    let scale = 1.0 / num_worlds as f64;
+    GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect())
 }
 
 impl InfluenceOracle for WorldEstimator {
@@ -346,68 +371,33 @@ impl InfluenceCursor for WorldCursor<'_> {
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence {
         // Marginal-gain queries dominate every greedy/CELF solve (they run
         // once per candidate per round, `add_seed` once per round), so this
-        // is the hot path the parallelism knob must reach. Counts accumulate
-        // as u64 exactly like `evaluate_worlds`, so serial and parallel
-        // queries agree bitwise.
-        let k = self.estimator.group_sizes.len();
-        let group_of = &self.estimator.group_of;
-        let deadline = self.estimator.deadline;
-        let worlds = self.estimator.worlds.worlds();
-        let counts: Vec<u64> = if !self.parallel_gain {
-            // Serial fast path: reuse the cursor's epoch scratch instead of
-            // zeroing a fresh visited buffer per query.
-            let mut counts = vec![0u64; k];
-            for (world, covered) in worlds.iter().zip(&self.covered) {
-                world.bounded_bfs(&[candidate], deadline, &mut self.scratch, |node, _| {
-                    if !covered.contains(node.index()) {
-                        counts[group_of[node.index()] as usize] += 1;
-                    }
-                });
-            }
-            counts
-        } else {
-            let covered = &self.covered;
-            let n = self.estimator.graph.num_nodes();
-            self.estimator.parallelism.run(|| {
-                (0..worlds.len())
-                    .into_par_iter()
-                    .fold(
-                        || (vec![0u64; k], VisitScratch::new(n)),
-                        |(mut counts, mut scratch), i| {
-                            worlds[i].bounded_bfs(
-                                &[candidate],
-                                deadline,
-                                &mut scratch,
-                                |node, _| {
-                                    if !covered[i].contains(node.index()) {
-                                        counts[group_of[node.index()] as usize] += 1;
-                                    }
-                                },
-                            );
-                            (counts, scratch)
-                        },
-                    )
-                    .reduce(
-                        || (vec![0u64; k], VisitScratch::new(0)),
-                        |(mut acc, scratch), (partial, _)| {
-                            for (a, p) in acc.iter_mut().zip(&partial) {
-                                *a += p;
-                            }
-                            (acc, scratch)
-                        },
-                    )
-                    .0
-            })
-        };
-        let scale = 1.0 / worlds.len() as f64;
-        GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect())
+        // is the hot path the parallelism knob must reach. The serial path
+        // reuses the cursor's epoch scratch instead of a fresh visited
+        // buffer per query; both paths agree bitwise.
+        let estimator = self.estimator;
+        let worlds = estimator.worlds.worlds();
+        let n = estimator.graph.num_nodes();
+        let covered = &self.covered;
+        let serial = (!self.parallel_gain).then_some(&mut self.scratch);
+        let k = estimator.group_sizes.len();
+        mean_world_counts(estimator.parallelism, serial, worlds.len(), k, |i, scratch, counts| {
+            let (world, covered) = (&worlds[i], &covered[i]);
+            let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+            bounded_bfs(n, &[candidate], estimator.deadline, scratch, row, |node, _| {
+                if !covered.contains(node.index()) {
+                    counts[estimator.group_of[node.index()] as usize] += 1;
+                }
+            });
+        })
     }
 
     fn add_seed(&mut self, candidate: NodeId) {
         let group_of = &self.estimator.group_of;
         let deadline = self.estimator.deadline;
+        let n = self.estimator.graph.num_nodes();
         for (world, covered) in self.estimator.worlds.worlds().iter().zip(self.covered.iter_mut()) {
-            world.bounded_bfs(&[candidate], deadline, &mut self.scratch, |node, _| {
+            let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+            bounded_bfs(n, &[candidate], deadline, &mut self.scratch, row, |node, _| {
                 if covered.insert(node.index()) {
                     self.group_totals[group_of[node.index()] as usize] += 1.0;
                 }
@@ -421,18 +411,22 @@ impl InfluenceCursor for WorldCursor<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Fresh Monte-Carlo estimator
+// Unstored Monte-Carlo estimator
 // ---------------------------------------------------------------------------
 
-/// Influence oracle that runs fresh independent-cascade simulations for every
-/// query.
+/// Influence oracle over the keyed live-edge worlds of a [`WorldEstimator`],
+/// computed on the fly instead of stored: each query walks world `i`'s coins
+/// (world seed `seed + i`) straight off the graph with the same τ-bounded
+/// BFS, so it holds no world in memory and returns, bitwise, what a
+/// [`WorldEstimator`] over `WorldsConfig { num_worlds: samples, seed }`
+/// returns on the same graph.
 ///
-/// Simpler and unbiased, but marginal gains computed by differencing two
-/// independent estimates are noisy, so the live-edge [`WorldEstimator`] is
-/// the default choice for the solvers; this estimator serves as the
-/// cross-check in tests and as the final "held-out" evaluator of a chosen
-/// seed set (the paper re-estimates the influence of the selected seeds with
-/// fresh samples).
+/// Every query re-walks every world, so [`NaiveCursor`] drives the solvers
+/// here at one full evaluation per marginal gain; the gains are exact
+/// coverage differences (`S` and `S ∪ {v}` see the same coins), just slow.
+/// Its job is the paper's held-out re-estimate of a chosen seed set, which
+/// needs a seed range disjoint from the pool that chose the seeds (see
+/// [`MonteCarloEstimator::new`]).
 #[derive(Debug, Clone)]
 pub struct MonteCarloEstimator {
     graph: Arc<Graph>,
@@ -443,7 +437,14 @@ pub struct MonteCarloEstimator {
 }
 
 impl MonteCarloEstimator {
-    /// Creates a Monte-Carlo estimator running `samples` cascades per query.
+    /// Creates a Monte-Carlo estimator over the `samples` keyed IC worlds
+    /// with world seeds `[seed, seed + samples)` (wrapping).
+    ///
+    /// Those are the worlds a [`WorldCollection`] sampled with the same
+    /// `seed` and `num_worlds` holds, so a held-out re-score of seeds chosen
+    /// on such a pool must start from a base whose range does not overlap
+    /// the pool's; otherwise it judges the seeds partly on the sample that
+    /// picked them.
     ///
     /// # Errors
     ///
@@ -461,14 +462,14 @@ impl MonteCarloEstimator {
         })
     }
 
-    /// Number of cascades per query.
+    /// Number of worlds per query.
     pub fn samples(&self) -> usize {
         self.samples
     }
 
     /// Returns a copy of this estimator with a different parallelism setting.
-    /// Cascade `i` is always driven by `StdRng::seed_from_u64(seed + i)`, so
-    /// estimates are bitwise identical at every thread count.
+    /// World `i` is always keyed by `seed + i` and counts accumulate as
+    /// integers, so estimates are bitwise identical at every thread count.
     pub fn with_parallelism(&self, parallelism: ParallelismConfig) -> Self {
         MonteCarloEstimator { parallelism, ..self.clone() }
     }
@@ -490,42 +491,15 @@ impl InfluenceOracle for MonteCarloEstimator {
 
     fn evaluate(&self, seeds: &[NodeId]) -> Result<GroupInfluence> {
         crate::ic::validate_seeds(&self.graph, seeds)?;
-        let k = self.graph.num_groups();
-        // Cascade `i` is seeded from `seed + i` and activation counts are
-        // accumulated as integers, so the thread count cannot change the
-        // estimate (see `ParallelismConfig`).
-        let counts: Vec<u64> = self.parallelism.run(|| {
-            (0..self.samples)
-                .into_par_iter()
-                .fold(
-                    || vec![0u64; k],
-                    |mut counts, i| {
-                        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(i as u64));
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "seeds are range-checked before entering the parallel region"
-                        )]
-                        let trace = simulate_ic(&self.graph, seeds, &mut rng)
-                            .expect("seeds validated before the parallel region");
-                        let activations = trace.group_activations(&self.graph, self.deadline);
-                        for (c, a) in counts.iter_mut().zip(activations) {
-                            *c += a as u64;
-                        }
-                        counts
-                    },
-                )
-                .reduce(
-                    || vec![0u64; k],
-                    |mut acc, partial| {
-                        for (a, p) in acc.iter_mut().zip(&partial) {
-                            *a += p;
-                        }
-                        acc
-                    },
-                )
-        });
-        let scale = 1.0 / self.samples as f64;
-        Ok(GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect()))
+        let graph = &*self.graph;
+        let k = graph.num_groups();
+        Ok(mean_world_counts(self.parallelism, None, self.samples, k, |i, scratch, counts| {
+            let world_seed = self.seed.wrapping_add(i as u64);
+            let row = |v| live_ic_row(graph, v, world_seed);
+            bounded_bfs(graph.num_nodes(), seeds, self.deadline, scratch, row, |node, _| {
+                counts[graph.group_of(node).index()] += 1;
+            });
+        }))
     }
 
     fn cursor(&self) -> Box<dyn InfluenceCursor + '_> {
@@ -566,9 +540,9 @@ impl InfluenceCursor for NaiveCursor<'_> {
             .oracle
             .evaluate(&with)
             .unwrap_or_else(|_| GroupInfluence::zeros(self.current.num_groups()));
-        // Clamp at zero: with independent sampling noise a difference of two
-        // estimates can dip below zero, which would confuse the lazy-greedy
-        // heap invariants downstream.
+        // Clamp at zero: for an oracle that samples afresh per query a
+        // difference of two estimates can dip below zero, which would
+        // confuse the lazy-greedy heap invariants downstream.
         GroupInfluence::from_values(
             value
                 .values()
@@ -639,7 +613,8 @@ mod tests {
             &WorldsConfig { num_worlds: 4, seed: 1, ..Default::default() },
         )
         .unwrap();
-        let mc = MonteCarloEstimator::new(Arc::clone(&g), deadline, 16, 3).unwrap();
+        // World seeds 2^32.. are disjoint from the pool's 1..5.
+        let mc = MonteCarloEstimator::new(Arc::clone(&g), deadline, 16, 1 << 32).unwrap();
         let a = world.evaluate(&[NodeId(0)]).unwrap();
         let b = mc.evaluate(&[NodeId(0)]).unwrap();
         assert!((a.total() - b.total()).abs() < 1e-9);
@@ -802,8 +777,76 @@ mod tests {
         let inf = est.evaluate(&[a]).unwrap();
         assert!((inf.total() - 1.4).abs() < 0.05, "estimate {}", inf.total());
 
-        let mc = MonteCarloEstimator::new(g, Deadline::unbounded(), 4000, 13).unwrap();
+        // World seeds 2^32.. are disjoint from the pool's 11..4011, so the
+        // two estimates are independent checks of the expectation.
+        let mc = MonteCarloEstimator::new(g, Deadline::unbounded(), 4000, 1 << 32).unwrap();
         let inf = mc.evaluate(&[a]).unwrap();
         assert!((inf.total() - 1.4).abs() < 0.05, "estimate {}", inf.total());
+    }
+
+    #[test]
+    fn keyed_monte_carlo_matches_the_stream_simulator() {
+        // The stream simulator draws its coins from a `StdRng`, independently
+        // of the keyed coins, so it is the reference answer the keyed MC (and
+        // with it every worlds pool) must agree with. Two groups, mixed
+        // probabilities (including 0 and 1), a cross-group cycle and paths
+        // long enough that every deadline below cuts a different cascade.
+        let mut b = GraphBuilder::new();
+        let g0 = b.add_nodes(6, GroupId(0));
+        let g1 = b.add_nodes(6, GroupId(1));
+        let edges = [
+            (g0[0], g0[1], 0.9),
+            (g0[1], g0[2], 0.8),
+            (g0[2], g0[3], 0.7),
+            (g0[3], g0[4], 0.9),
+            (g0[4], g0[0], 0.5),
+            (g0[0], g1[0], 0.3),
+            (g0[1], g1[1], 0.15),
+            (g0[2], g1[3], 0.2),
+            (g1[0], g1[1], 1.0),
+            (g1[1], g1[2], 0.5),
+            (g1[2], g1[3], 0.95),
+            (g1[3], g1[4], 0.6),
+            (g1[4], g1[5], 0.85),
+            (g1[5], g0[5], 0.4),
+            (g0[5], g1[5], 0.0),
+        ];
+        for (u, v, p) in edges {
+            b.add_edge(u, v, p).unwrap();
+        }
+        let g = Arc::new(b.build().unwrap());
+        let seeds = [g0[0], g1[2]];
+        let trials = 40_000;
+        let deadlines = [Deadline::finite(0), Deadline::finite(1), Deadline::finite(2)];
+        let deadlines = deadlines.into_iter().chain([Deadline::unbounded()]);
+        let traces: Vec<_> = (0..trials as u64)
+            .map(|seed| crate::ic::simulate_ic_seeded(&g, &seeds, seed).unwrap())
+            .collect();
+        // A per-group count lies in [0, 6], so each cascade's keyed-minus-
+        // stream difference spans 12; Hoeffding with a union bound over the
+        // 4 × 2 checks leaves a correct estimator inside `eps` with
+        // probability at least 1 − 1e-9, whatever the seeds.
+        let checks = 8.0_f64;
+        let eps = 12.0 * ((2.0 * checks / 1e-9).ln() / (2.0 * trials as f64)).sqrt();
+        for deadline in deadlines {
+            let keyed = MonteCarloEstimator::new(Arc::clone(&g), deadline, trials, 1 << 32)
+                .unwrap()
+                .evaluate(&seeds)
+                .unwrap();
+            let mut stream = [0usize; 2];
+            for trace in &traces {
+                for v in g.nodes().filter(|&v| trace.activated_by(v, deadline)) {
+                    stream[g.group_of(v).index()] += 1;
+                }
+            }
+            for (group, &count) in stream.iter().enumerate() {
+                let reference = count as f64 / trials as f64;
+                let estimate = keyed.values()[group];
+                assert!(
+                    (estimate - reference).abs() < eps,
+                    "{deadline}, group {group}: keyed {estimate} vs stream {reference} (eps {eps})"
+                );
+            }
+        }
     }
 }

@@ -9,12 +9,16 @@
 //!
 //! * [`simulate_ic`] / [`simulate_lt`] — single-cascade simulation under the
 //!   Independent Cascade and Linear Threshold models with discrete time
-//!   steps,
+//!   steps, drawing from a stream RNG: the independent reference the keyed
+//!   estimators are tested against,
 //! * [`WorldCollection`] — pre-sampled live-edge worlds (common random
 //!   numbers) on which the time-critical utility is an exactly submodular
 //!   coverage function,
 //! * [`WorldEstimator`], [`MonteCarloEstimator`], [`RisEstimator`] — three
-//!   interchangeable implementations of the [`InfluenceOracle`] trait,
+//!   interchangeable implementations of the [`InfluenceOracle`] trait. The
+//!   first two share one keyed IC coin and one τ-bounded BFS:
+//!   [`MonteCarloEstimator`] walks the worlds a [`WorldEstimator`] stores,
+//!   so at the same `(seed, samples)` the two agree bitwise,
 //! * [`InfluenceCursor`] — the incremental marginal-gain interface the greedy
 //!   solvers in `tcim-core` drive; both [`WorldEstimator`] (via `WorldCursor`)
 //!   and [`RisEstimator`] (via [`RisCursor`]) serve it incrementally.
@@ -79,4 +83,4 @@ pub use lt::{simulate_lt, simulate_lt_seeded, LtWeights};
 pub use parallel::ParallelismConfig;
 pub use ris::{AdaptiveRis, RisConfig, RisCursor, RisEstimator, RrSet, RrSketches};
 pub use trace::{ActivationTrace, NOT_ACTIVATED};
-pub use worlds::{LiveEdgeWorld, VisitScratch, WorldCollection, WorldsConfig};
+pub use worlds::{LiveEdgeWorld, WorldCollection, WorldsConfig};

@@ -1,6 +1,6 @@
 //! Activation traces: the outcome of a single cascade realisation.
 
-use tcim_graph::{Graph, NodeId};
+use tcim_graph::NodeId;
 
 use crate::deadline::Deadline;
 
@@ -51,20 +51,6 @@ impl ActivationTrace {
         self.times.iter().filter(|&&t| t != NOT_ACTIVATED && deadline.allows(t)).count()
     }
 
-    /// Number of nodes of each group of `graph` that were activated no later
-    /// than `deadline`.
-    ///
-    /// The returned vector has one entry per group id.
-    pub fn group_activations(&self, graph: &Graph, deadline: Deadline) -> Vec<usize> {
-        let mut counts = vec![0usize; graph.num_groups()];
-        for (idx, &t) in self.times.iter().enumerate() {
-            if t != NOT_ACTIVATED && deadline.allows(t) {
-                counts[graph.group_of(NodeId::from_index(idx)).index()] += 1;
-            }
-        }
-        counts
-    }
-
     /// Largest activation time observed (`None` when nothing was activated).
     pub fn horizon(&self) -> Option<u32> {
         self.times.iter().filter(|&&t| t != NOT_ACTIVATED).max().copied()
@@ -79,14 +65,6 @@ impl ActivationTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcim_graph::{GraphBuilder, GroupId};
-
-    fn two_group_graph() -> Graph {
-        let mut b = GraphBuilder::new();
-        b.add_nodes(3, GroupId(0));
-        b.add_nodes(2, GroupId(1));
-        b.build().unwrap()
-    }
 
     #[test]
     fn activation_queries_respect_the_deadline() {
@@ -100,15 +78,6 @@ mod tests {
         assert_eq!(trace.num_activated_by(Deadline::finite(1)), 2);
         assert_eq!(trace.num_activated_by(Deadline::unbounded()), 4);
         assert_eq!(trace.horizon(), Some(3));
-    }
-
-    #[test]
-    fn group_activations_split_by_group() {
-        let g = two_group_graph();
-        let trace = ActivationTrace::from_times(vec![0, 2, NOT_ACTIVATED, 1, NOT_ACTIVATED]);
-        assert_eq!(trace.group_activations(&g, Deadline::unbounded()), vec![2, 1]);
-        assert_eq!(trace.group_activations(&g, Deadline::finite(1)), vec![1, 1]);
-        assert_eq!(trace.group_activations(&g, Deadline::finite(0)), vec![1, 0]);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use rayon::prelude::*;
 use tcim_graph::{Graph, NodeId};
 
-use crate::bitset::BitSet;
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
 use crate::parallel::ParallelismConfig;
@@ -80,7 +79,7 @@ impl LiveEdgeWorld {
     /// Samples an **independent cascade** world: edge `u → v` is live iff
     /// its keyed coin `(world_seed, u, v)` falls below the edge probability.
     pub fn sample(graph: &Graph, world_seed: u64) -> Self {
-        Self::from_rows(graph, 0, |v, targets| push_ic_row(graph, v, world_seed, targets))
+        Self::from_rows(graph, 0, |v, targets| targets.extend(live_ic_row(graph, v.0, world_seed)))
     }
 
     /// Samples a world under the **linear threshold** model: every node
@@ -127,55 +126,49 @@ impl LiveEdgeWorld {
         let v = node.index();
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
+}
 
-    /// Runs a breadth-first search from `sources` bounded by `deadline` hops
-    /// and calls `visit(node, hops)` for every newly reached node (including
-    /// the sources at hop 0). `scratch` must have one entry per node and is
-    /// used to mark visited nodes; it is reset lazily via the `epoch` value,
-    /// so repeated calls can reuse the same buffer without clearing it.
-    pub fn bounded_bfs<F: FnMut(NodeId, u32)>(
-        &self,
-        sources: &[NodeId],
-        deadline: Deadline,
-        scratch: &mut VisitScratch,
-        mut visit: F,
-    ) {
-        scratch.begin(self.num_nodes());
-        let mut frontier: Vec<u32> = Vec::with_capacity(sources.len());
-        for &s in sources {
-            if s.index() < self.num_nodes() && scratch.mark(s.index()) {
-                visit(s, 0);
-                frontier.push(s.0);
-            }
-        }
-        let mut next: Vec<u32> = Vec::new();
-        let mut hops = 0u32;
-        while !frontier.is_empty() {
-            hops += 1;
-            if !deadline.allows(hops) {
-                break;
-            }
-            next.clear();
-            for &v in &frontier {
-                for &w in self.out_neighbors(NodeId(v)) {
-                    if scratch.mark(w as usize) {
-                        visit(NodeId(w), hops);
-                        next.push(w);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
+/// The one τ-bounded forward BFS: searches from `sources` over the live
+/// out-neighbours `row(v)` of each reached node `v`, stopping at `deadline`
+/// hops, and calls `visit(node, hops)` for every newly reached node
+/// (including the sources at hop 0; sources at or past `num_nodes` are
+/// skipped). A stored world passes its live row, the unstored Monte-Carlo
+/// estimator passes [`live_ic_row`]; `row` is generic, not `dyn`, because
+/// this is the marginal-gain hot loop. `scratch` marks visited nodes and is
+/// reset lazily via its epoch, so repeated calls reuse it without clearing.
+pub(crate) fn bounded_bfs<I: IntoIterator<Item = u32>>(
+    num_nodes: usize,
+    sources: &[NodeId],
+    deadline: Deadline,
+    scratch: &mut VisitScratch,
+    mut row: impl FnMut(u32) -> I,
+    mut visit: impl FnMut(NodeId, u32),
+) {
+    scratch.begin(num_nodes);
+    let mut frontier: Vec<u32> = Vec::with_capacity(sources.len());
+    for &s in sources {
+        if s.index() < num_nodes && scratch.mark(s.index()) {
+            visit(s, 0);
+            frontier.push(s.0);
         }
     }
-
-    /// Returns the set of nodes within `deadline` live-edge hops of `sources`.
-    pub fn coverage(&self, sources: &[NodeId], deadline: Deadline) -> BitSet {
-        let mut covered = BitSet::new(self.num_nodes());
-        let mut scratch = VisitScratch::new(self.num_nodes());
-        self.bounded_bfs(sources, deadline, &mut scratch, |node, _| {
-            covered.insert(node.index());
-        });
-        covered
+    let mut next: Vec<u32> = Vec::new();
+    let mut hops = 0u32;
+    while !frontier.is_empty() {
+        hops += 1;
+        if !deadline.allows(hops) {
+            break;
+        }
+        next.clear();
+        for &v in &frontier {
+            for w in row(v) {
+                if scratch.mark(w as usize) {
+                    visit(NodeId(w), hops);
+                    next.push(w);
+                }
+            }
+        }
+        std::mem::swap(&mut frontier, &mut next);
     }
 }
 
@@ -194,16 +187,22 @@ fn keyed_draw(world_seed: u64, u: u32, v: u32) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Appends the live out-neighbours of `v` in the IC world seeded by
-/// `world_seed`. Sampling and patching share this, so a re-drawn row is the
-/// row a cold sample would draw.
+/// The live out-neighbours of `v` in the IC world seeded by `world_seed`:
+/// edge `v → w` is live iff its keyed coin falls below its probability.
+/// This is the one IC coin — sampling, patching and the unstored
+/// Monte-Carlo estimator all draw liveness here, so a re-drawn row is the
+/// row a cold sample would draw, and an on-the-fly BFS walks the same
+/// worlds a stored pool holds.
 #[inline]
-fn push_ic_row(graph: &Graph, v: NodeId, world_seed: u64, targets: &mut Vec<u32>) {
-    for (w, p) in graph.out_edges(v) {
-        if p > 0.0 && (p >= 1.0 || keyed_draw(world_seed, v.0, w.0) < p) {
-            targets.push(w.0);
-        }
-    }
+pub(crate) fn live_ic_row(
+    graph: &Graph,
+    v: u32,
+    world_seed: u64,
+) -> impl Iterator<Item = u32> + '_ {
+    graph
+        .out_edges(NodeId(v))
+        .filter(move |&(w, p)| p > 0.0 && (p >= 1.0 || keyed_draw(world_seed, v, w.0) < p))
+        .map(|(w, _)| w.0)
 }
 
 /// The linear-threshold in-edge pick of node `v` in the world seeded by
@@ -225,20 +224,20 @@ fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option
     None
 }
 
-/// Reusable visited-marker buffer for [`LiveEdgeWorld::bounded_bfs`].
+/// Reusable visited-marker buffer for [`bounded_bfs`].
 ///
 /// Uses an epoch counter so that consecutive BFS runs do not need to clear the
 /// whole buffer, which matters when the estimator runs hundreds of thousands
 /// of bounded searches.
 #[derive(Debug, Clone)]
-pub struct VisitScratch {
+pub(crate) struct VisitScratch {
     epoch: u32,
     marks: Vec<u32>,
 }
 
 impl VisitScratch {
     /// Creates a scratch buffer for graphs with up to `n` nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         VisitScratch { epoch: 0, marks: vec![0; n] }
     }
 
@@ -271,7 +270,11 @@ pub struct WorldsConfig {
     pub num_worlds: usize,
     /// Base world seed; world `i` draws its keyed coins from `seed + i`, so
     /// collections can be extended deterministically and parallel sampling
-    /// is order-independent.
+    /// is order-independent. A pool therefore spans the world seeds
+    /// `[seed, seed + num_worlds)` (wrapping), the same worlds a
+    /// [`crate::MonteCarloEstimator`] with this `seed` and `samples = num_worlds`
+    /// walks; a held-out re-score of seeds chosen on this pool needs a
+    /// disjoint range.
     pub seed: u64,
     /// Worker threads for sampling and estimation. Purely a throughput knob:
     /// results are bitwise identical at every thread count.
@@ -412,7 +415,7 @@ impl WorldCollection {
             let old = &self.worlds[i];
             LiveEdgeWorld::from_rows(graph, old.targets.len(), |v, targets| {
                 if touched[v.index()] {
-                    push_ic_row(graph, v, world_seed, targets);
+                    targets.extend(live_ic_row(graph, v.0, world_seed));
                 } else {
                     targets.extend_from_slice(old.out_neighbors(v));
                 }
@@ -507,16 +510,30 @@ mod tests {
         assert_eq!(world.num_live_edges(), 0);
     }
 
+    /// [`bounded_bfs`] from node 0 over `world`'s stored live rows.
+    fn bfs_from_zero(
+        world: &LiveEdgeWorld,
+        deadline: Deadline,
+        scratch: &mut VisitScratch,
+        visit: impl FnMut(NodeId, u32),
+    ) {
+        let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+        bounded_bfs(world.num_nodes(), &[NodeId(0)], deadline, scratch, row, visit);
+    }
+
     #[test]
     fn bounded_bfs_respects_the_deadline() {
         let g = path(1.0);
         let world = LiveEdgeWorld::sample(&g, 0);
-        let cov2 = world.coverage(&[NodeId(0)], Deadline::finite(2));
-        assert_eq!(cov2.count(), 3);
-        let cov_all = world.coverage(&[NodeId(0)], Deadline::unbounded());
-        assert_eq!(cov_all.count(), 4);
-        let cov0 = world.coverage(&[NodeId(0)], Deadline::finite(0));
-        assert_eq!(cov0.count(), 1);
+        let mut scratch = VisitScratch::new(world.num_nodes());
+        let mut reached = |deadline| {
+            let mut count = 0;
+            bfs_from_zero(&world, deadline, &mut scratch, |_, _| count += 1);
+            count
+        };
+        assert_eq!(reached(Deadline::finite(2)), 3);
+        assert_eq!(reached(Deadline::unbounded()), 4);
+        assert_eq!(reached(Deadline::finite(0)), 1);
     }
 
     #[test]
@@ -525,9 +542,7 @@ mod tests {
         let world = LiveEdgeWorld::sample(&g, 0);
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut hops = vec![u32::MAX; 4];
-        world.bounded_bfs(&[NodeId(0)], Deadline::unbounded(), &mut scratch, |n, h| {
-            hops[n.index()] = h;
-        });
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |n, h| hops[n.index()] = h);
         assert_eq!(hops, vec![0, 1, 2, 3]);
     }
 
@@ -537,9 +552,9 @@ mod tests {
         let world = LiveEdgeWorld::sample(&g, 0);
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut first = 0;
-        world.bounded_bfs(&[NodeId(0)], Deadline::unbounded(), &mut scratch, |_, _| first += 1);
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |_, _| first += 1);
         let mut second = 0;
-        world.bounded_bfs(&[NodeId(0)], Deadline::unbounded(), &mut scratch, |_, _| second += 1);
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |_, _| second += 1);
         assert_eq!(first, 4);
         assert_eq!(second, 4);
     }

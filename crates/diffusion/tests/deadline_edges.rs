@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use tcim_diffusion::{
     Deadline, GroupInfluence, InfluenceOracle, MonteCarloEstimator, ParallelismConfig, RisConfig,
-    RisEstimator, WorldEstimator, WorldsConfig,
+    RisEstimator, WorldCollection, WorldEstimator, WorldsConfig,
 };
 use tcim_graph::generators::{stochastic_block_model, SbmConfig};
 use tcim_graph::{Graph, MutationOp, NodeId};
@@ -231,10 +231,16 @@ fn deadline_edges_survive_every_mutation_kind() {
         MutationOp::Reweight { source: reweighted.0, target: reweighted.1, probability: 0.9 },
     ];
 
+    // One worlds pool sampled on the base graph and patched through every
+    // mutation; MC over the same `(seed, samples)` must equal it bitwise.
+    let pool_config =
+        WorldsConfig { num_worlds: 48, seed: 5, parallelism: ParallelismConfig::serial() };
+    let mut pool = Arc::new(WorldCollection::sample(&base, &pool_config).unwrap());
     let mut previous = Arc::clone(&base);
     for op in mutations {
         let mutated = Arc::new(previous.apply(std::slice::from_ref(&op)).unwrap());
         let touched = vec![op.endpoints().1];
+        pool = Arc::new(pool.patch(&mutated, &[op.endpoints().0], &pool_config).unwrap());
         for (tau, deadline) in [
             (Some(0u32), Deadline::finite(0)),
             (Some(1), Deadline::finite(1)),
@@ -243,12 +249,7 @@ fn deadline_edges_survive_every_mutation_kind() {
             let context = |estimator: &str| format!("{estimator} after {}, τ={tau:?}", op.label());
             // Worlds: serial == 8 threads on the mutated graph; τ = 0 still
             // reduces to exact seed counts.
-            let worlds = WorldEstimator::new(
-                Arc::clone(&mutated),
-                deadline,
-                &WorldsConfig { num_worlds: 48, seed: 5, parallelism: ParallelismConfig::serial() },
-            )
-            .unwrap();
+            let worlds = WorldEstimator::new(Arc::clone(&mutated), deadline, &pool_config).unwrap();
             let reference = worlds.evaluate(&seeds).unwrap();
             if tau == Some(0) {
                 assert_bitwise_equal(
@@ -264,18 +265,21 @@ fn deadline_edges_survive_every_mutation_kind() {
                 &context("worlds"),
             );
 
-            // Monte-Carlo: same thread-independence and τ = 0 exactness.
-            let mc = MonteCarloEstimator::new(Arc::clone(&mutated), deadline, 64, 9)
+            // Monte-Carlo: the unstored form of the same worlds, so it equals
+            // both the cold pool and the patched one (and thereby inherits
+            // τ = 0 exactness), and stays thread-independent.
+            let mc = MonteCarloEstimator::new(Arc::clone(&mutated), deadline, 48, 5)
                 .unwrap()
                 .with_parallelism(ParallelismConfig::serial());
             let mc_reference = mc.evaluate(&seeds).unwrap();
-            if tau == Some(0) {
-                assert_bitwise_equal(
-                    &mc_reference,
-                    &seed_counts(&mutated, &seeds),
-                    &context("monte-carlo"),
-                );
-            }
+            assert_bitwise_equal(&mc_reference, &reference, &context("monte-carlo vs cold worlds"));
+            let patched =
+                WorldEstimator::from_worlds(Arc::clone(&mutated), Arc::clone(&pool), deadline);
+            assert_bitwise_equal(
+                &mc_reference,
+                &patched.evaluate(&seeds).unwrap(),
+                &context("monte-carlo vs patched worlds"),
+            );
             assert_bitwise_equal(
                 &mc_reference,
                 &mc.with_parallelism(ParallelismConfig::fixed(8)).evaluate(&seeds).unwrap(),

@@ -2,7 +2,7 @@
 //! **bitwise-identical** `GroupInfluence` vectors at every thread count.
 //!
 //! The guarantee rests on two implementation choices (see
-//! `ParallelismConfig`): world/cascade `i` derives its RNG from
+//! `ParallelismConfig`): world `i` derives its keyed coins from
 //! `base_seed + i` independent of scheduling, and per-group activation
 //! counts accumulate as integers before the single final conversion to
 //! `f64`.
@@ -68,16 +68,34 @@ fn world_estimator_is_bitwise_identical_across_thread_counts() {
 fn monte_carlo_estimator_is_bitwise_identical_across_thread_counts() {
     let graph = sbm();
     let seeds = seeds();
-    let serial = MonteCarloEstimator::new(Arc::clone(&graph), Deadline::finite(4), 96, 3)
-        .unwrap()
-        .with_parallelism(ParallelismConfig::serial());
-    let reference = serial.evaluate(&seeds).unwrap();
-    assert!(reference.total() > 0.0, "degenerate reference estimate");
+    // MC walks the keyed worlds `3..99` on the fly, so it must also equal
+    // the stored pool over the same worlds — at every deadline, not just 4.
+    let deadlines = [Deadline::finite(4), Deadline::finite(0), Deadline::finite(1)];
+    for deadline in deadlines.into_iter().chain([Deadline::finite(5), Deadline::unbounded()]) {
+        let serial = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 96, 3)
+            .unwrap()
+            .with_parallelism(ParallelismConfig::serial());
+        let reference = serial.evaluate(&seeds).unwrap();
+        assert!(reference.total() > 0.0, "degenerate reference estimate");
 
-    for threads in [1usize, 2, 8] {
-        let parallel = serial.with_parallelism(ParallelismConfig::fixed(threads));
-        let estimate = parallel.evaluate(&seeds).unwrap();
-        assert_bitwise_equal(&reference, &estimate, &format!("monte carlo, {threads} threads"));
+        for threads in [1usize, 2, 8] {
+            let parallelism = ParallelismConfig::fixed(threads);
+            let parallel = serial.with_parallelism(parallelism);
+            let estimate = parallel.evaluate(&seeds).unwrap();
+            let context = format!("monte carlo τ={deadline}, {threads} threads");
+            assert_bitwise_equal(&reference, &estimate, &context);
+            let worlds = WorldEstimator::new(
+                Arc::clone(&graph),
+                deadline,
+                &WorldsConfig { num_worlds: 96, seed: 3, parallelism },
+            )
+            .unwrap();
+            assert_bitwise_equal(
+                &worlds.evaluate(&seeds).unwrap(),
+                &estimate,
+                &format!("{context} vs worlds"),
+            );
+        }
     }
 }
 

@@ -74,8 +74,10 @@ pub fn ris(num_sets: usize, seed: u64) -> EstimatorConfig {
     EstimatorConfig::Ris(RisConfig { num_sets, seed, ..Default::default() })
 }
 
-/// A fresh Monte-Carlo estimator config (`samples` cascades per query, RNG
-/// `seed`) — the unbiased held-out re-scorer.
+/// A Monte-Carlo estimator config: the `samples` keyed worlds with world
+/// seeds `[seed, seed + samples)`, walked per query instead of stored — the
+/// held-out re-scorer. Its estimates equal [`worlds`]`(samples, seed)`
+/// bitwise, so re-score with a range disjoint from the solving pool's.
 pub fn monte_carlo(samples: usize, seed: u64) -> EstimatorConfig {
     EstimatorConfig::MonteCarlo { samples, seed }
 }

@@ -146,7 +146,9 @@ fn estimators_agree_on_the_selected_seed_sets() {
 
     // Re-score the chosen seeds with an independent Monte-Carlo estimator and
     // with reverse-reachable sketches; all three should agree within noise.
-    let mc = MonteCarloEstimator::new(Arc::clone(&graph), Deadline::finite(5), 400, 99).unwrap();
+    // MC's worlds start at 2^32, disjoint from the solving pool's `3..153`.
+    let mc =
+        MonteCarloEstimator::new(Arc::clone(&graph), Deadline::finite(5), 400, 1 << 32).unwrap();
     let mc_influence = mc.evaluate(&report.seeds).unwrap();
     let ris = RisEstimator::new(
         Arc::clone(&graph),
@@ -275,7 +277,8 @@ fn ris_estimator_selected_via_config_drives_greedy_and_celf() {
             .build(Arc::clone(&graph), deadline)
             .unwrap();
     let world_solve = solve(&world_oracle, &ProblemSpec::budget(10).unwrap()).unwrap();
-    let held_out = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 600, 77).unwrap();
+    // Held-out worlds start at 2^32, disjoint from the world pool's `3..153`.
+    let held_out = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 600, 1 << 32).unwrap();
     let ris_quality = held_out.evaluate(&celf.seeds).unwrap().total();
     let world_quality = held_out.evaluate(&world_solve.seeds).unwrap().total();
     assert!(
