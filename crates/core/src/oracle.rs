@@ -109,9 +109,11 @@ impl EstimatorConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when `self` is not a
-    /// [`EstimatorConfig::Worlds`] config, or when `worlds` does not match
-    /// the config's world count or the graph's node count (a mismatched
-    /// collection would silently estimate on the wrong sample).
+    /// [`EstimatorConfig::Worlds`] config or when `worlds` does not match
+    /// the config's world count (a mismatched collection would silently
+    /// estimate on the wrong sample), and the diffusion layer's error from
+    /// [`WorldEstimator::from_worlds`] when it does not match the graph's
+    /// node count.
     pub fn build_with_worlds(
         &self,
         graph: Arc<Graph>,
@@ -132,17 +134,8 @@ impl EstimatorConfig {
                 ),
             });
         }
-        if worlds.num_nodes() != graph.num_nodes() {
-            return Err(CoreError::InvalidConfig {
-                message: format!(
-                    "cached collection covers {} nodes but the graph has {}",
-                    worlds.num_nodes(),
-                    graph.num_nodes()
-                ),
-            });
-        }
         Ok(Estimator::Worlds(
-            WorldEstimator::from_worlds(graph, worlds, deadline)
+            WorldEstimator::from_worlds(graph, worlds, deadline)?
                 .with_parallelism(config.parallelism),
         ))
     }
@@ -173,7 +166,9 @@ impl Estimator {
 
     /// Approximate resident bytes this oracle *owns*. Worlds-backed oracles
     /// are views over a shared collection, so they report only their private
-    /// group tables ([`WorldEstimator::approx_view_bytes`]); RIS oracles own
+    /// group tables and their singleton-gain table, charged in full whether
+    /// or not a solve has filled it ([`WorldEstimator::approx_view_bytes`]);
+    /// RIS oracles own
     /// their sketch pool and reverse adjacency
     /// ([`RisEstimator::approx_owned_bytes`]); Monte-Carlo oracles hold no
     /// heap beyond the shared graph `Arc`. Shared graphs and world
@@ -306,6 +301,13 @@ mod tests {
         assert!(wrong_count
             .build_with_worlds(Arc::clone(&graph), Arc::clone(&shared), Deadline::finite(3))
             .is_err());
+        let other = Arc::new(
+            stochastic_block_model(&SbmConfig::two_group(121, 0.7, 0.08, 0.01, 0.2, 3)).unwrap(),
+        );
+        assert!(matches!(
+            config.build_with_worlds(other, Arc::clone(&shared), Deadline::finite(3)),
+            Err(CoreError::Diffusion(tcim_diffusion::DiffusionError::InvalidParameter { .. }))
+        ));
         assert!(EstimatorConfig::MonteCarlo { samples: 4, seed: 0 }
             .build_with_worlds(graph, shared, Deadline::finite(3))
             .is_err());

@@ -618,6 +618,41 @@ mod tests {
         assert!((fair.influence.total() - 16.0).abs() < 1e-9);
     }
 
+    /// Two homophilous SBM groups with p = 0.1, where τ = 1 and τ = 5
+    /// reach different nodes.
+    fn sbm_oracle(deadline: Deadline) -> WorldEstimator {
+        let config = SbmConfig::two_group(120, 0.7, 0.06, 0.01, 0.1, 5);
+        oracle_on(stochastic_block_model(&config).unwrap(), deadline, 32)
+    }
+
+    #[test]
+    fn a_deadline_copy_does_not_reuse_round_zero_gains() {
+        // The τ = 5 solve fills its oracle's singleton-gain table; the τ = 1
+        // copy shares the worlds but must start from its own table.
+        let p1 = ProblemSpec::budget(4).unwrap();
+        let wide = sbm_oracle(Deadline::finite(5));
+        let at_five = solve(&wide, &p1).unwrap();
+        let at_one = solve(&wide.with_deadline(Deadline::finite(1)), &p1).unwrap();
+        let fresh = solve(&sbm_oracle(Deadline::finite(1)), &p1).unwrap();
+        assert_eq!(at_one, fresh);
+        assert_ne!(at_five.influence, at_one.influence, "τ must matter on this graph");
+    }
+
+    #[test]
+    fn an_earlier_solve_on_the_oracle_does_not_change_a_later_one() {
+        // P4 fills the singleton-gain table that P1 then reads: same seeds,
+        // same influence, same gain evaluations as P1 on a fresh oracle.
+        let p1 = ProblemSpec::budget(4).unwrap();
+        let p4 =
+            ProblemSpec::budget(4).unwrap().with_fairness_wrapper(ConcaveWrapper::Log).unwrap();
+        let shared = sbm_oracle(Deadline::finite(3));
+        solve(&shared, &p4).unwrap();
+        let after_p4 = solve(&shared, &p1).unwrap();
+        let fresh = solve(&sbm_oracle(Deadline::finite(3)), &p1).unwrap();
+        assert_eq!(after_p4, fresh);
+        assert!(after_p4.gain_evaluations > 0);
+    }
+
     #[test]
     fn all_greedy_variants_agree_on_small_instances() {
         let est = oracle();

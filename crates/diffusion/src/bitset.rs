@@ -1,9 +1,11 @@
-//! A minimal fixed-capacity bitset used to track per-world node coverage.
+//! A minimal fixed-capacity bitset used to track which RR sketches a seed
+//! set covers.
 //!
-//! The coverage state of the live-edge estimator needs one bit per node per
-//! sampled world; a `Vec<bool>` would waste 8x the memory and the standard
-//! library has no bitset, so this small purpose-built type keeps the hot
-//! estimator loops compact.
+//! Its one user is the RIS estimator ([`crate::RisCursor`] and the
+//! estimator's coverage counts), which needs one bit per sketch; a
+//! `Vec<bool>` would waste 8x the memory and the standard library has no
+//! bitset. The live-edge world cursor keeps hop distances instead of bits
+//! (see [`crate::WorldCursor`]).
 
 /// Fixed-capacity bitset over `len` bits.
 #[derive(Debug, Clone, PartialEq, Eq)]

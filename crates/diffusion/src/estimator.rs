@@ -2,14 +2,14 @@
 //! (Eq. 1 of the paper) and incremental marginal-gain oracles for greedy
 //! seed selection.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use rayon::prelude::*;
 use tcim_graph::{Graph, GroupId, NodeId};
 
-use crate::bitset::BitSet;
 use crate::deadline::Deadline;
-use crate::error::Result;
+use crate::error::{DiffusionError, Result};
 use crate::parallel::ParallelismConfig;
 use crate::worlds::{bounded_bfs, live_ic_row, VisitScratch, WorldCollection, WorldsConfig};
 
@@ -114,6 +114,9 @@ pub trait InfluenceCursor {
 
     /// Per-group marginal gain of adding `candidate` to the current seed set.
     /// Does not modify the cursor state (apart from internal scratch buffers).
+    /// A [`WorldCursor`] with no committed seed may also fill its oracle's
+    /// shared singleton-gain table with the value it returns, so later
+    /// cursors of that oracle read `gain(v | ∅)` instead of recomputing it.
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence;
 
     /// Commits `candidate` to the seed set.
@@ -139,6 +142,60 @@ pub struct WorldEstimator {
     group_of: Vec<u32>,
     group_sizes: Vec<usize>,
     parallelism: ParallelismConfig,
+    /// The empty-set gains `gain(v | ∅)`, shared by every cursor of this
+    /// estimator and its [`WorldEstimator::with_parallelism`] copies (never
+    /// across deadlines: the counts depend on τ). Allocated by the first
+    /// empty-set gain, so an estimate-only oracle never pays for it.
+    singletons: Arc<OnceLock<SingletonGains>>,
+}
+
+/// Per-node, per-group world counts of the empty-set gain, filled lazily by
+/// [`WorldCursor::gain`]. Node `v`'s counts are `counts[v * k .. (v + 1) * k]`
+/// and are valid once `ready[v]` is set: the filler stores the counts, then
+/// sets the flag with `Release`; a reader loads the flag with `Acquire`.
+/// Two cursors racing to fill one node store identical values, so no lock is
+/// needed.
+#[derive(Debug)]
+struct SingletonGains {
+    counts: Box<[AtomicU64]>,
+    ready: Box<[AtomicBool]>,
+}
+
+impl SingletonGains {
+    fn new(num_nodes: usize, num_groups: usize) -> Self {
+        SingletonGains {
+            counts: (0..num_nodes * num_groups).map(|_| AtomicU64::new(0)).collect(),
+            ready: (0..num_nodes).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// Bytes of a table over `num_nodes × num_groups`, whether or not it has
+    /// been allocated or filled yet.
+    fn bytes(num_nodes: usize, num_groups: usize) -> usize {
+        std::mem::size_of::<Self>()
+            + num_nodes * num_groups * std::mem::size_of::<AtomicU64>()
+            + num_nodes * std::mem::size_of::<AtomicBool>()
+    }
+
+    /// Node `v`'s stored counts, if some cursor has filled them.
+    fn get(&self, v: usize, num_groups: usize) -> Option<&[AtomicU64]> {
+        if !self.ready.get(v)?.load(Ordering::Acquire) {
+            return None;
+        }
+        self.counts.get(v * num_groups..(v + 1) * num_groups)
+    }
+
+    fn fill(&self, v: usize, counts: &[u64]) {
+        let start = v * counts.len();
+        if let (Some(slots), Some(ready)) =
+            (self.counts.get(start..start + counts.len()), self.ready.get(v))
+        {
+            for (slot, &c) in slots.iter().zip(counts) {
+                slot.store(c, Ordering::Relaxed);
+            }
+            ready.store(true, Ordering::Release);
+        }
+    }
 }
 
 impl WorldEstimator {
@@ -150,7 +207,7 @@ impl WorldEstimator {
     /// Returns an error when `config.num_worlds` is zero.
     pub fn new(graph: Arc<Graph>, deadline: Deadline, config: &WorldsConfig) -> Result<Self> {
         let worlds = Arc::new(WorldCollection::sample(&graph, config)?);
-        Ok(Self::from_worlds(graph, worlds, deadline).with_parallelism(config.parallelism))
+        Ok(Self::from_worlds(graph, worlds, deadline)?.with_parallelism(config.parallelism))
     }
 
     /// Samples `config.num_worlds` **linear-threshold** live-edge worlds from
@@ -163,32 +220,48 @@ impl WorldEstimator {
     pub fn new_lt(graph: Arc<Graph>, deadline: Deadline, config: &WorldsConfig) -> Result<Self> {
         let weights = crate::lt::LtWeights::from_graph(&graph);
         let worlds = Arc::new(WorldCollection::sample_lt(&graph, &weights, config)?);
-        Ok(Self::from_worlds(graph, worlds, deadline).with_parallelism(config.parallelism))
+        Ok(Self::from_worlds(graph, worlds, deadline)?.with_parallelism(config.parallelism))
     }
 
     /// Builds an estimator over an existing world collection (so several
     /// deadlines can share the same sampled worlds).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DiffusionError::InvalidParameter`] when the collection was
+    /// sampled over a different node count than `graph` has.
     pub fn from_worlds(
         graph: Arc<Graph>,
         worlds: Arc<WorldCollection>,
         deadline: Deadline,
-    ) -> Self {
+    ) -> Result<Self> {
+        if worlds.num_nodes() != graph.num_nodes() {
+            return Err(DiffusionError::InvalidParameter {
+                message: format!(
+                    "world collection covers {} nodes but the graph has {}",
+                    worlds.num_nodes(),
+                    graph.num_nodes()
+                ),
+            });
+        }
         let group_of: Vec<u32> = graph.nodes().map(|v| graph.group_of(v).0).collect();
         let group_sizes = graph.group_sizes();
-        WorldEstimator {
+        Ok(WorldEstimator {
             graph,
             worlds,
             deadline,
             group_of,
             group_sizes,
             parallelism: ParallelismConfig::auto(),
-        }
+            singletons: Arc::default(),
+        })
     }
 
     /// Returns a copy of this estimator that evaluates against a different
-    /// deadline but shares the same sampled worlds.
+    /// deadline but shares the same sampled worlds (not the singleton-gain
+    /// table, whose counts depend on the deadline).
     pub fn with_deadline(&self, deadline: Deadline) -> Self {
-        WorldEstimator { deadline, ..self.clone() }
+        WorldEstimator { deadline, singletons: Arc::default(), ..self.clone() }
     }
 
     /// Returns a copy of this estimator with a different parallelism setting.
@@ -226,46 +299,52 @@ impl WorldEstimator {
     }
 
     /// Approximate heap bytes this estimator owns *beyond* its shared graph
-    /// and world-collection `Arc`s: the per-node group lookup and the group
-    /// sizes. Cheap by design — a worlds-backed estimator is a view, and the
+    /// and world-collection `Arc`s: the per-node group lookup, the group
+    /// sizes and the singleton-gain table (`n × k` counts of 8 bytes plus one
+    /// ready flag per node). The table is charged in full up front, whether
+    /// or not a cursor has allocated or filled it yet, so the charge is a
+    /// function of the graph alone. A worlds-backed estimator is a view: the
     /// serving-tier cache accounts for (and budgets) the collection itself
     /// as its own entry.
     pub fn approx_view_bytes(&self) -> usize {
         2 * std::mem::size_of::<Vec<u8>>()
             + self.group_of.len() * std::mem::size_of::<u32>()
             + self.group_sizes.len() * std::mem::size_of::<usize>()
+            + SingletonGains::bytes(self.group_of.len(), self.group_sizes.len())
     }
 
     fn evaluate_worlds(&self, seeds: &[NodeId]) -> GroupInfluence {
         let worlds = self.worlds.worlds();
         let n = self.graph.num_nodes();
         let k = self.group_sizes.len();
-        mean_world_counts(self.parallelism, None, worlds.len(), k, |i, scratch, counts| {
+        let counts = world_counts(self.parallelism, None, worlds.len(), k, |i, scratch, counts| {
             let world = &worlds[i];
             let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
             bounded_bfs(n, seeds, self.deadline, scratch, row, |node, _| {
                 counts[self.group_of[node.index()] as usize] += 1;
+                true
             });
-        })
+        });
+        mean_over_worlds(counts, worlds.len())
     }
 }
 
 /// The one per-world count behind every forward estimate:
 /// `count_world(i, scratch, counts)` adds world `i`'s per-group hits to
-/// `counts`, and the mean over worlds `0..num_worlds` comes back. Counts stay
-/// `u64` until the single final scaling: integer addition is associative, so
-/// chunk boundaries (and hence the thread count) cannot change the result.
-/// With `serial = Some(scratch)` the worlds run in order on the caller's
-/// scratch; with `None` they fan out under `parallelism`, one scratch per
-/// worker.
-fn mean_world_counts(
+/// `counts`, and the totals over worlds `0..num_worlds` come back. Counts
+/// stay `u64` until [`mean_over_worlds`] scales them once: integer addition
+/// is associative, so chunk boundaries (and hence the thread count) cannot
+/// change the result. With `serial = Some(scratch)` the worlds run in order
+/// on the caller's scratch; with `None` they fan out under `parallelism`, one
+/// scratch per worker.
+fn world_counts(
     parallelism: ParallelismConfig,
     serial: Option<&mut VisitScratch>,
     num_worlds: usize,
     num_groups: usize,
     count_world: impl Fn(usize, &mut VisitScratch, &mut [u64]) + Sync,
-) -> GroupInfluence {
-    let counts: Vec<u64> = match serial {
+) -> Vec<u64> {
+    match serial {
         Some(scratch) => {
             let mut counts = vec![0u64; num_groups];
             for i in 0..num_worlds {
@@ -294,7 +373,11 @@ fn mean_world_counts(
                 )
                 .0
         }),
-    };
+    }
+}
+
+/// The per-world mean of summed per-group `counts`.
+fn mean_over_worlds(counts: impl IntoIterator<Item = u64>, num_worlds: usize) -> GroupInfluence {
     let scale = 1.0 / num_worlds as f64;
     GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect())
 }
@@ -318,11 +401,40 @@ impl InfluenceOracle for WorldEstimator {
     }
 }
 
+/// Distance entry of a node the committed seeds do not reach within τ.
+const UNCOVERED: u8 = u8::MAX;
+
+/// Distance entry of a node the committed seeds reach, but only at 254 hops
+/// or more: covered, with no exact distance stored, so it never prunes.
+const FAR: u8 = u8::MAX - 1;
+
+/// Whether a node reached at `hops` from a candidate, with stored distance
+/// `distance` from the committed seeds, is already reached at least as
+/// soon by them. If so, everything it reaches within τ − `hops` more hops is
+/// reached from the seeds within τ, so it is neither counted nor expanded.
+#[inline]
+fn reached_sooner(distance: u8, hops: u32) -> bool {
+    distance < FAR && u32::from(distance) <= hops
+}
+
 /// Incremental coverage state over the live-edge worlds of a
-/// [`WorldEstimator`].
+/// [`WorldEstimator`]: each node's hop distance from the committed seeds in
+/// each world.
+///
+/// A gain query (and `add_seed`) runs the τ-bounded BFS from the candidate
+/// but prunes every node the committed seeds reach in at most as many hops
+/// as the candidate does. This is exact: on a shortest path from the
+/// candidate to a node the seeds do not reach, every node is farther from
+/// the seeds than from the candidate, so none is pruned and the counts are
+/// the same integers a full BFS gives. The state costs one byte per node
+/// per world. With no committed seed, `gain` reads (or fills) the
+/// estimator's shared singleton-gain table.
 pub struct WorldCursor<'a> {
     estimator: &'a WorldEstimator,
-    covered: Vec<BitSet>,
+    /// World-major, `num_worlds × num_nodes`: entry `i * n + v` is `v`'s hop
+    /// distance from the committed seeds in world `i` when it is at most
+    /// 253, [`FAR`] beyond that, and [`UNCOVERED`] past τ.
+    distance: Vec<u8>,
     group_totals: Vec<f64>,
     current: GroupInfluence,
     seeds: Vec<NodeId>,
@@ -349,7 +461,7 @@ impl<'a> WorldCursor<'a> {
             && estimator.worlds.len().saturating_mul(n) >= PARALLEL_GAIN_MIN_WORK;
         WorldCursor {
             estimator,
-            covered: vec![BitSet::new(n); estimator.worlds.len()],
+            distance: vec![UNCOVERED; estimator.worlds.len() * n],
             group_totals: vec![0.0; k],
             current: GroupInfluence::zeros(k),
             seeds: Vec::new(),
@@ -375,32 +487,56 @@ impl InfluenceCursor for WorldCursor<'_> {
         // reuses the cursor's epoch scratch instead of a fresh visited
         // buffer per query; both paths agree bitwise.
         let estimator = self.estimator;
-        let worlds = estimator.worlds.worlds();
+        let num_worlds = estimator.worlds.len();
         let n = estimator.graph.num_nodes();
-        let covered = &self.covered;
-        let serial = (!self.parallel_gain).then_some(&mut self.scratch);
         let k = estimator.group_sizes.len();
-        mean_world_counts(estimator.parallelism, serial, worlds.len(), k, |i, scratch, counts| {
-            let (world, covered) = (&worlds[i], &covered[i]);
-            let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
-            bounded_bfs(n, &[candidate], estimator.deadline, scratch, row, |node, _| {
-                if !covered.contains(node.index()) {
-                    counts[estimator.group_of[node.index()] as usize] += 1;
-                }
+        // Round 0 of every solve on this oracle asks the same n questions.
+        let singletons = (self.seeds.is_empty() && candidate.index() < n)
+            .then(|| estimator.singletons.get_or_init(|| SingletonGains::new(n, k)));
+        if let Some(stored) = singletons.and_then(|t| t.get(candidate.index(), k)) {
+            return mean_over_worlds(stored.iter().map(|c| c.load(Ordering::Relaxed)), num_worlds);
+        }
+        let worlds = estimator.worlds.worlds();
+        let distance = &self.distance;
+        let serial = (!self.parallel_gain).then_some(&mut self.scratch);
+        let counts =
+            world_counts(estimator.parallelism, serial, num_worlds, k, |i, scratch, counts| {
+                let (world, distance) = (&worlds[i], &distance[i * n..(i + 1) * n]);
+                let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+                bounded_bfs(n, &[candidate], estimator.deadline, scratch, row, |node, hops| {
+                    let d = distance[node.index()];
+                    if reached_sooner(d, hops) {
+                        return false;
+                    }
+                    if d == UNCOVERED {
+                        counts[estimator.group_of[node.index()] as usize] += 1;
+                    }
+                    true
+                });
             });
-        })
+        if let Some(table) = singletons {
+            table.fill(candidate.index(), &counts);
+        }
+        mean_over_worlds(counts, num_worlds)
     }
 
     fn add_seed(&mut self, candidate: NodeId) {
         let group_of = &self.estimator.group_of;
         let deadline = self.estimator.deadline;
         let n = self.estimator.graph.num_nodes();
-        for (world, covered) in self.estimator.worlds.worlds().iter().zip(self.covered.iter_mut()) {
+        for (i, world) in self.estimator.worlds.worlds().iter().enumerate() {
+            let distance = &mut self.distance[i * n..(i + 1) * n];
             let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
-            bounded_bfs(n, &[candidate], deadline, &mut self.scratch, row, |node, _| {
-                if covered.insert(node.index()) {
+            bounded_bfs(n, &[candidate], deadline, &mut self.scratch, row, |node, hops| {
+                let d = &mut distance[node.index()];
+                if reached_sooner(*d, hops) {
+                    return false;
+                }
+                if *d == UNCOVERED {
                     self.group_totals[group_of[node.index()] as usize] += 1.0;
                 }
+                *d = (*d).min(u8::try_from(hops).map_or(FAR, |h| h.min(FAR)));
+                true
             });
         }
         let scale = 1.0 / self.estimator.worlds.len() as f64;
@@ -493,13 +629,15 @@ impl InfluenceOracle for MonteCarloEstimator {
         crate::ic::validate_seeds(&self.graph, seeds)?;
         let graph = &*self.graph;
         let k = graph.num_groups();
-        Ok(mean_world_counts(self.parallelism, None, self.samples, k, |i, scratch, counts| {
+        let counts = world_counts(self.parallelism, None, self.samples, k, |i, scratch, counts| {
             let world_seed = self.seed.wrapping_add(i as u64);
             let row = |v| live_ic_row(graph, v, world_seed);
             bounded_bfs(graph.num_nodes(), seeds, self.deadline, scratch, row, |node, _| {
                 counts[graph.group_of(node).index()] += 1;
+                true
             });
-        }))
+        });
+        Ok(mean_over_worlds(counts, self.samples))
     }
 
     fn cursor(&self) -> Box<dyn InfluenceCursor + '_> {
@@ -672,6 +810,27 @@ mod tests {
         assert!(est.evaluate(&[NodeId(99)]).is_err());
         let mc = MonteCarloEstimator::new(g, Deadline::unbounded(), 2, 0).unwrap();
         assert!(mc.evaluate(&[NodeId(99)]).is_err());
+    }
+
+    #[test]
+    fn a_pool_over_another_node_count_is_an_error() {
+        let mut b = GraphBuilder::new();
+        b.add_nodes(5, GroupId(0));
+        let five = b.build().unwrap();
+        let pool = Arc::new(
+            WorldCollection::sample(
+                &five,
+                &WorldsConfig { num_worlds: 3, seed: 0, ..Default::default() },
+            )
+            .unwrap(),
+        );
+        let mut b = GraphBuilder::new();
+        b.add_nodes(4, GroupId(0));
+        let four = Arc::new(b.build().unwrap());
+        let err = WorldEstimator::from_worlds(four, pool, Deadline::unbounded()).unwrap_err();
+        assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("covers 5 nodes") && message.contains("has 4"), "{message}");
     }
 
     #[test]

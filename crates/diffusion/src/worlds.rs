@@ -132,27 +132,29 @@ impl LiveEdgeWorld {
 /// out-neighbours `row(v)` of each reached node `v`, stopping at `deadline`
 /// hops, and calls `visit(node, hops)` for every newly reached node
 /// (including the sources at hop 0; sources at or past `num_nodes` are
-/// skipped). A stored world passes its live row, the unstored Monte-Carlo
-/// estimator passes [`live_ic_row`]; `row` is generic, not `dyn`, because
-/// this is the marginal-gain hot loop. `scratch` marks visited nodes and is
-/// reset lazily via its epoch, so repeated calls reuse it without clearing.
+/// skipped). `visit` returns whether to expand the node: a node it declines
+/// stays marked but its row is never read, which is how the world cursor
+/// prunes nodes the committed seeds already reach sooner. A stored world
+/// passes its live row, the unstored Monte-Carlo estimator passes
+/// [`live_ic_row`]; `row` is generic, not `dyn`, because this is the
+/// marginal-gain hot loop. `scratch` marks visited nodes and is reset lazily
+/// via its epoch, so repeated calls reuse it without clearing.
 pub(crate) fn bounded_bfs<I: IntoIterator<Item = u32>>(
     num_nodes: usize,
     sources: &[NodeId],
     deadline: Deadline,
     scratch: &mut VisitScratch,
     mut row: impl FnMut(u32) -> I,
-    mut visit: impl FnMut(NodeId, u32),
+    mut visit: impl FnMut(NodeId, u32) -> bool,
 ) {
     scratch.begin(num_nodes);
-    let mut frontier: Vec<u32> = Vec::with_capacity(sources.len());
+    let [mut frontier, mut next] = std::mem::take(&mut scratch.frontiers);
+    frontier.clear();
     for &s in sources {
-        if s.index() < num_nodes && scratch.mark(s.index()) {
-            visit(s, 0);
+        if s.index() < num_nodes && scratch.mark(s.index()) && visit(s, 0) {
             frontier.push(s.0);
         }
     }
-    let mut next: Vec<u32> = Vec::new();
     let mut hops = 0u32;
     while !frontier.is_empty() {
         hops += 1;
@@ -162,14 +164,14 @@ pub(crate) fn bounded_bfs<I: IntoIterator<Item = u32>>(
         next.clear();
         for &v in &frontier {
             for w in row(v) {
-                if scratch.mark(w as usize) {
-                    visit(NodeId(w), hops);
+                if scratch.mark(w as usize) && visit(NodeId(w), hops) {
                     next.push(w);
                 }
             }
         }
         std::mem::swap(&mut frontier, &mut next);
     }
+    scratch.frontiers = [frontier, next];
 }
 
 /// The keyed coin of edge `u → v` in the world seeded by `world_seed`: a
@@ -224,21 +226,24 @@ fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option
     None
 }
 
-/// Reusable visited-marker buffer for [`bounded_bfs`].
+/// Reusable visited-marker buffer and frontier queues for [`bounded_bfs`].
 ///
 /// Uses an epoch counter so that consecutive BFS runs do not need to clear the
 /// whole buffer, which matters when the estimator runs hundreds of thousands
-/// of bounded searches.
+/// of bounded searches; the two frontier queues keep their capacity across
+/// runs for the same reason (a pruned marginal-gain search often touches only
+/// a handful of nodes, so two allocations per world would dominate it).
 #[derive(Debug, Clone)]
 pub(crate) struct VisitScratch {
     epoch: u32,
     marks: Vec<u32>,
+    frontiers: [Vec<u32>; 2],
 }
 
 impl VisitScratch {
     /// Creates a scratch buffer for graphs with up to `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
-        VisitScratch { epoch: 0, marks: vec![0; n] }
+        VisitScratch { epoch: 0, marks: vec![0; n], frontiers: [Vec::new(), Vec::new()] }
     }
 
     fn begin(&mut self, n: usize) {
@@ -515,7 +520,7 @@ mod tests {
         world: &LiveEdgeWorld,
         deadline: Deadline,
         scratch: &mut VisitScratch,
-        visit: impl FnMut(NodeId, u32),
+        visit: impl FnMut(NodeId, u32) -> bool,
     ) {
         let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
         bounded_bfs(world.num_nodes(), &[NodeId(0)], deadline, scratch, row, visit);
@@ -528,7 +533,10 @@ mod tests {
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut reached = |deadline| {
             let mut count = 0;
-            bfs_from_zero(&world, deadline, &mut scratch, |_, _| count += 1);
+            bfs_from_zero(&world, deadline, &mut scratch, |_, _| {
+                count += 1;
+                true
+            });
             count
         };
         assert_eq!(reached(Deadline::finite(2)), 3);
@@ -542,8 +550,30 @@ mod tests {
         let world = LiveEdgeWorld::sample(&g, 0);
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut hops = vec![u32::MAX; 4];
-        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |n, h| hops[n.index()] = h);
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |n, h| {
+            hops[n.index()] = h;
+            true
+        });
         assert_eq!(hops, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn declined_nodes_are_reached_but_not_expanded() {
+        let g = path(1.0);
+        let world = LiveEdgeWorld::sample(&g, 0);
+        let mut scratch = VisitScratch::new(world.num_nodes());
+        let mut reached = Vec::new();
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |n, _| {
+            reached.push(n.0);
+            n.0 != 1
+        });
+        assert_eq!(reached, vec![0, 1]);
+        reached.clear();
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |n, _| {
+            reached.push(n.0);
+            false
+        });
+        assert_eq!(reached, vec![0]);
     }
 
     #[test]
@@ -552,9 +582,15 @@ mod tests {
         let world = LiveEdgeWorld::sample(&g, 0);
         let mut scratch = VisitScratch::new(world.num_nodes());
         let mut first = 0;
-        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |_, _| first += 1);
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |_, _| {
+            first += 1;
+            true
+        });
         let mut second = 0;
-        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |_, _| second += 1);
+        bfs_from_zero(&world, Deadline::unbounded(), &mut scratch, |_, _| {
+            second += 1;
+            true
+        });
         assert_eq!(first, 4);
         assert_eq!(second, 4);
     }

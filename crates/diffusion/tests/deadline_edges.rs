@@ -274,7 +274,8 @@ fn deadline_edges_survive_every_mutation_kind() {
             let mc_reference = mc.evaluate(&seeds).unwrap();
             assert_bitwise_equal(&mc_reference, &reference, &context("monte-carlo vs cold worlds"));
             let patched =
-                WorldEstimator::from_worlds(Arc::clone(&mutated), Arc::clone(&pool), deadline);
+                WorldEstimator::from_worlds(Arc::clone(&mutated), Arc::clone(&pool), deadline)
+                    .unwrap();
             assert_bitwise_equal(
                 &mc_reference,
                 &patched.evaluate(&seeds).unwrap(),

@@ -124,13 +124,17 @@ fn auto_parallelism_matches_serial() {
     // marginal-gain path is the solver hot loop. 256 worlds × 300 nodes
     // clears the cursor's PARALLEL_GAIN_MIN_WORK threshold, so the parallel
     // fan-out really runs (smaller workloads fall back to the serial path).
-    let big_serial = WorldEstimator::new(
+    // Two separate estimators, because `with_parallelism` copies share the
+    // singleton-gain table and the auto cursor would read the serial
+    // cursor's round-0 gains instead of computing its own.
+    let big = WorldsConfig { num_worlds: 256, seed: 7, parallelism: ParallelismConfig::serial() };
+    let big_serial = WorldEstimator::new(Arc::clone(&graph), Deadline::finite(5), &big).unwrap();
+    let big_auto = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(5),
-        &WorldsConfig { num_worlds: 256, seed: 7, parallelism: ParallelismConfig::serial() },
+        &WorldsConfig { parallelism: ParallelismConfig::auto(), ..big },
     )
     .unwrap();
-    let big_auto = big_serial.with_parallelism(ParallelismConfig::auto());
     let mut serial_cursor = big_serial.cursor();
     let mut auto_cursor = big_auto.cursor();
     for &candidate in seeds.iter().take(4) {
@@ -341,5 +345,68 @@ fn adaptive_ris_sizing_is_identical_across_thread_counts() {
             &parallel.evaluate(&seeds).unwrap(),
             &format!("adaptive ris, {parallelism:?}"),
         );
+    }
+}
+
+/// A CELF run through one cursor of `oracle`: lazy re-evaluation of the
+/// stalest top candidate until it is fresh, ties to the lower node id. It
+/// returns the chosen seeds and the bits of every gain it asked for, in
+/// order, so two runs agree only if every answer agreed.
+fn celf_trace(oracle: &dyn InfluenceOracle, budget: usize) -> (Vec<NodeId>, Vec<u64>) {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut cursor = oracle.cursor();
+    let mut asked = Vec::new();
+    let mut gain = |cursor: &mut Box<dyn tcim_diffusion::InfluenceCursor + '_>, v: NodeId| {
+        let total = cursor.gain(v).total();
+        asked.push(total.to_bits());
+        // Gains are non-negative, so their bits order like their values.
+        total.to_bits()
+    };
+    let mut heap: BinaryHeap<(u64, Reverse<u32>, usize)> =
+        oracle.graph().nodes().map(|v| (gain(&mut cursor, v), Reverse(v.0), 0)).collect();
+    while cursor.seeds().len() < budget {
+        let Some((_, Reverse(v), round)) = heap.pop() else { break };
+        if round == cursor.seeds().len() {
+            cursor.add_seed(NodeId(v));
+        } else {
+            heap.push((gain(&mut cursor, NodeId(v)), Reverse(v), cursor.seeds().len()));
+        }
+    }
+    (cursor.seeds().to_vec(), asked)
+}
+
+/// Every cursor of one estimator shares its singleton-gain table, so eight
+/// threads racing through round 0 of the same CELF fill it concurrently.
+/// Whoever fills an entry, each thread must see exactly the serial run
+/// on a fresh estimator.
+#[test]
+fn cursors_sharing_one_oracle_across_threads_match_the_serial_run() {
+    let graph = sbm();
+    let config = WorldsConfig { num_worlds: 64, seed: 7, parallelism: ParallelismConfig::serial() };
+    let serial = WorldEstimator::new(Arc::clone(&graph), Deadline::finite(5), &config).unwrap();
+    let reference = celf_trace(&serial, 6);
+    assert_eq!(reference.0.len(), 6);
+
+    let shared = Arc::new(
+        WorldEstimator::new(graph, Deadline::finite(5), &config)
+            .unwrap()
+            .with_parallelism(ParallelismConfig::auto()),
+    );
+    let start = std::sync::Barrier::new(8);
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (shared, start) = (Arc::clone(&shared), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    celf_trace(&*shared, 6)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (thread, run) in runs.iter().enumerate() {
+        assert_eq!(run, &reference, "thread {thread} diverged from the serial CELF run");
     }
 }
