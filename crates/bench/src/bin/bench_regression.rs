@@ -32,7 +32,7 @@ use tcim_datasets::SyntheticConfig;
 use tcim_diffusion::{
     Deadline, InfluenceOracle, MonteCarloEstimator, ParallelismConfig, RisEstimator,
 };
-use tcim_graph::NodeId;
+use tcim_graph::{MutationOp, NodeId};
 use tcim_service::{Op, Request, ServiceEngine};
 
 struct Cli {
@@ -276,9 +276,9 @@ fn main() {
     let (mut cold_total_ms, mut refresh_total_ms) = (0.0f64, 0.0f64);
     for ops in &churn.steps {
         live = Arc::new(live.apply(ops).expect("churn step applies"));
-        let touched: Vec<NodeId> = ops.iter().map(|op| op.endpoints().1).collect();
+        let edited: Vec<(NodeId, NodeId)> = ops.iter().map(MutationOp::endpoints).collect();
         let (refresh_ms, _resampled) =
-            timed(|| warm.refresh(Arc::clone(&live), &touched).expect("incremental refresh"));
+            timed(|| warm.refresh(Arc::clone(&live), &edited).expect("incremental refresh"));
         let (cold_ms, cold) = timed(|| {
             RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("cold ris pool")
         });

@@ -61,6 +61,7 @@
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod bitset;
+mod csr;
 mod deadline;
 mod error;
 mod estimator;

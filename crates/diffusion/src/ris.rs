@@ -35,7 +35,6 @@
 //!
 //! [`WorldEstimator`]: crate::WorldEstimator
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -44,40 +43,33 @@ use rayon::prelude::*;
 use tcim_graph::{Graph, GroupId, NodeId};
 
 use crate::bitset::BitSet;
+use crate::csr::copy_span;
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
 use crate::estimator::{GroupInfluence, InfluenceCursor, InfluenceOracle};
 use crate::parallel::ParallelismConfig;
 
-/// One reverse-reachable set: the nodes that reach the target within the
-/// deadline in one sampled world, plus the target's group.
+/// One reverse-reachable set, as a view into its [`RrSketches`] pool: the
+/// nodes that reach the target within the deadline in one sampled world,
+/// plus the target's group.
 ///
 /// # Invariant
 ///
-/// `nodes` is sorted ascending and duplicate-free. [`RrSet::new`] enforces
-/// this at construction, so the inverted index of [`RisEstimator`] can never
-/// double-count a node that appeared twice in one reverse BFS frontier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RrSet {
+/// `nodes` is sorted ascending and duplicate-free. The reverse BFS marks
+/// each node once and the sampler sorts a sketch's nodes as it writes them,
+/// so the inverted index of [`RisEstimator`] can never double-count a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RrSet<'a> {
     /// Group of the randomly chosen target node.
     pub target_group: GroupId,
     /// Nodes that would activate the target before the deadline if seeded.
-    /// Sorted ascending, no duplicates.
-    nodes: Vec<NodeId>,
+    nodes: &'a [NodeId],
 }
 
-impl RrSet {
-    /// Builds a sketch, sorting and de-duplicating `nodes` to establish the
-    /// invariant documented on the type.
-    pub fn new(target_group: GroupId, mut nodes: Vec<NodeId>) -> Self {
-        nodes.sort_unstable_by_key(|n| n.0);
-        nodes.dedup();
-        RrSet { target_group, nodes }
-    }
-
+impl<'a> RrSet<'a> {
     /// The nodes of the sketch, sorted ascending and duplicate-free.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    pub fn nodes(&self) -> &'a [NodeId] {
+        self.nodes
     }
 
     /// Number of nodes in the sketch (at least 1: the target itself).
@@ -188,7 +180,10 @@ impl Default for RisConfig {
 
 /// Reverse adjacency (in-edges) of a graph in CSR form, shared by every
 /// sketch so repeated sampling and incremental extension never rebuild it.
-#[derive(Debug, Clone)]
+///
+/// Row `v` lists the in-edges of `v` by source ascending; parallel edges of
+/// a raw `Graph::from_csr` graph keep their out-row order.
+#[derive(Debug, Clone, PartialEq)]
 struct InEdges {
     offsets: Vec<u32>,
     sources: Vec<u32>,
@@ -216,6 +211,57 @@ impl InEdges {
             cursor[t.index()] += 1;
         }
         InEdges { offsets: counts, sources, probs }
+    }
+
+    /// The reverse CSR of `graph`, a mutation of the graph `self` was built
+    /// from whose edited edges are `edited` (`(source, target)` pairs; order
+    /// and repeats do not matter). Equal to `InEdges::build(graph)`, at the
+    /// cost of the edit: each edited target's row is rebuilt by scanning, in
+    /// ascending order, the `graph` out-rows of its old in-sources and of
+    /// the edited sources into it, and every run of untouched rows between
+    /// them moves as one span.
+    fn patch(&self, graph: &Graph, edited: &[(NodeId, NodeId)]) -> Self {
+        let n = graph.num_nodes();
+        let mut edited: Vec<(u32, u32)> = edited
+            .iter()
+            .filter(|(s, t)| s.index() < n && t.index() < n)
+            .map(|&(s, t)| (t.0, s.0))
+            .collect();
+        edited.sort_unstable();
+        edited.dedup();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut sources = Vec::with_capacity(graph.num_edges());
+        let mut probs = Vec::with_capacity(graph.num_edges());
+        offsets.push(0u32);
+        let mut candidates = Vec::new();
+        let mut next = 0;
+        for into_target in edited.chunk_by(|a, b| a.0 == b.0) {
+            let t = into_target[0].0;
+            let span = copy_span(&self.offsets, next..t as usize, &mut offsets);
+            sources.extend_from_slice(&self.sources[span.clone()]);
+            probs.extend_from_slice(&self.probs[span]);
+            candidates.clear();
+            candidates.extend_from_slice(self.of(t as usize).0);
+            candidates.extend(into_target.iter().map(|&(_, s)| s));
+            candidates.sort_unstable();
+            candidates.dedup();
+            for &s in &candidates {
+                for (w, p) in graph.out_edges(NodeId(s)) {
+                    if w.0 == t {
+                        sources.push(s);
+                        probs.push(p);
+                    }
+                }
+            }
+            // Never truncates: the reverse CSR holds the graph's edges, whose
+            // count `Graph` keeps within `u32`.
+            offsets.push(sources.len() as u32);
+            next = t as usize + 1;
+        }
+        let span = copy_span(&self.offsets, next..n, &mut offsets);
+        sources.extend_from_slice(&self.sources[span.clone()]);
+        probs.extend_from_slice(&self.probs[span]);
+        InEdges { offsets, sources, probs }
     }
 
     #[inline]
@@ -278,66 +324,89 @@ fn sketch_chunk_size(n: usize, count: usize) -> usize {
     (n / 64).clamp(64, count.div_ceil(16).max(64))
 }
 
-/// Generates the sketches `range` (global indices) of the collection seeded
-/// by `base_seed`. Sketch `i` depends only on `base_seed + i`.
+/// Sketches sampled by one chunk, in flat form: sketch `k` of the batch
+/// has target group `groups[k]` and nodes `nodes[ends[k - 1]..ends[k]]`
+/// (from 0 when `k = 0`).
+#[derive(Debug, Default)]
+struct SketchBatch {
+    groups: Vec<GroupId>,
+    ends: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl SketchBatch {
+    /// The batch's sketches in order.
+    fn sketches(&self) -> impl Iterator<Item = RrSet<'_>> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.groups
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&target_group, (lo, &hi))| RrSet { target_group, nodes: &self.nodes[lo..hi] })
+    }
+}
+
+/// Samples `count` sketches of the collection seeded by `base_seed`, the
+/// `k`-th with global id `id(k)`, and returns them as one flat batch per
+/// chunk, in order. Sketch `id` depends only on `base_seed + id`.
 fn sample_sketches(
     graph: &Graph,
     in_edges: &InEdges,
     deadline: Deadline,
     base_seed: u64,
-    range: Range<usize>,
+    count: usize,
+    id: impl Fn(usize) -> usize + Sync,
     parallelism: ParallelismConfig,
-) -> Vec<RrSet> {
-    let count = range.len();
+) -> Vec<SketchBatch> {
     if count == 0 {
         return Vec::new();
     }
-    let start = range.start;
     let chunk_size = sketch_chunk_size(graph.num_nodes(), count);
     let num_chunks = count.div_ceil(chunk_size);
-    let chunks: Vec<Vec<RrSet>> = parallelism.run(|| {
+    parallelism.run(|| {
         (0..num_chunks)
             .into_par_iter()
             .map(|chunk| {
-                let lo = start + chunk * chunk_size;
-                let hi = (lo + chunk_size).min(start + count);
+                let lo = chunk * chunk_size;
+                let hi = (lo + chunk_size).min(count);
                 let mut scratch = SketchScratch::new(graph.num_nodes());
-                (lo..hi)
-                    .map(|i| {
-                        sample_one_sketch(
-                            graph,
-                            in_edges,
-                            deadline,
-                            base_seed.wrapping_add(i as u64),
-                            &mut scratch,
-                        )
-                    })
-                    .collect()
+                let mut batch = SketchBatch::default();
+                for k in lo..hi {
+                    let sketch_seed = base_seed.wrapping_add(id(k) as u64);
+                    sample_one_sketch(
+                        graph,
+                        in_edges,
+                        deadline,
+                        sketch_seed,
+                        &mut scratch,
+                        &mut batch,
+                    );
+                }
+                batch
             })
             .collect()
-    });
-    chunks.into_iter().flatten().collect()
+    })
 }
 
-/// Samples one RR sketch: pick a uniform target, then run a reverse BFS
-/// bounded by the deadline, flipping each in-edge coin lazily exactly once
-/// (each edge is encountered at most once in a BFS, so lazy flipping matches
-/// the live-edge distribution).
+/// Samples one RR sketch into `out`: pick a uniform target, then run a
+/// reverse BFS bounded by the deadline, flipping each in-edge coin lazily
+/// exactly once (each edge is encountered at most once in a BFS, so lazy
+/// flipping matches the live-edge distribution).
 fn sample_one_sketch(
     graph: &Graph,
     in_edges: &InEdges,
     deadline: Deadline,
     sketch_seed: u64,
     scratch: &mut SketchScratch,
-) -> RrSet {
+    out: &mut SketchBatch,
+) {
     let n = graph.num_nodes();
     let mut rng = StdRng::seed_from_u64(sketch_seed);
     let target = NodeId::from_index(rng.random_range(0..n));
 
     scratch.begin();
-    let mut nodes = Vec::new();
+    let start = out.nodes.len();
     scratch.mark(target.index());
-    nodes.push(target);
+    out.nodes.push(target);
     let mut frontier = std::mem::take(&mut scratch.frontier);
     let mut next = std::mem::take(&mut scratch.next);
     frontier.push(target.0);
@@ -359,7 +428,7 @@ fn sample_one_sketch(
                     && scratch.mark(u as usize)
                 {
                     next.push(u);
-                    nodes.push(NodeId(u));
+                    out.nodes.push(NodeId(u));
                 }
             }
         }
@@ -368,87 +437,176 @@ fn sample_one_sketch(
     // Hand the queues back so the next sketch in the chunk reuses them.
     scratch.frontier = frontier;
     scratch.next = next;
-    RrSet::new(graph.group_of(target), nodes)
+    // The BFS marks every node once, so the sorted sketch is duplicate-free.
+    out.nodes[start..].sort_unstable_by_key(|n| n.0);
+    out.ends.push(out.nodes.len());
+    out.groups.push(graph.group_of(target));
 }
 
 /// The sketch pool of a [`RisEstimator`]: the sampled RR sets, their
-/// per-group target counts and the node→sketch inverted index.
+/// per-group target counts and the node→sketch inverted index, each stored
+/// flat so that copying or dropping a pool costs a handful of allocations
+/// whatever its sketch count.
+///
+/// * Sketch `i`'s nodes are `set_nodes[set_offsets[i]..set_offsets[i + 1]]`,
+///   sorted ascending; its target group is `groups[i]`.
+/// * The ids of the sketches containing node `v` are
+///   `index_ids[index_offsets[v]..index_offsets[v + 1]]`, ascending.
 ///
 /// Estimators hold the pool behind an [`Arc`], so cloning an estimator (or
 /// handing the pool to a long-lived cache that serves many queries) shares
 /// the sketches instead of copying them. The pool is a deterministic function
 /// of `(graph, deadline, seed, count)` — sketch `i` always derives from
-/// `seed + i` — so shared and freshly sampled pools are interchangeable.
-#[derive(Debug, Clone)]
+/// `seed + i` — so shared, freshly sampled and refreshed pools are
+/// interchangeable, and equal field for field.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RrSketches {
-    /// All sampled sketches; sketch `i` derives from the base seed plus `i`.
-    sets: Vec<RrSet>,
+    /// Target group of each sketch; sketch `i` derives from the base seed
+    /// plus `i`.
+    groups: Vec<GroupId>,
+    /// Sketch `i` spans `set_offsets[i]..set_offsets[i + 1]` of `set_nodes`.
+    set_offsets: Vec<usize>,
+    /// Every sketch's nodes, sketch after sketch.
+    set_nodes: Vec<NodeId>,
     /// Number of RR sets whose target lies in each group.
     sets_per_group: Vec<usize>,
-    /// Inverted index: for every node, the ids of the RR sets containing it.
-    node_to_sets: Vec<Vec<u32>>,
+    /// Node `v`'s index row spans `index_offsets[v]..index_offsets[v + 1]`
+    /// of `index_ids`.
+    index_offsets: Vec<usize>,
+    /// Inverted index: the ids of the sketches containing each node.
+    index_ids: Vec<u32>,
 }
 
 impl RrSketches {
     fn new(num_nodes: usize, num_groups: usize) -> Self {
         RrSketches {
-            sets: Vec::new(),
+            groups: Vec::new(),
+            set_offsets: vec![0],
+            set_nodes: Vec::new(),
             sets_per_group: vec![0; num_groups],
-            node_to_sets: vec![Vec::new(); num_nodes],
+            index_offsets: vec![0; num_nodes + 1],
+            index_ids: Vec::new(),
         }
     }
 
-    /// Appends freshly sampled sketches, indexing them as ids
-    /// `len()..len() + fresh.len()`.
-    fn extend(&mut self, fresh: Vec<RrSet>) {
-        let current = self.sets.len();
-        for (offset, set) in fresh.iter().enumerate() {
-            let id = (current + offset) as u32;
+    /// Appends freshly sampled sketches as ids `len()..`, then rebuilds the
+    /// inverted index by one counting pass over the whole pool, which lists
+    /// each node's sketch ids ascending.
+    fn extend(&mut self, fresh: &[SketchBatch]) {
+        for set in fresh.iter().flat_map(SketchBatch::sketches) {
+            self.groups.push(set.target_group);
             self.sets_per_group[set.target_group.index()] += 1;
-            for &node in set.nodes() {
-                self.node_to_sets[node.index()].push(id);
+            self.set_nodes.extend_from_slice(set.nodes);
+            self.set_offsets.push(self.set_nodes.len());
+        }
+        let n = self.index_offsets.len() - 1;
+        let mut offsets = vec![0usize; n + 1];
+        for v in &self.set_nodes {
+            offsets[v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut ids = vec![0u32; self.set_nodes.len()];
+        for id in 0..self.len() {
+            for v in self.set(id).nodes {
+                ids[cursor[v.index()]] = id as u32;
+                cursor[v.index()] += 1;
             }
         }
-        self.sets.extend(fresh);
+        self.index_offsets = offsets;
+        self.index_ids = ids;
     }
 
-    /// Replaces the sketches with ids `ids` by `fresh` (same length, same
-    /// order) and rebuilds the per-group counts and inverted index from
-    /// scratch. Rebuilding pushes set ids in ascending order per node —
-    /// exactly the order [`RrSketches::extend`] produces — so a refreshed
-    /// pool is bitwise-identical to a cold one.
-    fn replace(&mut self, ids: &[u32], fresh: Vec<RrSet>) {
-        debug_assert_eq!(ids.len(), fresh.len());
-        for (&id, set) in ids.iter().zip(fresh) {
-            self.sets[id as usize] = set;
+    /// The pool with the sketches `ids` (ascending) replaced by `fresh`
+    /// (same count, same order). Only the replaced sketches' node ranges are
+    /// written anew, and only the index rows of nodes in a replaced
+    /// sketch's old or new node list are rebuilt (old row minus the
+    /// replaced ids, plus the ids that now contain the node, ascending).
+    /// Every other run of sketches or index rows is one span copy. The
+    /// result lists everything in the order [`RrSketches::extend`] does, so
+    /// a refreshed pool equals a cold one.
+    fn replaced(&self, ids: &[u32], fresh: &[SketchBatch]) -> Self {
+        let fresh_nodes: usize = fresh.iter().map(|batch| batch.nodes.len()).sum();
+        let mut pool = RrSketches {
+            groups: self.groups.clone(),
+            set_offsets: Vec::with_capacity(self.set_offsets.len()),
+            set_nodes: Vec::with_capacity(self.set_nodes.len() + fresh_nodes),
+            sets_per_group: self.sets_per_group.clone(),
+            index_offsets: Vec::with_capacity(self.index_offsets.len()),
+            index_ids: Vec::with_capacity(self.index_ids.len() + fresh_nodes),
+        };
+        pool.set_offsets.push(0);
+        pool.index_offsets.push(0);
+        // The (node, id) memberships the fresh sketches bring, and the nodes
+        // whose index rows change.
+        let mut entering: Vec<(u32, u32)> = Vec::with_capacity(fresh_nodes);
+        let mut rows: Vec<u32> = Vec::new();
+        let mut next = 0;
+        for (&id, set) in ids.iter().zip(fresh.iter().flat_map(SketchBatch::sketches)) {
+            let i = id as usize;
+            let span = copy_span(&self.set_offsets, next..i, &mut pool.set_offsets);
+            pool.set_nodes.extend_from_slice(&self.set_nodes[span]);
+            pool.set_nodes.extend_from_slice(set.nodes);
+            pool.set_offsets.push(pool.set_nodes.len());
+            pool.sets_per_group[self.groups[i].index()] -= 1;
+            pool.sets_per_group[set.target_group.index()] += 1;
+            pool.groups[i] = set.target_group;
+            rows.extend(self.set(i).nodes.iter().map(|v| v.0));
+            entering.extend(set.nodes.iter().map(|v| (v.0, id)));
+            next = i + 1;
         }
-        for count in &mut self.sets_per_group {
-            *count = 0;
+        let span = copy_span(&self.set_offsets, next..self.len(), &mut pool.set_offsets);
+        pool.set_nodes.extend_from_slice(&self.set_nodes[span]);
+
+        entering.sort_unstable();
+        rows.extend(entering.iter().map(|&(v, _)| v));
+        rows.sort_unstable();
+        rows.dedup();
+        let mut entering = entering.as_slice();
+        let mut next = 0;
+        for &v in &rows {
+            let v = v as usize;
+            let span = copy_span(&self.index_offsets, next..v, &mut pool.index_offsets);
+            pool.index_ids.extend_from_slice(&self.index_ids[span]);
+            let start = pool.index_ids.len();
+            let kept = self.index_row(v).iter().filter(|id| ids.binary_search(id).is_err());
+            pool.index_ids.extend(kept);
+            let arriving = entering.partition_point(|&(w, _)| w as usize == v);
+            pool.index_ids.extend(entering[..arriving].iter().map(|&(_, id)| id));
+            entering = &entering[arriving..];
+            pool.index_ids[start..].sort_unstable();
+            pool.index_offsets.push(pool.index_ids.len());
+            next = v + 1;
         }
-        for index in &mut self.node_to_sets {
-            index.clear();
-        }
-        for (id, set) in self.sets.iter().enumerate() {
-            self.sets_per_group[set.target_group.index()] += 1;
-            for &node in set.nodes() {
-                self.node_to_sets[node.index()].push(id as u32);
-            }
-        }
+        let n = self.index_offsets.len() - 1;
+        let span = copy_span(&self.index_offsets, next..n, &mut pool.index_offsets);
+        pool.index_ids.extend_from_slice(&self.index_ids[span]);
+        pool
     }
 
     /// Number of sketches in the pool.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.groups.len()
     }
 
     /// Whether the pool holds no sketches.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.groups.is_empty()
     }
 
-    /// The raw RR sets.
-    pub fn sets(&self) -> &[RrSet] {
-        &self.sets
+    /// Sketch `id` (`id < len()`).
+    fn set(&self, id: usize) -> RrSet<'_> {
+        RrSet {
+            target_group: self.groups[id],
+            nodes: &self.set_nodes[self.set_offsets[id]..self.set_offsets[id + 1]],
+        }
+    }
+
+    /// The RR sets, in id order.
+    pub fn sets(&self) -> impl ExactSizeIterator<Item = RrSet<'_>> + '_ {
+        (0..self.len()).map(|id| self.set(id))
     }
 
     /// Number of RR sets whose target lies in each group.
@@ -456,28 +614,32 @@ impl RrSketches {
         &self.sets_per_group
     }
 
-    /// Ids of the sketches containing `node` (empty for out-of-range nodes).
+    /// Ids of the sketches containing `node`, ascending (empty for
+    /// out-of-range nodes).
     pub fn sets_containing(&self, node: NodeId) -> &[u32] {
-        self.node_to_sets.get(node.index()).map(Vec::as_slice).unwrap_or(&[])
+        if node.index() + 1 < self.index_offsets.len() {
+            self.index_row(node.index())
+        } else {
+            &[]
+        }
     }
 
-    /// Approximate resident heap bytes of the pool: every sketch's node
-    /// list, the inverted node → set-id index and the per-group counts.
-    /// Counts element payloads plus `Vec` headers, deterministically, so the
+    #[inline]
+    fn index_row(&self, v: usize) -> &[u32] {
+        &self.index_ids[self.index_offsets[v]..self.index_offsets[v + 1]]
+    }
+
+    /// Approximate resident heap bytes of the pool: its six flat arrays,
+    /// payload by length plus one `Vec` header each. Deterministic, so the
     /// serving-tier cache can budget RIS oracles by their sketch bytes.
     pub fn approx_bytes(&self) -> usize {
-        let vec_header = std::mem::size_of::<Vec<u8>>();
-        let sets: usize = self
-            .sets
-            .iter()
-            .map(|set| std::mem::size_of::<RrSet>() + set.len() * std::mem::size_of::<NodeId>())
-            .sum();
-        let index: usize = self
-            .node_to_sets
-            .iter()
-            .map(|ids| vec_header + ids.len() * std::mem::size_of::<u32>())
-            .sum();
-        3 * vec_header + sets + index + self.sets_per_group.len() * std::mem::size_of::<usize>()
+        use std::mem::size_of;
+        6 * size_of::<Vec<u8>>()
+            + self.groups.len() * size_of::<GroupId>()
+            + (self.set_offsets.len() + self.index_offsets.len() + self.sets_per_group.len())
+                * size_of::<usize>()
+            + self.set_nodes.len() * size_of::<NodeId>()
+            + self.index_ids.len() * size_of::<u32>()
     }
 }
 
@@ -566,18 +728,21 @@ impl RisEstimator {
             &self.in_edges,
             self.deadline,
             self.base_seed,
-            current..target,
+            target - current,
+            |k| current + k,
             self.parallelism,
         );
         // Copy-on-write: clones sharing the pool keep their view while this
         // estimator grows its own (construction-time extension never copies,
         // the pool is unshared until the estimator is handed out).
-        Arc::make_mut(&mut self.sketches).extend(fresh);
+        Arc::make_mut(&mut self.sketches).extend(&fresh);
     }
 
-    /// Incremental sketch maintenance after a graph mutation: resamples only
-    /// the sketches that contain a node in `touched` (the **targets** of the
-    /// mutated edges) and leaves every other sketch untouched.
+    /// Incremental sketch maintenance after a graph mutation: `graph` is
+    /// this estimator's graph with the edges `edited` (`(source, target)`
+    /// pairs: every edge the batch added, removed or reweighted) changed.
+    /// Resamples only the sketches that contain an edited edge's **target**
+    /// and leaves every other sketch untouched.
     ///
     /// Why this is exact and not an approximation: sketch `i` is a reverse
     /// BFS seeded by `seed + i`, and the only per-node state it reads is the
@@ -588,8 +753,13 @@ impl RisEstimator {
     /// pool is **bitwise-identical** to a cold [`RisEstimator::new`] on the
     /// mutated graph with the same configuration.
     ///
-    /// The pool is copy-on-write: clones sharing it keep serving the
-    /// pre-mutation sketches. Returns the number of sketches resampled.
+    /// What it copies and what it recomputes: the reverse adjacency
+    /// rebuilds only the edited targets' rows and copies the rest in spans;
+    /// the pool ([`RrSketches`]) writes only the resampled sketches' node
+    /// ranges and the index rows of the nodes they held or now hold, and
+    /// copies the rest in spans. The new pool is a fresh allocation, so
+    /// clones sharing the old one keep serving the pre-mutation sketches.
+    /// Returns the number of sketches resampled.
     ///
     /// # Errors
     ///
@@ -597,7 +767,7 @@ impl RisEstimator {
     /// with the current graph on node or group count — mutations never
     /// change the node set, so a mismatch means `graph` is not a mutated
     /// version of this estimator's graph.
-    pub fn refresh(&mut self, graph: Arc<Graph>, touched: &[NodeId]) -> Result<usize> {
+    pub fn refresh(&mut self, graph: Arc<Graph>, edited: &[(NodeId, NodeId)]) -> Result<usize> {
         if graph.num_nodes() != self.graph.num_nodes()
             || graph.num_groups() != self.graph.num_groups()
         {
@@ -612,43 +782,25 @@ impl RisEstimator {
                 ),
             });
         }
-        let mut affected: Vec<u32> = touched
+        let mut affected: Vec<u32> = edited
             .iter()
-            .flat_map(|&t| self.sketches.sets_containing(t).iter().copied())
+            .flat_map(|&(_, t)| self.sketches.sets_containing(t).iter().copied())
             .collect();
         affected.sort_unstable();
         affected.dedup();
 
-        let in_edges = Arc::new(InEdges::build(&graph));
+        let in_edges = Arc::new(self.in_edges.patch(&graph, edited));
         if !affected.is_empty() {
-            let chunk_size = sketch_chunk_size(graph.num_nodes(), affected.len());
-            let num_chunks = affected.len().div_ceil(chunk_size);
-            let base_seed = self.base_seed;
-            let deadline = self.deadline;
-            let chunks: Vec<Vec<RrSet>> = self.parallelism.run(|| {
-                (0..num_chunks)
-                    .into_par_iter()
-                    .map(|chunk| {
-                        let lo = chunk * chunk_size;
-                        let hi = (lo + chunk_size).min(affected.len());
-                        let mut scratch = SketchScratch::new(graph.num_nodes());
-                        affected[lo..hi]
-                            .iter()
-                            .map(|&id| {
-                                sample_one_sketch(
-                                    &graph,
-                                    &in_edges,
-                                    deadline,
-                                    base_seed.wrapping_add(id as u64),
-                                    &mut scratch,
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-            let fresh: Vec<RrSet> = chunks.into_iter().flatten().collect();
-            Arc::make_mut(&mut self.sketches).replace(&affected, fresh);
+            let fresh = sample_sketches(
+                &graph,
+                &in_edges,
+                self.deadline,
+                self.base_seed,
+                affected.len(),
+                |k| affected[k] as usize,
+                self.parallelism,
+            );
+            self.sketches = Arc::new(self.sketches.replaced(&affected, &fresh));
         }
         self.group_sizes = graph.group_sizes();
         self.graph = graph;
@@ -709,8 +861,9 @@ impl RisEstimator {
     /// towards the smallest id) and returns how many sketches they cover.
     /// Used by the adaptive stopping rule; deterministic.
     fn greedy_cover_count(&self, k: usize) -> usize {
+        let pool = &self.sketches;
         let mut gain: Vec<u64> =
-            self.sketches.node_to_sets.iter().map(|s| s.len() as u64).collect();
+            pool.index_offsets.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
         let mut covered = BitSet::new(self.sketches.len());
         let mut total = 0usize;
         for _ in 0..k {
@@ -725,10 +878,10 @@ impl RisEstimator {
             if best_gain == 0 {
                 break;
             }
-            for &set_id in &self.sketches.node_to_sets[best] {
+            for &set_id in pool.index_row(best) {
                 if covered.insert(set_id as usize) {
                     total += 1;
-                    for &node in self.sketches.sets[set_id as usize].nodes() {
+                    for &node in pool.set(set_id as usize).nodes {
                         gain[node.index()] -= 1;
                     }
                 }
@@ -763,8 +916,8 @@ impl RisEstimator {
         self.sketches.len()
     }
 
-    /// The raw RR sets.
-    pub fn sets(&self) -> &[RrSet] {
+    /// The RR sets, in id order.
+    pub fn sets(&self) -> impl ExactSizeIterator<Item = RrSet<'_>> + '_ {
         self.sketches.sets()
     }
 
@@ -791,7 +944,8 @@ impl RisEstimator {
 
     /// Nodes ranked by RR-set coverage (a fast stand-alone seed heuristic).
     pub fn coverage_ranking(&self) -> Vec<NodeId> {
-        let scores: Vec<f64> = self.sketches.node_to_sets.iter().map(|s| s.len() as f64).collect();
+        let scores: Vec<f64> =
+            self.sketches.index_offsets.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
         tcim_graph::centrality::rank_by_score(&scores)
     }
 
@@ -825,7 +979,7 @@ impl InfluenceOracle for RisEstimator {
         for &s in seeds {
             for &set_id in self.sketches.sets_containing(s) {
                 if hit.insert(set_id as usize) {
-                    hits_per_group[self.sketches.sets[set_id as usize].target_group.index()] += 1;
+                    hits_per_group[self.sketches.groups[set_id as usize].index()] += 1;
                 }
             }
         }
@@ -886,7 +1040,7 @@ impl InfluenceCursor for RisCursor<'_> {
         let mut marginal = vec![0u64; self.hits_per_group.len()];
         for &set_id in sketches.sets_containing(candidate) {
             if !self.covered.contains(set_id as usize) {
-                marginal[sketches.sets[set_id as usize].target_group.index()] += 1;
+                marginal[sketches.groups[set_id as usize].index()] += 1;
             }
         }
         self.estimator.influence_from_hits(&marginal)
@@ -897,7 +1051,7 @@ impl InfluenceCursor for RisCursor<'_> {
             let sketches = &self.estimator.sketches;
             for &set_id in sketches.sets_containing(candidate) {
                 if self.covered.insert(set_id as usize) {
-                    self.hits_per_group[sketches.sets[set_id as usize].target_group.index()] += 1;
+                    self.hits_per_group[sketches.groups[set_id as usize].index()] += 1;
                 }
             }
             self.current = self.estimator.influence_from_hits(&self.hits_per_group);
@@ -918,7 +1072,7 @@ mod tests {
     use crate::estimator::{InfluenceOracle, NaiveCursor, WorldEstimator};
     use crate::worlds::WorldsConfig;
     use tcim_graph::generators::{stochastic_block_model, SbmConfig};
-    use tcim_graph::{GraphBuilder, GroupId};
+    use tcim_graph::{GraphBuilder, GroupId, MutationOp};
 
     fn two_group_sbm() -> Arc<Graph> {
         let cfg = SbmConfig::two_group(120, 0.7, 0.08, 0.01, 0.2, 3);
@@ -1031,13 +1185,14 @@ mod tests {
         .unwrap();
         assert_eq!(ris.coverage_ranking()[0], hub);
         assert!(ris.num_sets() == 2000);
-        assert!(!ris.sets().is_empty());
+        assert_eq!(ris.sets().len(), 2000);
         assert_eq!(ris.sets_per_group(), &[2000]);
     }
 
     #[test]
-    fn rr_set_constructor_sorts_and_dedups() {
-        let set = RrSet::new(GroupId(0), vec![NodeId(5), NodeId(1), NodeId(5), NodeId(3)]);
+    fn rr_set_view_answers_membership() {
+        let nodes = [NodeId(1), NodeId(3), NodeId(5)];
+        let set = RrSet { target_group: GroupId(0), nodes: &nodes };
         assert_eq!(set.nodes(), &[NodeId(1), NodeId(3), NodeId(5)]);
         assert_eq!(set.len(), 3);
         assert!(!set.is_empty());
@@ -1071,7 +1226,7 @@ mod tests {
                 .unwrap();
         grown.extend_to(300);
         assert_eq!(grown.num_sets(), 300);
-        assert_eq!(grown.sets(), full.sets());
+        assert_eq!(*grown.sketches, *full.sketches);
         let seeds = [NodeId(0), NodeId(60)];
         let a = full.evaluate(&seeds).unwrap();
         let b = grown.evaluate(&seeds).unwrap();
@@ -1159,9 +1314,9 @@ mod tests {
     }
 
     fn assert_pools_bitwise_eq(a: &RisEstimator, b: &RisEstimator) {
-        assert_eq!(a.sketches.sets(), b.sketches.sets());
-        assert_eq!(a.sketches.sets_per_group(), b.sketches.sets_per_group());
-        assert_eq!(a.sketches.node_to_sets, b.sketches.node_to_sets);
+        assert_eq!(*a.sketches, *b.sketches);
+        assert_eq!(*a.in_edges, *b.in_edges);
+        assert_eq!(a.approx_owned_bytes(), b.approx_owned_bytes());
         let seeds = [NodeId(0), NodeId(7), NodeId(63)];
         let x = a.evaluate(&seeds).unwrap();
         let y = b.evaluate(&seeds).unwrap();
@@ -1193,9 +1348,8 @@ mod tests {
                 }
                 _ => current.apply(&[op]).unwrap(),
             });
-            let (_, target) = op.endpoints();
-            let resampled = incremental.refresh(Arc::clone(&mutated), &[target]).unwrap();
-            assert!(resampled > 0, "mutation around node {target:?} touched no sketch");
+            let resampled = incremental.refresh(Arc::clone(&mutated), &[op.endpoints()]).unwrap();
+            assert!(resampled > 0, "mutation {op:?} touched no sketch");
             assert!(resampled < config.num_sets, "refresh resampled the whole pool");
             let cold = RisEstimator::new(Arc::clone(&mutated), deadline, &config).unwrap();
             assert_pools_bitwise_eq(&incremental, &cold);
@@ -1209,11 +1363,12 @@ mod tests {
         let config = RisConfig { num_sets: 256, seed: 5, ..Default::default() };
         let mut a = RisEstimator::new(Arc::clone(&g), Deadline::finite(3), &config).unwrap();
         let b = a.clone();
-        let before = b.sketches.sets().to_vec();
+        let before = RrSketches::clone(&b.sketches);
         let mutated = Arc::new(g.add_edge(NodeId(1), NodeId(100), 0.8).unwrap());
-        a.refresh(Arc::clone(&mutated), &[NodeId(100)]).unwrap();
+        a.refresh(Arc::clone(&mutated), &[(NodeId(1), NodeId(100))]).unwrap();
         // The clone still serves the pre-mutation pool, untouched.
-        assert_eq!(b.sketches.sets(), &before[..]);
+        assert_eq!(*b.sketches, before);
+        assert_ne!(*a.sketches, before);
         assert_eq!(b.graph_arc().version(), 0);
         assert_eq!(a.graph_arc().version(), 1);
     }
@@ -1227,11 +1382,69 @@ mod tests {
         b.add_nodes(3, GroupId(0));
         let small = Arc::new(b.build().unwrap());
         assert!(ris.refresh(small, &[]).is_err());
-        // An empty touch set still swaps in the new graph (every sketch is
-        // already valid on it).
-        let mutated = Arc::new(g.add_edge(NodeId(3), NodeId(110), 0.5).unwrap());
+        // An empty batch edits nothing: the refresh resamples nothing but
+        // still swaps in the new graph version.
+        let mutated = Arc::new(g.apply(&[]).unwrap());
         assert_eq!(ris.refresh(Arc::clone(&mutated), &[]).unwrap(), 0);
         assert_eq!(ris.graph_arc().version(), 1);
+    }
+
+    #[test]
+    fn patched_in_edges_equal_a_rebuild_including_parallel_edges() {
+        use tcim_graph::MutationOp::{AddEdge, RemoveEdge, Reweight};
+        // A raw CSR with parallel edges 0 -> 2 (twice, around 0 -> 1) and
+        // 3 -> 2 (twice): the in-row of 2 lists 0, 0, 1, 3, 3 in out-row
+        // order, and patching must keep that order.
+        let g = Graph::from_csr(
+            vec![0, 3, 5, 6, 8],
+            vec![2, 1, 2, 2, 3, 0, 2, 2],
+            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+            vec![GroupId(0); 4],
+        )
+        .unwrap();
+        let before = InEdges::build(&g);
+        let n = |v| NodeId(v);
+        let batches: [&[MutationOp]; 4] = [
+            &[Reweight { source: n(0), target: n(2), probability: 0.9 }],
+            &[RemoveEdge { source: n(3), target: n(2) }],
+            &[
+                AddEdge { source: n(1), target: n(0), probability: 0.5 },
+                AddEdge { source: n(3), target: n(1), probability: 0.25 },
+                RemoveEdge { source: n(0), target: n(1) },
+            ],
+            &[
+                RemoveEdge { source: n(1), target: n(2) },
+                AddEdge { source: n(1), target: n(2), probability: 0.35 },
+                AddEdge { source: n(2), target: n(3), probability: 1.0 },
+            ],
+        ];
+        for ops in batches {
+            let mutated = g.apply(ops).unwrap();
+            let edited: Vec<_> = ops.iter().map(MutationOp::endpoints).collect();
+            assert_eq!(before.patch(&mutated, &edited), InEdges::build(&mutated), "{ops:?}");
+        }
+        // Along a chain on a builder graph, patch after patch.
+        let mut graph = two_group_sbm();
+        let mut in_edges = InEdges::build(&graph);
+        for step in 0..6u32 {
+            let (u, v) = (NodeId(step * 17 % 120), NodeId((step * 29 + 1) % 120));
+            let mut ops = vec![Reweight {
+                source: u,
+                target: graph.out_neighbors(u).next().unwrap(),
+                probability: 0.4,
+            }];
+            if u != v && !graph.out_neighbors(u).any(|w| w == v) {
+                ops.push(AddEdge { source: u, target: v, probability: 0.3 });
+            }
+            if let Some(w) = graph.out_neighbors(NodeId(u.0 + 1)).next() {
+                ops.push(RemoveEdge { source: NodeId(u.0 + 1), target: w });
+            }
+            let mutated = Arc::new(graph.apply(&ops).unwrap());
+            let edited: Vec<_> = ops.iter().map(MutationOp::endpoints).collect();
+            in_edges = in_edges.patch(&mutated, &edited);
+            assert_eq!(in_edges, InEdges::build(&mutated), "step {step}");
+            graph = mutated;
+        }
     }
 
     #[test]

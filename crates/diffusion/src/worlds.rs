@@ -27,12 +27,13 @@
 use rayon::prelude::*;
 use tcim_graph::{Graph, NodeId};
 
+use crate::csr::copy_span;
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
 use crate::parallel::ParallelismConfig;
 
 /// One sampled live-edge world: the subgraph of live edges in CSR form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveEdgeWorld {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -59,27 +60,17 @@ impl LiveEdgeWorld {
         LiveEdgeWorld { offsets, targets }
     }
 
-    /// Builds a world row by row in CSR source order: `row(v, targets)`
-    /// appends the live out-neighbours of `v`.
-    fn from_rows(
-        graph: &Graph,
-        capacity: usize,
-        mut row: impl FnMut(NodeId, &mut Vec<u32>),
-    ) -> Self {
-        let mut offsets = Vec::with_capacity(graph.num_nodes() + 1);
-        let mut targets = Vec::with_capacity(capacity);
-        offsets.push(0u32);
-        for v in graph.nodes() {
-            row(v, &mut targets);
-            offsets.push(targets.len() as u32);
-        }
-        LiveEdgeWorld { offsets, targets }
-    }
-
     /// Samples an **independent cascade** world: edge `u → v` is live iff
     /// its keyed coin `(world_seed, u, v)` falls below the edge probability.
     pub fn sample(graph: &Graph, world_seed: u64) -> Self {
-        Self::from_rows(graph, 0, |v, targets| targets.extend(live_ic_row(graph, v.0, world_seed)))
+        let mut offsets = Vec::with_capacity(graph.num_nodes() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0u32);
+        for v in graph.nodes() {
+            targets.extend(live_ic_row(graph, v.0, world_seed));
+            offsets.push(targets.len() as u32);
+        }
+        LiveEdgeWorld { offsets, targets }
     }
 
     /// Samples a world under the **linear threshold** model: every node
@@ -362,12 +353,14 @@ impl WorldCollection {
         Ok(WorldCollection { worlds, num_nodes: graph.num_nodes(), seed: config.seed, model })
     }
 
-    /// Patches an independent-cascade collection onto a mutated graph: only
-    /// the CSR rows of `touched_sources` (the source endpoints of mutated
-    /// edges) are re-drawn; every other row is copied verbatim. Because the
-    /// coins are pure functions of `(seed + i, u, v)`, the result is
-    /// bitwise-identical to [`WorldCollection::sample`] on the new graph —
-    /// patching is a latency optimisation, never a semantic one.
+    /// Patches an independent-cascade collection onto a mutated graph:
+    /// `graph` is the collection's graph with the edges `edited`
+    /// (`(source, target)` pairs) changed. In every world only the rows of
+    /// the edited sources are re-drawn from their keyed coins; each run of
+    /// untouched rows between them is copied as one span, its offsets
+    /// shifted. Because the coins are pure functions of `(seed + i, u, v)`,
+    /// the result is bitwise-identical to [`WorldCollection::sample`] on the
+    /// new graph — patching is a latency optimisation, never a semantic one.
     ///
     /// # Errors
     ///
@@ -380,7 +373,7 @@ impl WorldCollection {
     pub fn patch(
         &self,
         graph: &Graph,
-        touched_sources: &[NodeId],
+        edited: &[(NodeId, NodeId)],
         config: &WorldsConfig,
     ) -> Result<Self> {
         if config.num_worlds == 0 {
@@ -410,21 +403,28 @@ impl WorldCollection {
             );
         }
         let n = graph.num_nodes();
-        let mut touched = vec![false; n];
-        for &v in touched_sources {
-            if v.index() < n {
-                touched[v.index()] = true;
-            }
-        }
+        let mut sources: Vec<u32> =
+            edited.iter().filter(|(s, _)| s.index() < n).map(|(s, _)| s.0).collect();
+        sources.sort_unstable();
+        sources.dedup();
         Self::draw(graph, config, self.model, |i, world_seed| {
             let old = &self.worlds[i];
-            LiveEdgeWorld::from_rows(graph, old.targets.len(), |v, targets| {
-                if touched[v.index()] {
-                    targets.extend(live_ic_row(graph, v.0, world_seed));
-                } else {
-                    targets.extend_from_slice(old.out_neighbors(v));
-                }
-            })
+            let mut offsets = Vec::with_capacity(n + 1);
+            let mut targets = Vec::with_capacity(old.targets.len() + sources.len());
+            offsets.push(0u32);
+            let mut next = 0;
+            for &s in &sources {
+                let span = copy_span(&old.offsets, next..s as usize, &mut offsets);
+                targets.extend_from_slice(&old.targets[span]);
+                targets.extend(live_ic_row(graph, s, world_seed));
+                // Never truncates: a world holds at most the graph's edges,
+                // whose count `Graph` keeps within `u32`.
+                offsets.push(targets.len() as u32);
+                next = s as usize + 1;
+            }
+            let span = copy_span(&old.offsets, next..n, &mut offsets);
+            targets.extend_from_slice(&old.targets[span]);
+            LiveEdgeWorld { offsets, targets }
         })
     }
 
@@ -814,8 +814,7 @@ mod tests {
         ];
         for op in cases {
             let mutated = g.apply(&[op]).unwrap();
-            let (source, _) = op.endpoints();
-            let patched = base.patch(&mutated, &[source], &cfg).unwrap();
+            let patched = base.patch(&mutated, &[op.endpoints()], &cfg).unwrap();
             let cold = WorldCollection::sample(&mutated, &cfg).unwrap();
             assert_worlds_bitwise_eq(&patched, &cold);
         }
@@ -847,7 +846,7 @@ mod tests {
         let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
         let base = WorldCollection::sample(&g, &cfg).unwrap();
         let reseeded = WorldsConfig { seed: 4, ..cfg };
-        let err = base.patch(&g, &[NodeId(0)], &reseeded).unwrap_err();
+        let err = base.patch(&g, &[(NodeId(0), NodeId(1))], &reseeded).unwrap_err();
         assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");
         assert!(err.to_string().contains("seed 3"), "{err}");
     }
@@ -858,7 +857,7 @@ mod tests {
         let weights = crate::lt::LtWeights::from_graph(&g);
         let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
         let base = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
-        let err = base.patch(&g, &[NodeId(0)], &cfg).unwrap_err();
+        let err = base.patch(&g, &[(NodeId(0), NodeId(2))], &cfg).unwrap_err();
         assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");
         assert!(err.to_string().contains("linear-threshold"), "{err}");
     }

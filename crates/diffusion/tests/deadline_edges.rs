@@ -138,7 +138,7 @@ fn ris_estimator_handles_deadline_zero_and_one() {
         if tau == 0 {
             // τ = 0 sketches contain exactly their target, so every sketch is
             // a singleton and the estimate is driven by target hits alone.
-            assert!(serial.sets().iter().all(|s| s.len() == 1), "τ=0 sketches must be singletons");
+            assert!(serial.sets().all(|s| s.len() == 1), "τ=0 sketches must be singletons");
         }
         for threads in [1usize, 8] {
             let parallel = RisEstimator::new(
@@ -239,8 +239,8 @@ fn deadline_edges_survive_every_mutation_kind() {
     let mut previous = Arc::clone(&base);
     for op in mutations {
         let mutated = Arc::new(previous.apply(std::slice::from_ref(&op)).unwrap());
-        let touched = vec![op.endpoints().1];
-        pool = Arc::new(pool.patch(&mutated, &[op.endpoints().0], &pool_config).unwrap());
+        let edited = [op.endpoints()];
+        pool = Arc::new(pool.patch(&mutated, &edited, &pool_config).unwrap());
         for (tau, deadline) in [
             (Some(0u32), Deadline::finite(0)),
             (Some(1), Deadline::finite(1)),
@@ -298,7 +298,7 @@ fn deadline_edges_survive_every_mutation_kind() {
                 };
                 let mut refreshed =
                     RisEstimator::new(Arc::clone(&previous), deadline, &config).unwrap();
-                refreshed.refresh(Arc::clone(&mutated), &touched).unwrap();
+                refreshed.refresh(Arc::clone(&mutated), &edited).unwrap();
                 let cold = RisEstimator::new(Arc::clone(&mutated), deadline, &config).unwrap();
                 assert_bitwise_equal(
                     &refreshed.evaluate(&seeds).unwrap(),
@@ -307,7 +307,7 @@ fn deadline_edges_survive_every_mutation_kind() {
                 );
                 if tau == Some(0) {
                     assert!(
-                        refreshed.sets().iter().all(|s| s.len() == 1),
+                        refreshed.sets().all(|s| s.len() == 1),
                         "τ=0 sketches must stay singletons after {}",
                         op.label()
                     );

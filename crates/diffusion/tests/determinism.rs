@@ -248,7 +248,7 @@ fn ris_sketches_are_identical_across_thread_counts() {
         )
         .unwrap();
         assert_eq!(serial.num_sets(), parallel.num_sets());
-        for (i, (a, b)) in serial.sets().iter().zip(parallel.sets()).enumerate() {
+        for (i, (a, b)) in serial.sets().zip(parallel.sets()).enumerate() {
             assert_eq!(a, b, "sketch {i} differs at {threads} threads");
         }
     }

@@ -190,11 +190,18 @@ impl Graph {
     /// `AddEdge` yields byte-for-byte the CSR a from-scratch rebuild with
     /// the extra edge would produce.
     ///
+    /// Cost follows the edit, not the graph: only the rows of the batch's
+    /// source nodes are expanded and edited. Each run of untouched rows
+    /// between them is copied into the new CSR as one slice of targets and
+    /// one of probabilities, its offsets shifted by the edge-count change of
+    /// the edited rows before it.
+    ///
     /// # Errors
     ///
     /// Returns an error (and leaves no partial state) if any op names an
     /// out-of-bounds node, a self-loop, a probability outside `[0, 1]`, adds
-    /// an edge that already exists, or removes/reweights one that does not.
+    /// an edge that already exists, or removes/reweights one that does not,
+    /// or if the result would hold more than `u32::MAX` edges.
     pub fn apply(&self, ops: &[MutationOp]) -> Result<Self> {
         let n = self.num_nodes();
         let check = |node: NodeId| -> Result<usize> {
@@ -209,22 +216,23 @@ impl Graph {
             }
             Ok(p)
         };
-        // Expand the CSR into per-source rows once, edit rows in place, then
-        // reassemble: O(V + E) per batch regardless of how rows shift.
-        let mut rows: Vec<Vec<(u32, f64)>> = (0..n)
-            .map(|v| {
-                let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
-                self.targets[range.clone()]
-                    .iter()
-                    .zip(&self.probabilities[range])
-                    .map(|(&t, &p)| (t, p))
-                    .collect()
-            })
-            .collect();
+        // The edited rows, sorted by source: a row is expanded the first
+        // time an op names its source, then edited in place.
+        let mut rows: Vec<(usize, Vec<(u32, f64)>)> = Vec::new();
         for op in ops {
             let (source, target) = op.endpoints();
             let (s, t) = (check(source)?, check(target)?);
-            let row = &mut rows[s];
+            let slot = rows.binary_search_by_key(&s, |&(v, _)| v).unwrap_or_else(|slot| {
+                let range = self.out_edge_range(source);
+                let row = self.targets[range.clone()]
+                    .iter()
+                    .zip(&self.probabilities[range])
+                    .map(|(&w, &p)| (w, p))
+                    .collect();
+                rows.insert(slot, (s, row));
+                slot
+            });
+            let row = &mut rows[slot].1;
             let hit = row.iter().position(|&(w, _)| w == target.0);
             match *op {
                 MutationOp::AddEdge { probability, .. } => {
@@ -266,16 +274,34 @@ impl Graph {
                 }
             }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        let mut probabilities = Vec::new();
-        offsets.push(0u32);
-        for row in rows {
-            for (t, p) in row {
-                targets.push(t);
-                probabilities.push(p);
+        let too_many = || GraphError::InvalidParameter {
+            message: "mutation would grow the graph past u32::MAX edges".to_string(),
+        };
+        // An op adds at most one edge.
+        let capacity = self.num_edges() + ops.len();
+        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(capacity);
+        let mut probabilities = Vec::with_capacity(capacity);
+        offsets.push(0);
+        let mut next = 0;
+        // The sentinel `(n, None)` copies the untouched tail.
+        for (s, row) in rows.iter().map(|(s, row)| (*s, Some(row))).chain([(n, None)]) {
+            // Rows `next..s` are untouched: one span copy, offsets shifted
+            // from the span's old start to its new one.
+            let (start, end) = (self.offsets[next], self.offsets[s]);
+            let base = offsets[offsets.len() - 1];
+            // The span's last offset is its largest: if it fits, all do.
+            (end - start).checked_add(base).ok_or_else(too_many)?;
+            offsets.extend(self.offsets[next + 1..=s].iter().map(|&o| o - start + base));
+            let span = start as usize..end as usize;
+            targets.extend_from_slice(&self.targets[span.clone()]);
+            probabilities.extend_from_slice(&self.probabilities[span]);
+            if let Some(row) = row {
+                targets.extend(row.iter().map(|&(w, _)| w));
+                probabilities.extend(row.iter().map(|&(_, p)| p));
+                offsets.push(u32::try_from(targets.len()).map_err(|_| too_many())?);
+                next = s + 1;
             }
-            offsets.push(targets.len() as u32);
         }
         Ok(Graph {
             offsets,

@@ -219,14 +219,16 @@ fn versioned_fingerprint(base: &str, version: u64) -> String {
 
 /// Mutable head of a dataset that has received `mutate` ops: the current
 /// graph (whose `version()` names the generation every derived cache key
-/// embeds) plus the edge endpoints touched by the *latest* step, which the
-/// incremental rebuild paths need: RR-sketch refresh invalidates by mutated
-/// edge **targets** (reverse BFS reads in-edge rows), world patching
-/// rebuilds mutated edge **source** rows (live-edge CSR is source-major).
+/// embeds) plus the `(source, target)` pairs of the edges the *latest* step
+/// edited, sorted and deduplicated. The incremental rebuild paths derive
+/// what they need from that one list: RR-sketch refresh invalidates by
+/// edited **targets** and patches their reverse-adjacency rows (reverse BFS
+/// reads in-edge rows), world patching re-draws edited **source** rows
+/// (live-edge CSR is source-major).
+#[derive(Clone)]
 struct MutableHead {
     graph: Arc<Graph>,
-    last_touched_targets: Vec<NodeId>,
-    last_touched_sources: Vec<NodeId>,
+    last_edited: Vec<(NodeId, NodeId)>,
 }
 
 /// Per-entry byte cost used for cache-budget accounting.
@@ -328,6 +330,9 @@ pub struct CacheStats {
     pub mutations: u64,
     /// RIS sketch pools refreshed incrementally instead of rebuilt cold.
     pub ris_refreshes: u64,
+    /// RR sets those refreshes resampled, summed: the sketches of the
+    /// previous generation's pool that contained an edited edge's target.
+    pub ris_sets_resampled: u64,
     /// World pools patched forward from the previous version instead of
     /// resampled from scratch.
     pub world_patches: u64,
@@ -672,6 +677,7 @@ pub struct OracleCache {
     heads: Mutex<HashMap<String, MutableHead>>,
     mutations: AtomicU64,
     ris_refreshes: AtomicU64,
+    ris_sets_resampled: AtomicU64,
     world_patches: AtomicU64,
     oracle_hits: AtomicU64,
     oracle_misses: AtomicU64,
@@ -713,6 +719,7 @@ impl OracleCache {
             heads: Mutex::default(),
             mutations: AtomicU64::new(0),
             ris_refreshes: AtomicU64::new(0),
+            ris_sets_resampled: AtomicU64::new(0),
             world_patches: AtomicU64::new(0),
             oracle_hits: AtomicU64::new(0),
             oracle_misses: AtomicU64::new(0),
@@ -759,6 +766,7 @@ impl OracleCache {
             evictions,
             mutations: self.mutations.load(Ordering::Relaxed),
             ris_refreshes: self.ris_refreshes.load(Ordering::Relaxed),
+            ris_sets_resampled: self.ris_sets_resampled.load(Ordering::Relaxed),
             world_patches: self.world_patches.load(Ordering::Relaxed),
         }
     }
@@ -846,26 +854,20 @@ impl OracleCache {
     }
 
     /// The head state of `spec`, if it has ever been mutated: the current
-    /// graph plus the endpoints touched by the latest mutation step.
-    fn head_state(&self, base: &str) -> Option<(Arc<Graph>, Vec<NodeId>, Vec<NodeId>)> {
+    /// graph plus the edges the latest mutation step edited.
+    fn head_state(&self, base: &str) -> Option<MutableHead> {
         #[expect(
             clippy::expect_used,
             reason = "the heads lock is held for a map op only; no code inside can panic"
         )]
         let heads = self.heads.lock().expect("mutable-head registry");
-        heads.get(base).map(|head| {
-            (
-                Arc::clone(&head.graph),
-                head.last_touched_targets.clone(),
-                head.last_touched_sources.clone(),
-            )
-        })
+        heads.get(base).cloned()
     }
 
     /// The current mutation generation of `spec`'s graph: 0 until the first
     /// `mutate`, then whatever the head has reached.
     pub fn graph_version(&self, spec: &DatasetSpec) -> u64 {
-        self.head_state(&spec.fingerprint()).map_or(0, |(graph, _, _)| graph.version())
+        self.head_state(&spec.fingerprint()).map_or(0, |head| head.graph.version())
     }
 
     /// The dataset graph for `spec` — the mutated head when one exists, the
@@ -876,9 +878,9 @@ impl OracleCache {
     /// Propagates dataset-generator failures.
     pub fn graph(&self, spec: &DatasetSpec) -> Result<Arc<Graph>> {
         let key = spec.fingerprint();
-        if let Some((graph, _, _)) = self.head_state(&key) {
+        if let Some(head) = self.head_state(&key) {
             self.graph_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(graph);
+            return Ok(head.graph);
         }
         if let Some(graph) = self.lookup(&key) {
             self.graph_hits.fetch_add(1, Ordering::Relaxed);
@@ -956,7 +958,7 @@ impl OracleCache {
     ) -> Result<Arc<WorldCollection>> {
         let base = spec.fingerprint();
         let head = self.head_state(&base);
-        let version = head.as_ref().map_or(0, |(graph, _, _)| graph.version());
+        let version = head.as_ref().map_or(0, |head| head.graph.version());
         let worlds_key = |v: u64| {
             format!(
                 "{}|{}|worlds:n={},s={}",
@@ -985,9 +987,9 @@ impl OracleCache {
                 let collection = match model {
                     ModelKind::IndependentCascade => {
                         // Patch the resident generation g-1 pool, if any.
-                        let patched = head.as_ref().and_then(|(_, _, sources)| {
+                        let patched = head.as_ref().and_then(|head| {
                             let donor = self.lookup(&worlds_key(version - 1))?.into_worlds();
-                            donor.patch(&graph, sources, config).ok()
+                            donor.patch(&graph, &head.last_edited, config).ok()
                         });
                         match patched {
                             Some(patched) => {
@@ -1073,7 +1075,7 @@ impl OracleCache {
     }
 
     /// Incremental RIS rebuild: when the previous version's oracle for the
-    /// same spec is still resident, clone it (copy-on-write pool) and
+    /// same spec is still resident, clone it (the clone shares its pool) and
     /// [`refresh`](tcim_diffusion::RisEstimator::refresh) only the sketches
     /// touching the mutated edge targets. `refresh` reuses `seed + id` per
     /// sketch, so this is bitwise-identical to the cold build the caller
@@ -1082,12 +1084,12 @@ impl OracleCache {
     /// on sketch content, so only a cold run reproduces the sizing walk.
     fn refreshed_ris(&self, spec: &OracleSpec, graph: &Arc<Graph>) -> Result<Option<Estimator>> {
         let base = spec.dataset.fingerprint();
-        let Some((head, targets, _)) = self.head_state(&base) else {
+        let Some(head) = self.head_state(&base) else {
             return Ok(None);
         };
-        // The touched set describes exactly the step `version-1 -> version`;
+        // The edited list describes exactly the step `version-1 -> version`;
         // any other resident generation must rebuild cold.
-        if head.version() != graph.version() {
+        if head.graph.version() != graph.version() {
             return Ok(None);
         }
         let prev_key = format!(
@@ -1101,8 +1103,9 @@ impl OracleCache {
             return Ok(None);
         };
         let mut ris = prev_ris.clone();
-        ris.refresh(Arc::clone(graph), &targets)?;
+        let resampled = ris.refresh(Arc::clone(graph), &head.last_edited)?;
         self.ris_refreshes.fetch_add(1, Ordering::Relaxed);
+        self.ris_sets_resampled.fetch_add(resampled as u64, Ordering::Relaxed);
         Ok(Some(Estimator::Ris(ris)))
     }
 
@@ -1133,12 +1136,9 @@ impl OracleCache {
                 .apply(ops)
                 .map_err(|err| ServiceError::bad_request(format!("mutation rejected: {err}")))?,
         );
-        let mut targets: Vec<NodeId> = ops.iter().map(|op| op.endpoints().1).collect();
-        targets.sort_unstable_by_key(|n| n.0);
-        targets.dedup();
-        let mut sources: Vec<NodeId> = ops.iter().map(|op| op.endpoints().0).collect();
-        sources.sort_unstable_by_key(|n| n.0);
-        sources.dedup();
+        let mut edited: Vec<(NodeId, NodeId)> = ops.iter().map(MutationOp::endpoints).collect();
+        edited.sort_unstable_by_key(|&(s, t)| (s.0, t.0));
+        edited.dedup();
         let new_version = mutated.version();
         // Charge the new graph against the budget under its versioned key.
         self.store(
@@ -1153,11 +1153,7 @@ impl OracleCache {
             let mut heads = self.heads.lock().expect("mutable-head registry");
             heads.insert(
                 base.clone(),
-                MutableHead {
-                    graph: Arc::clone(&mutated),
-                    last_touched_targets: targets,
-                    last_touched_sources: sources,
-                },
+                MutableHead { graph: Arc::clone(&mutated), last_edited: edited },
             );
         }
         if new_version >= 2 {
@@ -1520,6 +1516,41 @@ mod tests {
         }
         assert_no_accounting_drift(&warm);
         assert_no_accounting_drift(&cold);
+    }
+
+    #[test]
+    fn ris_sets_resampled_counts_the_old_sketches_holding_an_edited_target() {
+        let dataset = DatasetSpec { dataset: Dataset::Illustrative, seed: 1 };
+        let ris_spec = OracleSpec {
+            estimator: EstimatorConfig::Ris(RisConfig {
+                num_sets: 256,
+                seed: 3,
+                ..Default::default()
+            }),
+            ..spec(2, 16)
+        };
+        let cache = OracleCache::new();
+        let v0 = cache.oracle(&ris_spec).unwrap();
+        let Estimator::Ris(v0_ris) = v0.as_ref() else {
+            panic!("a RIS spec must build a RIS oracle");
+        };
+        let graph = cache.graph(&dataset).unwrap();
+        let (u, v) = absent_edge(&graph);
+        let (a, b, p) = first_edge(&graph);
+        let ops = [
+            MutationOp::AddEdge { source: u, target: v, probability: 0.6 },
+            MutationOp::Reweight { source: a, target: b, probability: p / 2.0 },
+        ];
+        let pool = v0_ris.sketches_arc();
+        let holding = pool.sets().filter(|set| set.contains(v) || set.contains(b)).count();
+        assert!(holding > 0, "the edit must touch some sketch for the check to mean anything");
+
+        cache.mutate(&dataset, &ops).unwrap();
+        assert_eq!(cache.stats().ris_sets_resampled, 0, "refresh waits for the next query");
+        cache.oracle(&ris_spec).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.ris_refreshes, 1);
+        assert_eq!(stats.ris_sets_resampled, holding as u64);
     }
 
     #[test]

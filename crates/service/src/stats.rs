@@ -467,6 +467,10 @@ impl StatsSnapshot {
                         Json::Obj(vec![
                             ("mutations".into(), Json::Num(cache.mutations as f64)),
                             ("ris_refreshes".into(), Json::Num(cache.ris_refreshes as f64)),
+                            (
+                                "ris_sets_resampled".into(),
+                                Json::Num(cache.ris_sets_resampled as f64),
+                            ),
                             ("world_patches".into(), Json::Num(cache.world_patches as f64)),
                         ]),
                     ),
@@ -581,6 +585,7 @@ mod tests {
                 lt_misses: 1,
                 mutations: 2,
                 ris_refreshes: 4,
+                ris_sets_resampled: 37,
                 world_patches: 3,
                 bytes_used: 300,
                 bytes_budget: 1024,
@@ -626,6 +631,7 @@ mod tests {
         let churn = cache.get("churn").unwrap();
         assert_eq!(churn.get("mutations").unwrap().as_f64(), Some(2.0));
         assert_eq!(churn.get("ris_refreshes").unwrap().as_f64(), Some(4.0));
+        assert_eq!(churn.get("ris_sets_resampled").unwrap().as_f64(), Some(37.0));
         assert_eq!(churn.get("world_patches").unwrap().as_f64(), Some(3.0));
         assert_eq!(cache.get("bytes_used").unwrap().as_f64(), Some(300.0));
         assert_eq!(cache.get("bytes_budget").unwrap().as_f64(), Some(1024.0));
