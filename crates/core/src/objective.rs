@@ -115,6 +115,14 @@ impl<'a> InfluenceObjective<'a> {
     pub fn scalarization(&self) -> &Scalarization {
         &self.scalarization
     }
+
+    /// The scalar gain of a per-group gain vector against the committed
+    /// seeds, clamped at zero.
+    fn scalar_gain(&self, gain: &GroupInfluence) -> f64 {
+        let new_value =
+            self.scalarization.value_with_gain(self.cursor.current().values(), gain.values());
+        (new_value - self.cached_value).max(0.0)
+    }
 }
 
 impl IncrementalObjective for InfluenceObjective<'_> {
@@ -123,11 +131,16 @@ impl IncrementalObjective for InfluenceObjective<'_> {
     }
 
     fn gain(&mut self, item: usize) -> f64 {
-        let candidate = NodeId::from_index(item);
-        let gain = self.cursor.gain(candidate);
-        let new_value =
-            self.scalarization.value_with_gain(self.cursor.current().values(), gain.values());
-        (new_value - self.cached_value).max(0.0)
+        let gain = self.cursor.gain(NodeId::from_index(item));
+        self.scalar_gain(&gain)
+    }
+
+    /// One [`InfluenceCursor::gains`] batch, each result scalarized as
+    /// `gain` scalarizes it.
+    fn gains(&mut self, items: &[usize]) -> Vec<f64> {
+        let candidates: Vec<NodeId> = items.iter().map(|&item| NodeId::from_index(item)).collect();
+        let gains = self.cursor.gains(&candidates);
+        gains.iter().map(|gain| self.scalar_gain(gain)).collect()
     }
 
     fn insert(&mut self, item: usize) {
@@ -206,6 +219,9 @@ mod tests {
         assert!((obj.influence().total() - 6.0).abs() < 1e-12);
         // Already-covered leaf gains nothing.
         assert_eq!(obj.gain(1), 0.0);
+        // A batch scalarizes each cursor gain exactly as `gain` does.
+        let singles: Vec<f64> = [1, 5, 0, 9].iter().map(|&v| obj.gain(v)).collect();
+        assert_eq!(obj.gains(&[1, 5, 0, 9]), singles);
     }
 
     #[test]

@@ -119,6 +119,15 @@ pub trait InfluenceCursor {
     /// cursors of that oracle read `gain(v | ∅)` instead of recomputing it.
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence;
 
+    /// The marginal gains of every candidate against the current seed set,
+    /// in candidate order: entry `j` equals `gain(candidates[j])` bitwise.
+    /// A scan that asks for many gains against one seed set asks here, so a
+    /// cursor can spread the batch over threads; the default asks `gain`
+    /// once per candidate.
+    fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
+        candidates.iter().map(|&v| self.gain(v)).collect()
+    }
+
     /// Commits `candidate` to the seed set.
     fn add_seed(&mut self, candidate: NodeId);
 }
@@ -150,11 +159,11 @@ pub struct WorldEstimator {
 }
 
 /// Per-node, per-group world counts of the empty-set gain, filled lazily by
-/// [`WorldCursor::gain`]. Node `v`'s counts are `counts[v * k .. (v + 1) * k]`
-/// and are valid once `ready[v]` is set: the filler stores the counts, then
-/// sets the flag with `Release`; a reader loads the flag with `Acquire`.
-/// Two cursors racing to fill one node store identical values, so no lock is
-/// needed.
+/// the gains of a [`WorldCursor`] with no committed seed. Node `v`'s counts
+/// are `counts[v * k .. (v + 1) * k]` and are valid once `ready[v]` is set:
+/// the filler stores the counts, then sets the flag with `Release`; a reader
+/// loads the flag with `Acquire`. Two cursors racing to fill one node store
+/// identical values, so no lock is needed.
 #[derive(Debug)]
 struct SingletonGains {
     counts: Box<[AtomicU64]>,
@@ -317,7 +326,7 @@ impl WorldEstimator {
         let worlds = self.worlds.worlds();
         let n = self.graph.num_nodes();
         let k = self.group_sizes.len();
-        let counts = world_counts(self.parallelism, None, worlds.len(), k, |i, scratch, counts| {
+        let counts = world_counts(self.parallelism, worlds.len(), k, |i, scratch, counts| {
             let world = &worlds[i];
             let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
             bounded_bfs(n, seeds, self.deadline, scratch, row, |node, _| {
@@ -331,49 +340,38 @@ impl WorldEstimator {
 
 /// The one per-world count behind every forward estimate:
 /// `count_world(i, scratch, counts)` adds world `i`'s per-group hits to
-/// `counts`, and the totals over worlds `0..num_worlds` come back. Counts
-/// stay `u64` until [`mean_over_worlds`] scales them once: integer addition
-/// is associative, so chunk boundaries (and hence the thread count) cannot
-/// change the result. With `serial = Some(scratch)` the worlds run in order
-/// on the caller's scratch; with `None` they fan out under `parallelism`, one
-/// scratch per worker.
+/// `counts`, and the totals over worlds `0..num_worlds` come back. The worlds
+/// fan out under `parallelism`, one scratch per worker. Counts stay `u64`
+/// until [`mean_over_worlds`] scales them once: integer addition is
+/// associative, so chunk boundaries (and hence the thread count) cannot
+/// change the result.
 fn world_counts(
     parallelism: ParallelismConfig,
-    serial: Option<&mut VisitScratch>,
     num_worlds: usize,
     num_groups: usize,
     count_world: impl Fn(usize, &mut VisitScratch, &mut [u64]) + Sync,
 ) -> Vec<u64> {
-    match serial {
-        Some(scratch) => {
-            let mut counts = vec![0u64; num_groups];
-            for i in 0..num_worlds {
-                count_world(i, scratch, &mut counts);
-            }
-            counts
-        }
-        None => parallelism.run(|| {
-            (0..num_worlds)
-                .into_par_iter()
-                .fold(
-                    || (vec![0u64; num_groups], VisitScratch::new(0)),
-                    |(mut counts, mut scratch), i| {
-                        count_world(i, &mut scratch, &mut counts);
-                        (counts, scratch)
-                    },
-                )
-                .reduce(
-                    || (vec![0u64; num_groups], VisitScratch::new(0)),
-                    |(mut acc, scratch), (partial, _)| {
-                        for (a, p) in acc.iter_mut().zip(&partial) {
-                            *a += p;
-                        }
-                        (acc, scratch)
-                    },
-                )
-                .0
-        }),
-    }
+    parallelism.run(|| {
+        (0..num_worlds)
+            .into_par_iter()
+            .fold(
+                || (vec![0u64; num_groups], VisitScratch::new(0)),
+                |(mut counts, mut scratch), i| {
+                    count_world(i, &mut scratch, &mut counts);
+                    (counts, scratch)
+                },
+            )
+            .reduce(
+                || (vec![0u64; num_groups], VisitScratch::new(0)),
+                |(mut acc, scratch), (partial, _)| {
+                    for (a, p) in acc.iter_mut().zip(&partial) {
+                        *a += p;
+                    }
+                    (acc, scratch)
+                },
+            )
+            .0
+    })
 }
 
 /// The per-world mean of summed per-group `counts`.
@@ -427,8 +425,14 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 /// candidate to a node the seeds do not reach, every node is farther from
 /// the seeds than from the candidate, so none is pruned and the counts are
 /// the same integers a full BFS gives. The state costs one byte per node
-/// per world. With no committed seed, `gain` reads (or fills) the
-/// estimator's shared singleton-gain table.
+/// per world. With no committed seed, a gain is read from (or stored in)
+/// the estimator's shared singleton-gain table.
+///
+/// One gain query runs serially on the cursor's own scratch: a pruned gain
+/// typically costs less than the tens of microseconds a fan-out spends
+/// starting threads. Parallelism goes across candidates instead: [`InfluenceCursor::gains`] splits a batch
+/// over threads with a single fan-out once the candidates it has to compute,
+/// times the worlds, reach 50 000.
 pub struct WorldCursor<'a> {
     estimator: &'a WorldEstimator,
     /// World-major, `num_worlds × num_nodes`: entry `i * n + v` is `v`'s hop
@@ -439,26 +443,19 @@ pub struct WorldCursor<'a> {
     current: GroupInfluence,
     seeds: Vec<NodeId>,
     scratch: VisitScratch,
-    /// Whether `gain` queries should fan out. Decided once at construction:
-    /// it re-checks neither the environment (env-var read per query) nor the
-    /// workload, and stays `false` when `worlds × nodes` is too small for
-    /// per-query thread spawning to pay for itself. Either path returns
-    /// bitwise-identical results, so this is purely a throughput heuristic.
-    parallel_gain: bool,
 }
 
-/// Below this many node-visits upper bound (`num_worlds × num_nodes`) a
-/// marginal-gain query runs serially even under a parallel
-/// [`ParallelismConfig`]: spawning scoped threads costs tens of microseconds,
-/// which dwarfs the BFS work on small instances.
+/// A batch of gains fans out over threads only when the candidates it still
+/// has to compute, times the number of worlds, reach this. Every BFS visits
+/// its source in every world, so the product is a lower bound on the batch's
+/// node visits. Below it, starting scoped threads (tens of microseconds per
+/// operation) would cost more than the BFS work it spreads.
 const PARALLEL_GAIN_MIN_WORK: usize = 50_000;
 
 impl<'a> WorldCursor<'a> {
     fn new(estimator: &'a WorldEstimator) -> Self {
         let n = estimator.graph.num_nodes();
         let k = estimator.group_sizes.len();
-        let parallel_gain = !estimator.parallelism.is_serial()
-            && estimator.worlds.len().saturating_mul(n) >= PARALLEL_GAIN_MIN_WORK;
         WorldCursor {
             estimator,
             distance: vec![UNCOVERED; estimator.worlds.len() * n],
@@ -466,9 +463,56 @@ impl<'a> WorldCursor<'a> {
             current: GroupInfluence::zeros(k),
             seeds: Vec::new(),
             scratch: VisitScratch::new(n),
-            parallel_gain,
         }
     }
+
+    /// The oracle's singleton-gain table while no seed is committed: round 0
+    /// of every solve on this oracle asks the same n questions.
+    fn singletons(&self) -> Option<&'a SingletonGains> {
+        let estimator = self.estimator;
+        let (n, k) = (estimator.graph.num_nodes(), estimator.group_sizes.len());
+        self.seeds
+            .is_empty()
+            .then(|| estimator.singletons.get_or_init(|| SingletonGains::new(n, k)))
+    }
+
+    /// `candidate`'s gain from `table`, if some cursor has stored it.
+    fn stored_gain(
+        &self,
+        table: Option<&SingletonGains>,
+        candidate: NodeId,
+    ) -> Option<GroupInfluence> {
+        let stored = table?.get(candidate.index(), self.estimator.group_sizes.len())?;
+        let counts = stored.iter().map(|c| c.load(Ordering::Relaxed));
+        Some(mean_over_worlds(counts, self.estimator.worlds.len()))
+    }
+}
+
+/// The per-group world counts of `candidate`'s marginal gain over the seeds
+/// whose hop distances `distance` holds, world by world on one scratch.
+fn gain_counts(
+    estimator: &WorldEstimator,
+    distance: &[u8],
+    candidate: NodeId,
+    scratch: &mut VisitScratch,
+) -> Vec<u64> {
+    let n = estimator.graph.num_nodes();
+    let mut counts = vec![0u64; estimator.group_sizes.len()];
+    for (i, world) in estimator.worlds.worlds().iter().enumerate() {
+        let distance = &distance[i * n..(i + 1) * n];
+        let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+        bounded_bfs(n, &[candidate], estimator.deadline, scratch, row, |node, hops| {
+            let d = distance[node.index()];
+            if reached_sooner(d, hops) {
+                return false;
+            }
+            if d == UNCOVERED {
+                counts[estimator.group_of[node.index()] as usize] += 1;
+            }
+            true
+        });
+    }
+    counts
 }
 
 impl InfluenceCursor for WorldCursor<'_> {
@@ -481,43 +525,71 @@ impl InfluenceCursor for WorldCursor<'_> {
     }
 
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence {
-        // Marginal-gain queries dominate every greedy/CELF solve (they run
-        // once per candidate per round, `add_seed` once per round), so this
-        // is the hot path the parallelism knob must reach. The serial path
-        // reuses the cursor's epoch scratch instead of a fresh visited
-        // buffer per query; both paths agree bitwise.
-        let estimator = self.estimator;
-        let num_worlds = estimator.worlds.len();
-        let n = estimator.graph.num_nodes();
-        let k = estimator.group_sizes.len();
-        // Round 0 of every solve on this oracle asks the same n questions.
-        let singletons = (self.seeds.is_empty() && candidate.index() < n)
-            .then(|| estimator.singletons.get_or_init(|| SingletonGains::new(n, k)));
-        if let Some(stored) = singletons.and_then(|t| t.get(candidate.index(), k)) {
-            return mean_over_worlds(stored.iter().map(|c| c.load(Ordering::Relaxed)), num_worlds);
+        let table = self.singletons();
+        if let Some(stored) = self.stored_gain(table, candidate) {
+            return stored;
         }
-        let worlds = estimator.worlds.worlds();
-        let distance = &self.distance;
-        let serial = (!self.parallel_gain).then_some(&mut self.scratch);
-        let counts =
-            world_counts(estimator.parallelism, serial, num_worlds, k, |i, scratch, counts| {
-                let (world, distance) = (&worlds[i], &distance[i * n..(i + 1) * n]);
-                let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
-                bounded_bfs(n, &[candidate], estimator.deadline, scratch, row, |node, hops| {
-                    let d = distance[node.index()];
-                    if reached_sooner(d, hops) {
-                        return false;
-                    }
-                    if d == UNCOVERED {
-                        counts[estimator.group_of[node.index()] as usize] += 1;
-                    }
-                    true
-                });
-            });
-        if let Some(table) = singletons {
+        let counts = gain_counts(self.estimator, &self.distance, candidate, &mut self.scratch);
+        if let Some(table) = table {
             table.fill(candidate.index(), &counts);
         }
-        mean_over_worlds(counts, num_worlds)
+        mean_over_worlds(counts, self.estimator.worlds.len())
+    }
+
+    /// The gains of `candidates`, bitwise those of [`InfluenceCursor::gain`]
+    /// one by one. With no committed seed, candidates already in the
+    /// singleton-gain table are read from it and the rest are stored there.
+    /// The candidates left to compute run serially on the cursor's scratch,
+    /// unless they times the worlds reach 50 000 (a lower bound on the BFS
+    /// node visits, since every BFS visits its source in every world): then
+    /// one fan-out under the estimator's parallelism splits them into
+    /// contiguous chunks, one scratch per worker, and the results come back
+    /// in candidate order.
+    fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
+        let estimator = self.estimator;
+        let table = self.singletons();
+        let stored: Vec<Option<GroupInfluence>> =
+            candidates.iter().map(|&v| self.stored_gain(table, v)).collect();
+        let todo: Vec<NodeId> = candidates
+            .iter()
+            .zip(&stored)
+            .filter(|(_, stored)| stored.is_none())
+            .map(|(&v, _)| v)
+            .collect();
+        let num_worlds = estimator.worlds.len();
+        let counts: Vec<Vec<u64>> =
+            if todo.len().saturating_mul(num_worlds) < PARALLEL_GAIN_MIN_WORK {
+                todo.iter()
+                    .map(|&v| gain_counts(estimator, &self.distance, v, &mut self.scratch))
+                    .collect()
+            } else {
+                let distance = &self.distance;
+                estimator.parallelism.run(|| {
+                    todo.par_iter()
+                        .fold(
+                            || (Vec::new(), VisitScratch::new(0)),
+                            |(mut chunk, mut scratch), &v| {
+                                chunk.push(gain_counts(estimator, distance, v, &mut scratch));
+                                (chunk, scratch)
+                            },
+                        )
+                        .reduce(
+                            || (Vec::new(), VisitScratch::new(0)),
+                            |(mut acc, scratch), (chunk, _)| {
+                                acc.extend(chunk);
+                                (acc, scratch)
+                            },
+                        )
+                        .0
+                })
+            };
+        let mut computed = todo.iter().zip(counts).map(|(&v, counts)| {
+            if let Some(table) = table {
+                table.fill(v.index(), &counts);
+            }
+            mean_over_worlds(counts, num_worlds)
+        });
+        stored.into_iter().filter_map(|gain| gain.or_else(|| computed.next())).collect()
     }
 
     fn add_seed(&mut self, candidate: NodeId) {
@@ -629,7 +701,7 @@ impl InfluenceOracle for MonteCarloEstimator {
         crate::ic::validate_seeds(&self.graph, seeds)?;
         let graph = &*self.graph;
         let k = graph.num_groups();
-        let counts = world_counts(self.parallelism, None, self.samples, k, |i, scratch, counts| {
+        let counts = world_counts(self.parallelism, self.samples, k, |i, scratch, counts| {
             let world_seed = self.seed.wrapping_add(i as u64);
             let row = |v| live_ic_row(graph, v, world_seed);
             bounded_bfs(graph.num_nodes(), seeds, self.deadline, scratch, row, |node, _| {

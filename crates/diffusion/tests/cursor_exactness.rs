@@ -1,9 +1,10 @@
 //! The world cursor against a reference answer. `WorldCursor` keeps each
 //! node's hop distance from the committed seeds and prunes its BFS at nodes
 //! the seeds reach sooner; it also serves round-0 gains from a table shared
-//! by every cursor of one oracle. None of that may change an answer: the
-//! cursor's state must equal `evaluate(S)` bitwise, and every marginal gain
-//! must equal `evaluate(S ∪ {v}) − evaluate(S)` as integer world counts,
+//! by every cursor of one oracle, and answers whole scans as one batch. None
+//! of that may change an answer: the cursor's state must equal `evaluate(S)`
+//! bitwise, every marginal gain must equal `evaluate(S ∪ {v}) − evaluate(S)`
+//! as integer world counts, and a batch must equal the single gains bitwise,
 //! under IC and LT worlds at every deadline edge.
 
 use std::sync::Arc;
@@ -66,10 +67,12 @@ fn bits(influence: &GroupInfluence) -> Vec<u64> {
 /// Drives one cursor of `oracle` through `order` and checks it against
 /// `evaluate` before and after every commit: the state bitwise, and the
 /// gain of every node (committed seeds included) plus one out-of-bounds
-/// node as integer counts.
+/// node as integer counts. One batch over those nodes, asked first, must
+/// equal the per-node gains bitwise.
 fn check_cursor(oracle: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
     let n = oracle.graph().num_nodes();
     let worlds = oracle.num_worlds();
+    let all: Vec<NodeId> = (0..=n as u32).map(NodeId).collect();
     let mut cursor = oracle.cursor();
     let mut seeds: Vec<NodeId> = Vec::new();
     for step in 0..=order.len() {
@@ -78,8 +81,20 @@ fn check_cursor(oracle: &WorldEstimator, order: &[NodeId]) -> Result<(), String>
             return Err(format!("seeds {seeds:?}: state {:?} vs {:?}", cursor.current(), base));
         }
         let base = world_counts(&base, worlds);
-        for v in (0..=n as u32).map(NodeId) {
-            let gain = world_counts(&cursor.gain(v), worlds);
+        let batch = cursor.gains(&all);
+        if batch.len() != all.len() {
+            return Err(format!(
+                "seeds {seeds:?}: {} batch gains for {} nodes",
+                batch.len(),
+                n + 1
+            ));
+        }
+        for (&v, batched) in all.iter().zip(&batch) {
+            let single = cursor.gain(v);
+            if bits(batched) != bits(&single) {
+                return Err(format!("seeds {seeds:?}, {v:?}: batch {batched:?} vs {single:?}"));
+            }
+            let gain = world_counts(&single, worlds);
             let expected = if v.index() < n {
                 let with: Vec<NodeId> = seeds.iter().copied().chain([v]).collect();
                 let with = oracle.evaluate(&with).map_err(|e| e.to_string())?;

@@ -120,36 +120,51 @@ fn auto_parallelism_matches_serial() {
         "world estimator, auto threads",
     );
 
-    // The greedy-driving cursor must agree with the serial cursor too: its
-    // marginal-gain path is the solver hot loop. 256 worlds × 300 nodes
-    // clears the cursor's PARALLEL_GAIN_MIN_WORK threshold, so the parallel
-    // fan-out really runs (smaller workloads fall back to the serial path).
-    // Two separate estimators, because `with_parallelism` copies share the
-    // singleton-gain table and the auto cursor would read the serial
-    // cursor's round-0 gains instead of computing its own.
+    // The greedy scans ask the cursor for one batch of gains per scan, and
+    // a batch of 300 candidates × 256 worlds = 76 800 clears the cursor's
+    // PARALLEL_GAIN_MIN_WORK (50 000), so the fan-out over candidates
+    // really runs. It must equal, bitwise, one serial `gain` per candidate,
+    // at ∅ and after two commits. Every estimator is separate, because
+    // `with_parallelism` copies share the singleton-gain table and a batch
+    // would read the reference's round-0 gains instead of computing its own.
     let big = WorldsConfig { num_worlds: 256, seed: 7, parallelism: ParallelismConfig::serial() };
-    let big_serial = WorldEstimator::new(Arc::clone(&graph), Deadline::finite(5), &big).unwrap();
-    let big_auto = WorldEstimator::new(
-        Arc::clone(&graph),
-        Deadline::finite(5),
-        &WorldsConfig { parallelism: ParallelismConfig::auto(), ..big },
-    )
-    .unwrap();
-    let mut serial_cursor = big_serial.cursor();
-    let mut auto_cursor = big_auto.cursor();
-    for &candidate in seeds.iter().take(4) {
-        assert_bitwise_equal(
-            &serial_cursor.gain(candidate),
-            &auto_cursor.gain(candidate),
-            "cursor gain, auto threads",
-        );
-        serial_cursor.add_seed(candidate);
-        auto_cursor.add_seed(candidate);
-        assert_bitwise_equal(
-            serial_cursor.current(),
-            auto_cursor.current(),
-            "cursor state, auto threads",
-        );
+    let all: Vec<NodeId> = graph.nodes().collect();
+    assert_eq!(all.len(), 300);
+    let reference = WorldEstimator::new(Arc::clone(&graph), Deadline::finite(5), &big).unwrap();
+    let mut reference_cursor = reference.cursor();
+    let mut expected = vec![all.iter().map(|&v| reference_cursor.gain(v)).collect::<Vec<_>>()];
+    for &seed in &seeds[..2] {
+        reference_cursor.add_seed(seed);
+        expected.push(all.iter().map(|&v| reference_cursor.gain(v)).collect());
+    }
+    for parallelism in
+        [ParallelismConfig::fixed(2), ParallelismConfig::fixed(8), ParallelismConfig::auto()]
+    {
+        let oracle = WorldEstimator::new(
+            Arc::clone(&graph),
+            Deadline::finite(5),
+            &WorldsConfig { parallelism, ..big },
+        )
+        .unwrap();
+        let mut cursor = oracle.cursor();
+        for (step, expected) in expected.iter().enumerate() {
+            if step > 0 {
+                cursor.add_seed(seeds[step - 1]);
+            }
+            let batch = cursor.gains(&all);
+            assert_eq!(batch.len(), all.len());
+            for (v, (got, want)) in all.iter().zip(batch.iter().zip(expected)) {
+                let context = format!("batch gain of {v:?}, {step} seeds, {parallelism:?}");
+                assert_bitwise_equal(want, got, &context);
+            }
+        }
+        assert_bitwise_equal(reference_cursor.current(), cursor.current(), "cursor state");
+        // A second cursor's round-0 batch answers from the table the first
+        // one filled, with the same bits.
+        let stored = oracle.cursor().gains(&all);
+        for (v, (got, want)) in all.iter().zip(stored.iter().zip(&expected[0])) {
+            assert_bitwise_equal(want, got, &format!("stored gain of {v:?}, {parallelism:?}"));
+        }
     }
 }
 

@@ -15,7 +15,8 @@ use std::collections::BinaryHeap;
 
 use crate::error::{Result, SubmodularError};
 use crate::function::IncrementalObjective;
-use crate::lazy::HeapEntry;
+use crate::greedy::best_of_scan;
+use crate::lazy::{round_zero, HeapEntry};
 use crate::trace::{CoverResult, SelectionTrace};
 
 /// Relative width of the tie band [`cover_lazy`] re-evaluates before each
@@ -94,23 +95,9 @@ pub fn cover_greedy<O: IncrementalObjective>(
 
     while objective.current_value() < threshold && trace.len() < max_items && !remaining.is_empty()
     {
-        let mut best: Option<(usize, f64)> = None; // (position, gain)
-        for (pos, &item) in remaining.iter().enumerate() {
-            let gain = objective.gain(item);
-            trace.gain_evaluations += 1;
-            // Ties break towards the smallest item id, matching the greedy and
-            // lazy-greedy maximizers.
-            let better = match best {
-                None => true,
-                Some((best_pos, best_gain)) => {
-                    gain > best_gain || (gain == best_gain && item < remaining[best_pos])
-                }
-            };
-            if better {
-                best = Some((pos, gain));
-            }
-        }
-        match best {
+        let gains = objective.gains(&remaining);
+        trace.gain_evaluations += remaining.len();
+        match best_of_scan(&remaining, &gains) {
             Some((pos, gain)) if gain > 0.0 => {
                 let item = remaining.swap_remove(pos);
                 objective.insert(item);
@@ -150,24 +137,34 @@ pub fn cover_lazy<O: IncrementalObjective>(
     let mut trace = SelectionTrace::default();
     let threshold = config.target - config.tolerance;
 
-    // Unevaluated items carry an infinite bound, so the first round
-    // evaluates every item, as the plain scan does.
-    let mut heap: BinaryHeap<HeapEntry> =
-        items.iter().map(|&item| HeapEntry { gain: f64::INFINITY, item, round: 0 }).collect();
+    // Whether another pick may be made, the plain scan's stop rules.
+    let open = |value: f64, picked: usize| value < threshold && picked < max_items;
+
+    // Round 0 scores every item in one batch, as the plain scan does. Those
+    // entries are fresh in round 0 only: an entry is fresh iff its `round`
+    // equals `trace.len()`, and later rounds push back only older entries.
+    let mut heap = if open(objective.current_value(), 0) {
+        round_zero(objective, &items, &mut trace)
+    } else {
+        BinaryHeap::new()
+    };
     let mut band: Vec<HeapEntry> = Vec::new();
 
-    while objective.current_value() < threshold && trace.len() < max_items && !heap.is_empty() {
+    while open(objective.current_value(), trace.len()) && !heap.is_empty() {
         let slack = TIE_BAND * objective.current_value().abs().max(1.0);
         let mut best: Option<HeapEntry> = None;
-        while let Some(top) = heap.peek() {
+        while let Some(&top) = heap.peek() {
             if best.is_some_and(|b| top.gain < b.gain - slack) {
                 break;
             }
-            let item = top.item;
             heap.pop();
-            let gain = objective.gain(item);
-            trace.gain_evaluations += 1;
-            let fresh = HeapEntry { gain, item, round: trace.len() };
+            let fresh = if top.round == trace.len() {
+                top
+            } else {
+                trace.gain_evaluations += 1;
+                HeapEntry { gain: objective.gain(top.item), item: top.item, round: trace.len() }
+            };
+            let (gain, item) = (fresh.gain, fresh.item);
             let better = match best {
                 None => true,
                 Some(b) => gain > b.gain || (gain == b.gain && item < b.item),

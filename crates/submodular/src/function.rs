@@ -5,9 +5,9 @@
 ///
 /// The solvers in this crate only ever grow the current set one item at a
 /// time, so the interface is deliberately minimal: query the current value,
-/// query the marginal gain of an item, and commit an item. Implementations
-/// typically cache per-item state so that `gain` is much cheaper than
-/// re-evaluating the function from scratch.
+/// query the marginal gain of an item (or of a batch of items), and commit
+/// an item. Implementations typically cache per-item state so that `gain` is
+/// much cheaper than re-evaluating the function from scratch.
 ///
 /// The maximization guarantees of [`greedy`](crate::maximize_greedy) and
 /// [`lazy greedy`](crate::maximize_lazy) require `F` to be non-negative,
@@ -22,6 +22,14 @@ pub trait IncrementalObjective {
     /// set `S`. Must not change the committed set, although implementations
     /// may mutate internal scratch space (hence `&mut self`).
     fn gain(&mut self, item: usize) -> f64;
+
+    /// The marginal gains of `items` against the current set, in item order:
+    /// entry `j` equals `gain(items[j])`. The solvers ask here whenever they
+    /// scan many items against one set, so an implementation can spread the
+    /// batch over threads; the default asks `gain` once per item.
+    fn gains(&mut self, items: &[usize]) -> Vec<f64> {
+        items.iter().map(|&item| self.gain(item)).collect()
+    }
 
     /// Commits `item` to the current set.
     fn insert(&mut self, item: usize);

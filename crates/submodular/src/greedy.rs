@@ -36,26 +36,12 @@ pub fn maximize_greedy<O: IncrementalObjective>(
     remaining.dedup();
 
     for _ in 0..budget {
-        let mut best: Option<(usize, usize, f64)> = None; // (position, item, gain)
-        for (pos, &item) in remaining.iter().enumerate() {
-            let gain = objective.gain(item);
-            trace.gain_evaluations += 1;
-            // Ties break towards the smallest item id so the selection is
-            // deterministic and identical to the lazy-greedy tie-breaking.
-            let better = match best {
-                None => true,
-                Some((_, best_item, best_gain)) => {
-                    gain > best_gain || (gain == best_gain && item < best_item)
-                }
-            };
-            if better {
-                best = Some((pos, item, gain));
-            }
-        }
-        match best {
-            Some((pos, item, gain)) if gain > 0.0 => {
+        let gains = objective.gains(&remaining);
+        trace.gain_evaluations += remaining.len();
+        match best_of_scan(&remaining, &gains) {
+            Some((pos, gain)) if gain > 0.0 => {
+                let item = remaining.swap_remove(pos);
                 objective.insert(item);
-                remaining.swap_remove(pos);
                 trace.push(item, gain, objective.current_value());
             }
             _ => break,
@@ -65,6 +51,25 @@ pub fn maximize_greedy<O: IncrementalObjective>(
         }
     }
     Ok(trace)
+}
+
+/// The position and gain of the best of `items` scored by `gains`: the
+/// largest gain, ties going to the smallest item id so the selection is
+/// deterministic and matches the lazy solvers' tie-breaking.
+pub(crate) fn best_of_scan(items: &[usize], gains: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (pos, (&item, &gain)) in items.iter().zip(gains).enumerate() {
+        let better = match best {
+            None => true,
+            Some((best_pos, best_gain)) => {
+                gain > best_gain || (gain == best_gain && item < items[best_pos])
+            }
+        };
+        if better {
+            best = Some((pos, gain));
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -75,14 +75,7 @@ pub fn maximize_lazy<O: IncrementalObjective>(
     items.dedup();
 
     let mut trace = SelectionTrace::default();
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(items.len());
-
-    // Round 0: evaluate everything once.
-    for &item in &items {
-        let gain = objective.gain(item);
-        trace.gain_evaluations += 1;
-        heap.push(HeapEntry { gain, item, round: 0 });
-    }
+    let mut heap = round_zero(objective, &items, &mut trace);
 
     let mut round = 0usize;
     while trace.len() < budget {
@@ -103,6 +96,18 @@ pub fn maximize_lazy<O: IncrementalObjective>(
         }
     }
     Ok(trace)
+}
+
+/// Round 0 of a CELF run: every item scored in one batch, each entry fresh
+/// in round 0.
+pub(crate) fn round_zero<O: IncrementalObjective>(
+    objective: &mut O,
+    items: &[usize],
+    trace: &mut SelectionTrace,
+) -> BinaryHeap<HeapEntry> {
+    let gains = objective.gains(items);
+    trace.gain_evaluations += items.len();
+    items.iter().zip(gains).map(|(&item, gain)| HeapEntry { gain, item, round: 0 }).collect()
 }
 
 #[cfg(test)]

@@ -73,13 +73,14 @@ pub fn maximize_stochastic<O: IncrementalObjective>(
         // Sample without replacement by shuffling a prefix.
         remaining.shuffle(&mut rng);
         let window = sample_size.min(remaining.len());
-        let mut best: Option<(usize, f64)> = None; // (position, gain)
-        for (pos, &item) in remaining.iter().enumerate().take(window) {
-            let gain = objective.gain(item);
-            trace.gain_evaluations += 1;
-            if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((pos, gain));
-            }
+        let mut best = first_max(&objective.gains(&remaining[..window]));
+        trace.gain_evaluations += window;
+        if !best.is_some_and(|(_, gain)| gain > 0.0) {
+            // The sampled window had no useful item; plain greedy would stop
+            // only when *no* item helps, so fall back to a full scan once
+            // before giving up.
+            best = first_max(&objective.gains(&remaining));
+            trace.gain_evaluations += remaining.len();
         }
         match best {
             Some((pos, gain)) if gain > 0.0 => {
@@ -87,30 +88,21 @@ pub fn maximize_stochastic<O: IncrementalObjective>(
                 objective.insert(item);
                 trace.push(item, gain, objective.current_value());
             }
-            _ => {
-                // The sampled window had no useful item; plain greedy would
-                // stop only when *no* item helps, so fall back to a full scan
-                // once before giving up.
-                let mut fallback: Option<(usize, f64)> = None;
-                for (pos, &item) in remaining.iter().enumerate() {
-                    let gain = objective.gain(item);
-                    trace.gain_evaluations += 1;
-                    if fallback.is_none_or(|(_, g)| gain > g) {
-                        fallback = Some((pos, gain));
-                    }
-                }
-                match fallback {
-                    Some((pos, gain)) if gain > 0.0 => {
-                        let item = remaining.swap_remove(pos);
-                        objective.insert(item);
-                        trace.push(item, gain, objective.current_value());
-                    }
-                    _ => break,
-                }
-            }
+            _ => break,
         }
     }
     Ok(trace)
+}
+
+/// The position and value of the first largest of `gains`.
+fn first_max(gains: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (pos, &gain) in gains.iter().enumerate() {
+        if best.is_none_or(|(_, g)| gain > g) {
+            best = Some((pos, gain));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
