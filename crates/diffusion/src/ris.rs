@@ -942,13 +942,6 @@ impl RisEstimator {
         self.parallelism
     }
 
-    /// Nodes ranked by RR-set coverage (a fast stand-alone seed heuristic).
-    pub fn coverage_ranking(&self) -> Vec<NodeId> {
-        let scores: Vec<f64> =
-            self.sketches.index_offsets.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-        tcim_graph::centrality::rank_by_score(&scores)
-    }
-
     /// Approximate resident heap bytes this estimator *owns*: the sketch
     /// pool ([`RrSketches::approx_bytes`]), the reverse adjacency it samples
     /// from, and the cached group sizes. The shared graph `Arc` is excluded
@@ -1165,28 +1158,6 @@ mod tests {
         .unwrap()
         .evaluate(&[NodeId(9999)])
         .is_err());
-    }
-
-    #[test]
-    fn coverage_ranking_prefers_high_degree_hubs() {
-        // Star: hub 0 with 30 leaves, p = 1. The hub reaches every target.
-        let mut b = GraphBuilder::new();
-        let hub = b.add_node(GroupId(0));
-        let leaves = b.add_nodes(30, GroupId(0));
-        for &leaf in &leaves {
-            b.add_undirected_edge(hub, leaf, 1.0).unwrap();
-        }
-        let g = Arc::new(b.build().unwrap());
-        let ris = RisEstimator::new(
-            g,
-            Deadline::finite(1),
-            &RisConfig { num_sets: 2000, seed: 5, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(ris.coverage_ranking()[0], hub);
-        assert!(ris.num_sets() == 2000);
-        assert_eq!(ris.sets().len(), 2000);
-        assert_eq!(ris.sets_per_group(), &[2000]);
     }
 
     #[test]

@@ -7,54 +7,10 @@
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use crate::traversal::{bfs_distances, UNREACHABLE};
 
 /// Out-degree of every node.
 pub fn degree_centrality(graph: &Graph) -> Vec<f64> {
     graph.nodes().map(|v| graph.out_degree(v) as f64).collect()
-}
-
-/// Harmonic centrality: `C(v) = Σ_{u != v} 1 / d(v, u)` with `1/∞ = 0`.
-///
-/// Harmonic centrality is preferred over classical closeness on graphs that
-/// are not strongly connected because it handles unreachable pairs gracefully.
-pub fn harmonic_centrality(graph: &Graph) -> Vec<f64> {
-    graph
-        .nodes()
-        .map(|v| {
-            let dist = bfs_distances(graph, v);
-            dist.iter()
-                .enumerate()
-                .filter(|&(u, &d)| u != v.index() && d != UNREACHABLE && d > 0)
-                .map(|(_, &d)| 1.0 / d as f64)
-                .sum()
-        })
-        .collect()
-}
-
-/// Closeness centrality restricted to the reachable set:
-/// `C(v) = (r - 1) / Σ d(v, u)` where `r` is the number of nodes reachable
-/// from `v`. Nodes that reach nothing get 0.
-pub fn closeness_centrality(graph: &Graph) -> Vec<f64> {
-    graph
-        .nodes()
-        .map(|v| {
-            let dist = bfs_distances(graph, v);
-            let mut reachable = 0usize;
-            let mut total = 0u64;
-            for (u, &d) in dist.iter().enumerate() {
-                if u != v.index() && d != UNREACHABLE {
-                    reachable += 1;
-                    total += u64::from(d);
-                }
-            }
-            if reachable == 0 || total == 0 {
-                0.0
-            } else {
-                reachable as f64 / total as f64
-            }
-        })
-        .collect()
 }
 
 /// PageRank via power iteration.
@@ -95,64 +51,6 @@ pub fn pagerank(graph: &Graph, damping: f64, iterations: usize) -> Vec<f64> {
         std::mem::swap(&mut rank, &mut next);
     }
     rank
-}
-
-/// Betweenness centrality using Brandes' algorithm on the directed,
-/// unweighted graph.
-///
-/// Runs in `O(|V| · |E|)`; intended for the small-to-medium evaluation graphs
-/// (hundreds to a few thousand nodes), not the half-million-node Instagram
-/// surrogate.
-pub fn betweenness_centrality(graph: &Graph) -> Vec<f64> {
-    let n = graph.num_nodes();
-    let mut betweenness = vec![0.0f64; n];
-
-    let mut stack: Vec<u32> = Vec::with_capacity(n);
-    let mut predecessors: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut sigma = vec![0.0f64; n];
-    let mut dist = vec![-1i64; n];
-    let mut delta = vec![0.0f64; n];
-    let mut queue = std::collections::VecDeque::new();
-
-    for s in 0..n as u32 {
-        stack.clear();
-        for p in predecessors.iter_mut() {
-            p.clear();
-        }
-        sigma.iter_mut().for_each(|x| *x = 0.0);
-        dist.iter_mut().for_each(|x| *x = -1);
-        delta.iter_mut().for_each(|x| *x = 0.0);
-
-        sigma[s as usize] = 1.0;
-        dist[s as usize] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            stack.push(v);
-            for w in graph.out_neighbors(NodeId(v)) {
-                let wi = w.index();
-                if dist[wi] < 0 {
-                    dist[wi] = dist[v as usize] + 1;
-                    queue.push_back(w.0);
-                }
-                if dist[wi] == dist[v as usize] + 1 {
-                    sigma[wi] += sigma[v as usize];
-                    predecessors[wi].push(v);
-                }
-            }
-        }
-
-        while let Some(w) = stack.pop() {
-            let wi = w as usize;
-            for &v in &predecessors[wi] {
-                let vi = v as usize;
-                delta[vi] += (sigma[vi] / sigma[wi]) * (1.0 + delta[wi]);
-            }
-            if w != s {
-                betweenness[wi] += delta[wi];
-            }
-        }
-    }
-    betweenness
 }
 
 /// Returns node ids ranked by decreasing score; ties broken by node id for
@@ -196,19 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_and_closeness_prefer_the_hub() {
-        let g = star();
-        let h = harmonic_centrality(&g);
-        let c = closeness_centrality(&g);
-        for leaf in 1..5 {
-            assert!(h[0] > h[leaf]);
-            assert!(c[0] > c[leaf]);
-        }
-        // Hub reaches 4 nodes at distance 1 -> harmonic = 4.0.
-        assert!((h[0] - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn pagerank_sums_to_one_and_prefers_the_hub() {
         let g = star();
         let pr = pagerank(&g, 0.85, 50);
@@ -223,18 +108,6 @@ mod tests {
     fn pagerank_on_empty_graph_is_empty() {
         let g = GraphBuilder::new().build().unwrap();
         assert!(pagerank(&g, 0.85, 10).is_empty());
-    }
-
-    #[test]
-    fn betweenness_is_zero_on_leaves_and_positive_on_hub() {
-        let g = star();
-        let bt = betweenness_centrality(&g);
-        assert!(bt[0] > 0.0);
-        for &leaf_score in &bt[1..5] {
-            assert_eq!(leaf_score, 0.0);
-        }
-        // The hub lies on every leaf-to-leaf shortest path: 4 * 3 = 12 ordered pairs.
-        assert!((bt[0] - 12.0).abs() < 1e-9);
     }
 
     #[test]

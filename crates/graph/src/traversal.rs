@@ -1,9 +1,9 @@
 //! Breadth-first traversal utilities: hop distances, bounded reachability and
 //! weakly connected components.
 //!
-//! These primitives back the deterministic parts of influence estimation
-//! (reachability within a live-edge world is a BFS bounded by the deadline
-//! `τ`) as well as the centrality measures in [`crate::centrality`].
+//! These primitives back the deterministic parts of influence estimation:
+//! reachability within a live-edge world is a BFS bounded by the deadline
+//! `τ`.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;

@@ -368,7 +368,9 @@ fn receiver_class(tokens: &[crate::lexer::Token], dot: usize) -> String {
 /// If the statement containing the acquisition at token `site` is a
 /// `let [mut] name = …` binding, returns `name` — the guard lives past the
 /// statement. Unbound acquisitions are temporaries that die with their
-/// statement and are never treated as held.
+/// statement and are never treated as held. Outer attributes on the
+/// statement (`#[expect(…)] let guard = …`) are skipped, so an attributed
+/// binding is still a held guard.
 fn binding_guard(tokens: &[crate::lexer::Token], body_start: usize, site: usize) -> Option<String> {
     // Walk back to the statement start.
     let mut j = site;
@@ -380,8 +382,29 @@ fn binding_guard(tokens: &[crate::lexer::Token], body_start: usize, site: usize)
         j -= 1;
     }
     let mut k = j;
-    while tokens.get(k).is_some_and(|t| t.is_comment()) {
+    loop {
+        while tokens.get(k).is_some_and(|t| t.is_comment()) {
+            k += 1;
+        }
+        if !(tokens.get(k).is_some_and(|t| t.is_punct('#'))
+            && tokens.get(k + 1).is_some_and(|t| t.is_punct('[')))
+        {
+            break;
+        }
+        // Step past the attribute's balanced `[…]`.
+        let mut depth = 0usize;
         k += 1;
+        while let Some(tok) = tokens.get(k) {
+            k += 1;
+            if tok.is_punct('[') {
+                depth += 1;
+            } else if tok.is_punct(']') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
     }
     if !tokens.get(k).is_some_and(|t| t.is_ident("let")) {
         return None;

@@ -89,6 +89,45 @@ fn lock_order_xfn_fires_and_passes() {
 }
 
 #[test]
+fn lock_order_attr_fires_and_passes() {
+    // Every guard is bound under `#[expect(…)]`: if the attribute hid the
+    // binding, no guard would be held and the cycle would pass silently.
+    let fail = check("lock_order_attr", "fail", "crates/service/src/fixture.rs");
+    assert_fires(&fail, "lock-order", 1);
+    let f = fail.iter().find(|f| f.rule == "lock-order").expect("checked above");
+    assert!(f.message.contains("alpha") && f.message.contains("beta"), "cycle names locks: {f:?}");
+    assert_clean(&check("lock_order_attr", "pass", "crates/service/src/fixture.rs"));
+}
+
+#[test]
+fn lock_order_sees_the_service_build_lock_nesting_over_shards() {
+    // The real serving tier: while the per-key build lock is held, the
+    // cache consults its shards through `lookup` and `store`. Losing those
+    // edges means the analysis went blind to a guard binding.
+    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let service = manifest.join("../service");
+    let mut analyzer = Analyzer::new(Policy::default());
+    let files = tcim_lint::walk::rust_sources(&service.join("src")).expect("walk crates/service");
+    assert!(!files.is_empty());
+    for (rel, path) in files {
+        let source = fs::read_to_string(&path).expect("read service source");
+        analyzer.check_file(&format!("crates/service/src/{rel}"), &source);
+    }
+    let report = analyzer.finish();
+    let edges: Vec<String> = report
+        .lock_graph
+        .edges()
+        .map(|e| format!("{} -> {} via {}", e.from, e.to, e.via.as_deref().unwrap_or("-")))
+        .collect();
+    for want in ["lock -> shard via lookup", "lock -> shard via store"] {
+        assert!(edges.iter().any(|e| e == want), "missing `{want}` in {edges:?}");
+    }
+    assert!(!edges.iter().any(|e| e.starts_with("building ->")), "registry nests: {edges:?}");
+    assert!(report.lock_graph.find_cycle().is_none(), "cycle in {edges:?}");
+    assert!(report.findings.iter().all(|f| f.rule != "lock-order"), "{:?}", report.findings);
+}
+
+#[test]
 fn seed_provenance_fires_and_passes() {
     let fail = check("seed_provenance", "fail", "crates/diffusion/src/fixture.rs");
     assert_fires(&fail, "seed-provenance", 2);

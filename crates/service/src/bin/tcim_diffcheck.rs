@@ -176,8 +176,8 @@ fn run(cli: &Cli) -> Result<bool, String> {
             let served: Vec<String> =
                 engine.serve_batch(&batch).into_iter().map(|r| r.to_string()).collect();
             let diverged = served.iter().zip(&cold).position(|(a, b)| a != b);
-            let refreshes = engine.cache().ris_refreshes();
-            let patches = engine.cache().world_patches();
+            let stats = engine.cache().stats();
+            let (refreshes, patches) = (stats.ris_refreshes, stats.world_patches);
             let steps = sequence.steps.len() as u64;
             if let Some(at) = diverged {
                 clean = false;

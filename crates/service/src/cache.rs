@@ -19,9 +19,8 @@
 //! unbounded cache fed adversarial or merely long-lived traffic would grow
 //! until OOM. Instead of the old per-map entry counts, the cache enforces a
 //! single **byte budget** ([`CacheConfig::max_bytes`]): every entry is
-//! charged its approximate resident size via the [`CacheCost`] trait, whose
-//! estimates are computed by the crate that owns each type
-//! (`Graph::approx_bytes`, `LtWeights::approx_bytes`,
+//! charged its approximate resident size, computed by the crate that owns
+//! each type (`Graph::approx_bytes`, `LtWeights::approx_bytes`,
 //! `WorldCollection::approx_bytes`, `Estimator::approx_bytes` — see
 //! `docs/CACHE.md` for the derivations). Entries are spread over
 //! [`CacheConfig::shards`] shards by an FNV-1a hash of their fingerprint
@@ -37,6 +36,18 @@
 //! re-used survive. Evicting never changes answers: an evicted entry
 //! rebuilds deterministically on its next use, and outstanding `Arc`
 //! handles keep in-flight queries alive.
+//!
+//! # One build path
+//!
+//! All four levels are served by one private method, `OracleCache::cached`:
+//! look the key up, take the key's build lock, re-check, count a miss,
+//! build, store. Racing cold requests therefore build an entry once, and
+//! the hit and miss counters of every level are kept in one place. Every
+//! lock in this crate is taken poison-tolerantly: the shard, head and
+//! registry locks guard map operations and counters, and the build lock
+//! guards `()`, so a panic leaves no broken invariant behind them. A build
+//! that panics fails only its own request: its build-lock registry entry is
+//! removed on unwind, and the next request for the key builds afresh.
 //!
 //! # Dynamic graphs
 //!
@@ -68,7 +79,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use tcim_core::{Estimator, EstimatorConfig};
 use tcim_datasets::registry::Dataset;
@@ -231,49 +242,13 @@ struct MutableHead {
     last_edited: Vec<(NodeId, NodeId)>,
 }
 
-/// Per-entry byte cost used for cache-budget accounting.
-///
-/// Implementations delegate to `approx_bytes` methods defined in the crate
-/// that owns each type, so the estimate tracks the type's actual layout:
-/// element payloads are counted by *length* (not capacity) plus one `Vec`
-/// header per allocation, which makes the cost a deterministic function of
-/// the value — never of allocator state or build history.
-pub trait CacheCost {
-    /// Approximate resident heap bytes of this value.
-    fn cost_bytes(&self) -> usize;
-}
-
-impl CacheCost for Graph {
-    fn cost_bytes(&self) -> usize {
-        self.approx_bytes()
-    }
-}
-
-impl CacheCost for LtWeights {
-    fn cost_bytes(&self) -> usize {
-        self.approx_bytes()
-    }
-}
-
-impl CacheCost for WorldCollection {
-    fn cost_bytes(&self) -> usize {
-        self.approx_bytes()
-    }
-}
-
-impl CacheCost for Estimator {
-    fn cost_bytes(&self) -> usize {
-        self.approx_bytes()
-    }
-}
-
 /// Sizing of an [`OracleCache`]: one global byte budget split over a number
 /// of independently locked shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total byte budget across all shards. Entry costs come from
-    /// [`CacheCost`]; once a shard's slice is exceeded it evicts (see the
-    /// module docs for the policy).
+    /// Total byte budget across all shards. Entry costs come from each
+    /// value's `approx_bytes`; once a shard's slice is exceeded it evicts
+    /// (see the module docs for the policy).
     pub max_bytes: usize,
     /// Number of shards (clamped to at least 1). Each shard owns its own
     /// `Mutex` and `max_bytes / shards` of the budget.
@@ -356,7 +331,7 @@ fn hit_rate(hits: u64, misses: u64) -> Option<f64> {
 }
 
 /// One shard's budget counters, as reported by [`OracleCache::shard_stats`]
-/// and the `stats` wire op. All byte figures are [`CacheCost`] estimates.
+/// and the `stats` wire op. All byte figures are `approx_bytes` estimates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Bytes currently charged against this shard's slice.
@@ -385,12 +360,16 @@ enum CacheValue {
 }
 
 impl CacheValue {
-    fn cost_bytes(&self) -> usize {
+    /// The value's approximate resident bytes, as estimated by the crate
+    /// that owns its type: payloads counted by length (not capacity) plus
+    /// one `Vec` header per allocation, so the cost is a deterministic
+    /// function of the value, never of allocator state or build history.
+    fn approx_bytes(&self) -> usize {
         match self {
-            CacheValue::Graph(graph) => graph.cost_bytes(),
-            CacheValue::Lt(weights) => weights.cost_bytes(),
-            CacheValue::Worlds(worlds) => worlds.cost_bytes(),
-            CacheValue::Oracle(oracle) => oracle.cost_bytes(),
+            CacheValue::Graph(graph) => graph.approx_bytes(),
+            CacheValue::Lt(weights) => weights.approx_bytes(),
+            CacheValue::Worlds(worlds) => worlds.approx_bytes(),
+            CacheValue::Oracle(oracle) => oracle.approx_bytes(),
         }
     }
 
@@ -441,7 +420,7 @@ impl CacheValue {
 
 struct Entry {
     value: CacheValue,
-    /// Charged cost: the value's [`CacheCost`] bytes plus key and
+    /// Charged cost: the value's `approx_bytes` plus key and
     /// bookkeeping overhead, fixed at insertion.
     cost: usize,
     /// Recency stamp; also the entry's position in its segment map.
@@ -675,18 +654,36 @@ pub struct OracleCache {
     /// path beyond one lock per graph lookup.
     #[expect(clippy::disallowed_types, reason = "point lookups only, never iterated")]
     heads: Mutex<HashMap<String, MutableHead>>,
+    /// Lookups answered from the cache, per [`Level`].
+    hits: [AtomicU64; 4],
+    /// Lookups that had to build, per [`Level`].
+    misses: [AtomicU64; 4],
     mutations: AtomicU64,
     ris_refreshes: AtomicU64,
     ris_sets_resampled: AtomicU64,
     world_patches: AtomicU64,
-    oracle_hits: AtomicU64,
-    oracle_misses: AtomicU64,
-    world_hits: AtomicU64,
-    world_misses: AtomicU64,
-    graph_hits: AtomicU64,
-    graph_misses: AtomicU64,
-    lt_hits: AtomicU64,
-    lt_misses: AtomicU64,
+}
+
+/// The four cache levels, indexing [`OracleCache`]'s hit and miss counters.
+#[derive(Clone, Copy)]
+enum Level {
+    Graph,
+    Lt,
+    Worlds,
+    Oracle,
+}
+
+/// Removes a key's build-lock registry entry when dropped — on unwind too,
+/// so a panicking build cannot leave its key's lock behind.
+struct Unregister<'a> {
+    cache: &'a OracleCache,
+    key: &'a str,
+}
+
+impl Drop for Unregister<'_> {
+    fn drop(&mut self) {
+        self.cache.building.lock().unwrap_or_else(PoisonError::into_inner).remove(self.key);
+    }
 }
 
 impl Default for OracleCache {
@@ -717,18 +714,12 @@ impl OracleCache {
             max_bytes: config.max_bytes,
             building: Mutex::default(),
             heads: Mutex::default(),
+            hits: Default::default(),
+            misses: Default::default(),
             mutations: AtomicU64::new(0),
             ris_refreshes: AtomicU64::new(0),
             ris_sets_resampled: AtomicU64::new(0),
             world_patches: AtomicU64::new(0),
-            oracle_hits: AtomicU64::new(0),
-            oracle_misses: AtomicU64::new(0),
-            world_hits: AtomicU64::new(0),
-            world_misses: AtomicU64::new(0),
-            graph_hits: AtomicU64::new(0),
-            graph_misses: AtomicU64::new(0),
-            lt_hits: AtomicU64::new(0),
-            lt_misses: AtomicU64::new(0),
         }
     }
 
@@ -743,24 +734,25 @@ impl OracleCache {
         let mut bytes_budget = 0u64;
         let mut evictions = 0u64;
         for shard in &self.shards {
-            #[expect(
-                clippy::expect_used,
-                reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
-            )]
-            let shard = shard.lock().expect("cache shard");
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             bytes_used += shard.bytes_used as u64;
             bytes_budget += shard.bytes_budget as u64;
             evictions += shard.evictions;
         }
+        // Destructured in `Level` order.
+        let [graph_hits, lt_hits, world_hits, oracle_hits] =
+            self.hits.each_ref().map(|count| count.load(Ordering::Relaxed));
+        let [graph_misses, lt_misses, world_misses, oracle_misses] =
+            self.misses.each_ref().map(|count| count.load(Ordering::Relaxed));
         CacheStats {
-            oracle_hits: self.oracle_hits.load(Ordering::Relaxed),
-            oracle_misses: self.oracle_misses.load(Ordering::Relaxed),
-            world_hits: self.world_hits.load(Ordering::Relaxed),
-            world_misses: self.world_misses.load(Ordering::Relaxed),
-            graph_hits: self.graph_hits.load(Ordering::Relaxed),
-            graph_misses: self.graph_misses.load(Ordering::Relaxed),
-            lt_hits: self.lt_hits.load(Ordering::Relaxed),
-            lt_misses: self.lt_misses.load(Ordering::Relaxed),
+            oracle_hits,
+            oracle_misses,
+            world_hits,
+            world_misses,
+            graph_hits,
+            graph_misses,
+            lt_hits,
+            lt_misses,
             bytes_used,
             bytes_budget,
             evictions,
@@ -772,12 +764,11 @@ impl OracleCache {
     }
 
     /// Per-shard budget counters, in shard order.
-    #[expect(
-        clippy::expect_used,
-        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
-    )]
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(|shard| shard.lock().expect("cache shard").stats()).collect()
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner).stats())
+            .collect()
     }
 
     fn shard_for(&self, key: &str) -> &Mutex<Shard> {
@@ -786,82 +777,64 @@ impl OracleCache {
 
     /// Looks `key` up in its shard, refreshing recency on a hit. Shard
     /// locks are held only for the lookup itself, never across builds.
-    #[expect(
-        clippy::expect_used,
-        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
-    )]
     fn lookup(&self, key: &str) -> Option<CacheValue> {
-        self.shard_for(key).lock().expect("cache shard").get(key)
+        self.shard_for(key).lock().unwrap_or_else(PoisonError::into_inner).get(key)
     }
 
     /// Stores `value` under `key` (first build wins) and returns the stored
-    /// value. The charged cost is the value's [`CacheCost`] bytes plus the
+    /// value. The charged cost is the value's `approx_bytes` plus the
     /// key string and fixed per-entry bookkeeping.
-    #[expect(
-        clippy::expect_used,
-        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
-    )]
     fn store(&self, key: &str, value: CacheValue) -> CacheValue {
-        let cost = key.len() + value.cost_bytes() + std::mem::size_of::<Entry>();
-        self.shard_for(key).lock().expect("cache shard").insert_or_get(key.to_string(), value, cost)
+        let cost = key.len() + value.approx_bytes() + std::mem::size_of::<Entry>();
+        self.shard_for(key).lock().unwrap_or_else(PoisonError::into_inner).insert_or_get(
+            key.to_string(),
+            value,
+            cost,
+        )
     }
 
-    /// Takes the per-key build lock for `key`; `build` runs only if a
-    /// re-check under the lock still misses. Lock order is strictly
-    /// outer-entry -> inner-entry (oracle -> worlds -> graph), so the
-    /// per-key locks cannot cycle; shard locks are leaf locks taken only
-    /// inside `lookup`/`store`.
-    fn build_once<V: Clone>(
+    /// The entry under `key` at `level`, built by `build` on a miss. A hit
+    /// costs one shard lookup. On a miss the per-key build lock is taken and
+    /// the lookup re-checked under it, so racing cold requests build once:
+    /// the rest wait on the lock and take the stored entry as a hit. Lock
+    /// order is strictly outer-entry -> inner-entry (oracle -> worlds ->
+    /// graph), so the per-key locks cannot cycle; shard locks are leaf locks
+    /// taken only inside `lookup`/`store`.
+    fn cached(
         &self,
+        level: Level,
         key: &str,
-        lookup: impl Fn() -> Option<V>,
-        on_hit: impl Fn(),
-        on_miss: impl Fn(),
-        build: impl FnOnce() -> Result<V>,
-        store: impl FnOnce(V) -> V,
-    ) -> Result<V> {
+        build: impl FnOnce() -> Result<CacheValue>,
+    ) -> Result<CacheValue> {
+        if let Some(value) = self.lookup(key) {
+            self.hits[level as usize].fetch_add(1, Ordering::Relaxed);
+            return Ok(value);
+        }
         let lock = {
-            #[expect(
-                clippy::expect_used,
-                reason = "the registry lock is held for a map op only; no code inside can panic"
-            )]
-            let mut building = self.building.lock().expect("build-lock registry");
+            let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(building.entry(key.to_string()).or_default())
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned build lock means a builder panicked, which the panic rule forbids"
-        )]
-        let guard = lock.lock().expect("build lock");
-        // Re-check under the lock: a concurrent builder may have finished
-        // while this request waited, in which case the wait *was* the build.
-        let stored = if let Some(value) = lookup() {
-            on_hit();
-            Ok(value)
-        } else {
-            on_miss();
-            build().map(store)
-        };
-        drop(guard);
+        // Declared before the guard, so it drops after it: the lock is
+        // released first, then its registry entry goes, even on unwind.
         // Waiters that already hold the Arc proceed normally; future
         // requests re-check the cache before ever reaching the registry.
-        #[expect(
-            clippy::expect_used,
-            reason = "the registry lock is held for a map op only; no code inside can panic"
-        )]
-        self.building.lock().expect("build-lock registry").remove(key);
-        stored
+        let _unregister = Unregister { cache: self, key };
+        let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        // Re-check under the lock: a concurrent builder may have finished
+        // while this request waited, in which case the wait *was* the build.
+        if let Some(value) = self.lookup(key) {
+            self.hits[level as usize].fetch_add(1, Ordering::Relaxed);
+            return Ok(value);
+        }
+        self.misses[level as usize].fetch_add(1, Ordering::Relaxed);
+        let value = build()?;
+        Ok(self.store(key, value))
     }
 
     /// The head state of `spec`, if it has ever been mutated: the current
     /// graph plus the edges the latest mutation step edited.
     fn head_state(&self, base: &str) -> Option<MutableHead> {
-        #[expect(
-            clippy::expect_used,
-            reason = "the heads lock is held for a map op only; no code inside can panic"
-        )]
-        let heads = self.heads.lock().expect("mutable-head registry");
-        heads.get(base).cloned()
+        self.heads.lock().unwrap_or_else(PoisonError::into_inner).get(base).cloned()
     }
 
     /// The current mutation generation of `spec`'s graph: 0 until the first
@@ -879,33 +852,19 @@ impl OracleCache {
     pub fn graph(&self, spec: &DatasetSpec) -> Result<Arc<Graph>> {
         let key = spec.fingerprint();
         if let Some(head) = self.head_state(&key) {
-            self.graph_hits.fetch_add(1, Ordering::Relaxed);
+            self.hits[Level::Graph as usize].fetch_add(1, Ordering::Relaxed);
             return Ok(head.graph);
         }
-        if let Some(graph) = self.lookup(&key) {
-            self.graph_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(graph.into_graph());
-        }
-        self.build_once(
-            &key,
-            || self.lookup(&key).map(CacheValue::into_graph),
-            || {
-                self.graph_hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                self.graph_misses.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                let bundle = spec.dataset.build(spec.seed).map_err(|err| {
-                    ServiceError::bad_request(format!(
-                        "dataset '{}' failed to build: {err}",
-                        spec.dataset.name()
-                    ))
-                })?;
-                Ok(Arc::new(bundle.graph))
-            },
-            |graph| self.store(&key, CacheValue::Graph(graph)).into_graph(),
-        )
+        let graph = self.cached(Level::Graph, &key, || {
+            let bundle = spec.dataset.build(spec.seed).map_err(|err| {
+                ServiceError::bad_request(format!(
+                    "dataset '{}' failed to build: {err}",
+                    spec.dataset.name()
+                ))
+            })?;
+            Ok(CacheValue::Graph(Arc::new(bundle.graph)))
+        })?;
+        Ok(graph.into_graph())
     }
 
     /// The LT weight table for `spec`'s graph, built on first use.
@@ -916,25 +875,11 @@ impl OracleCache {
     pub fn lt_weights(&self, spec: &DatasetSpec) -> Result<Arc<LtWeights>> {
         let base = spec.fingerprint();
         let key = format!("lt|{}", versioned_fingerprint(&base, self.graph_version(spec)));
-        if let Some(weights) = self.lookup(&key) {
-            self.lt_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(weights.into_lt());
-        }
-        self.build_once(
-            &key,
-            || self.lookup(&key).map(CacheValue::into_lt),
-            || {
-                self.lt_hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                self.lt_misses.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                let graph = self.graph(spec)?;
-                Ok(Arc::new(LtWeights::from_graph(&graph)))
-            },
-            |weights| self.store(&key, CacheValue::Lt(weights)).into_lt(),
-        )
+        let weights = self.cached(Level::Lt, &key, || {
+            let graph = self.graph(spec)?;
+            Ok(CacheValue::Lt(Arc::new(LtWeights::from_graph(&graph))))
+        })?;
+        Ok(weights.into_lt())
     }
 
     /// A live-edge world collection for `(dataset, model, worlds config)` at
@@ -968,49 +913,34 @@ impl OracleCache {
                 config.seed
             )
         };
-        let key = worlds_key(version);
-        if let Some(worlds) = self.lookup(&key) {
-            self.world_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(worlds.into_worlds());
-        }
-        self.build_once(
-            &key,
-            || self.lookup(&key).map(CacheValue::into_worlds),
-            || {
-                self.world_hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                self.world_misses.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                let graph = self.graph(spec)?;
-                let collection = match model {
-                    ModelKind::IndependentCascade => {
-                        // Patch the resident generation g-1 pool, if any.
-                        let patched = head.as_ref().and_then(|head| {
-                            let donor = self.lookup(&worlds_key(version - 1))?.into_worlds();
-                            donor.patch(&graph, &head.last_edited, config).ok()
-                        });
-                        match patched {
-                            Some(patched) => {
-                                self.world_patches.fetch_add(1, Ordering::Relaxed);
-                                patched
-                            }
-                            None => WorldCollection::sample(&graph, config)?,
+        let worlds = self.cached(Level::Worlds, &worlds_key(version), || {
+            let graph = self.graph(spec)?;
+            let collection = match model {
+                ModelKind::IndependentCascade => {
+                    // Patch the resident generation g-1 pool, if any.
+                    let patched = head.as_ref().and_then(|head| {
+                        let donor = self.lookup(&worlds_key(version - 1))?.into_worlds();
+                        donor.patch(&graph, &head.last_edited, config).ok()
+                    });
+                    match patched {
+                        Some(patched) => {
+                            self.world_patches.fetch_add(1, Ordering::Relaxed);
+                            patched
                         }
+                        None => WorldCollection::sample(&graph, config)?,
                     }
-                    // LT picks are keyed by *target* node while world rows
-                    // are source-major, so a row-wise patch cannot express
-                    // an LT re-pick: LT pools always sample cold.
-                    ModelKind::LinearThreshold => {
-                        let weights = self.lt_weights(spec)?;
-                        WorldCollection::sample_lt(&graph, &weights, config)?
-                    }
-                };
-                Ok(Arc::new(collection))
-            },
-            |collection| self.store(&key, CacheValue::Worlds(collection)).into_worlds(),
-        )
+                }
+                // LT picks are keyed by *target* node while world rows are
+                // source-major, so a row-wise patch cannot express an LT
+                // re-pick: LT pools always sample cold.
+                ModelKind::LinearThreshold => {
+                    let weights = self.lt_weights(spec)?;
+                    WorldCollection::sample_lt(&graph, &weights, config)?
+                }
+            };
+            Ok(CacheValue::Worlds(Arc::new(collection)))
+        })?;
+        Ok(worlds.into_worlds())
     }
 
     /// The fully built oracle for `spec`, from cache when warm.
@@ -1033,22 +963,10 @@ impl OracleCache {
                 version
             ))
         );
-        if let Some(oracle) = self.lookup(&key) {
-            self.oracle_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(oracle.into_oracle());
-        }
-        self.build_once(
-            &key,
-            || self.lookup(&key).map(CacheValue::into_oracle),
-            || {
-                self.oracle_hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                self.oracle_misses.fetch_add(1, Ordering::Relaxed);
-            },
-            || Ok(Arc::new(self.build_oracle(spec)?)),
-            |oracle| self.store(&key, CacheValue::Oracle(oracle)).into_oracle(),
-        )
+        let oracle = self.cached(Level::Oracle, &key, || {
+            Ok(CacheValue::Oracle(Arc::new(self.build_oracle(spec)?)))
+        })?;
+        Ok(oracle.into_oracle())
     }
 
     fn build_oracle(&self, spec: &OracleSpec) -> Result<Estimator> {
@@ -1145,17 +1063,10 @@ impl OracleCache {
             &versioned_fingerprint(&base, new_version),
             CacheValue::Graph(Arc::clone(&mutated)),
         );
-        {
-            #[expect(
-                clippy::expect_used,
-                reason = "the heads lock is held for a map op only; no code inside can panic"
-            )]
-            let mut heads = self.heads.lock().expect("mutable-head registry");
-            heads.insert(
-                base.clone(),
-                MutableHead { graph: Arc::clone(&mutated), last_edited: edited },
-            );
-        }
+        self.heads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(base.clone(), MutableHead { graph: Arc::clone(&mutated), last_edited: edited });
         if new_version >= 2 {
             self.purge_version(&base, new_version - 2);
         }
@@ -1174,40 +1085,19 @@ impl OracleCache {
             key == vfp || key == lt || key.starts_with(&with_sep) || key.starts_with(&oracle_prefix)
         };
         for shard in &self.shards {
-            #[expect(
-                clippy::expect_used,
-                reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
-            )]
-            shard.lock().expect("cache shard").purge_matching(matches);
+            shard.lock().unwrap_or_else(PoisonError::into_inner).purge_matching(matches);
         }
-    }
-
-    /// Graph mutations applied so far (the number of `mutate` calls).
-    pub fn mutations(&self) -> u64 {
-        self.mutations.load(Ordering::Relaxed)
-    }
-
-    /// RIS oracles rebuilt incrementally instead of cold.
-    pub fn ris_refreshes(&self) -> u64 {
-        self.ris_refreshes.load(Ordering::Relaxed)
-    }
-
-    /// World pools rebuilt by row patching instead of cold sampling.
-    pub fn world_patches(&self) -> u64 {
-        self.world_patches.load(Ordering::Relaxed)
     }
 
     /// `bytes_used` recomputed from scratch over every resident entry. The
     /// cache-accounting tests pin `recount_bytes() == stats().bytes_used`
     /// after arbitrary churn; a mismatch means a charge/credit drifted.
-    #[expect(
-        clippy::expect_used,
-        reason = "shard locks poison only if a holder panicked, which the panic rule forbids"
-    )]
     pub fn recount_bytes(&self) -> u64 {
         self.shards
             .iter()
-            .map(|shard| shard.lock().expect("cache shard").recount_bytes() as u64)
+            .map(|shard| {
+                shard.lock().unwrap_or_else(PoisonError::into_inner).recount_bytes() as u64
+            })
             .sum()
     }
 }
@@ -1312,6 +1202,55 @@ mod tests {
     fn probe_value() -> CacheValue {
         let bundle = Dataset::Illustrative.build(0).unwrap();
         CacheValue::Graph(Arc::new(bundle.graph))
+    }
+
+    #[test]
+    fn cold_racers_build_once() {
+        let cache = OracleCache::new();
+        let builds = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<Arc<Graph>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let value = cache.cached(Level::Graph, "racer", || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            // Hold the build until all 8 racers hold the
+                            // key's build lock (plus the registry's own
+                            // handle), so the other 7 wait on it instead of
+                            // arriving after the store.
+                            while Arc::strong_count(&cache.building.lock().unwrap()["racer"]) < 9 {
+                                std::thread::yield_now();
+                            }
+                            Ok(probe_value())
+                        });
+                        value.unwrap().into_graph()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|racer| racer.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "exactly one racer builds");
+        let stats = cache.stats();
+        assert_eq!((stats.graph_misses, stats.graph_hits), (1, 7));
+        assert!(results.iter().all(|graph| Arc::ptr_eq(graph, &results[0])));
+        assert!(cache.building.lock().unwrap().is_empty(), "the build lock is released");
+    }
+
+    #[test]
+    fn a_panicking_build_does_not_brick_its_key() {
+        let cache = OracleCache::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.cached(Level::Graph, "probe", || panic!("build failed"))
+        }));
+        assert!(caught.is_err(), "the build's panic propagates");
+        assert!(cache.building.lock().unwrap().is_empty(), "unwinding removes the registry entry");
+        // The next request for the same key builds afresh and returns.
+        let graph = cache.cached(Level::Graph, "probe", || Ok(probe_value())).unwrap();
+        assert_eq!(graph.into_graph().num_nodes(), probe_value().into_graph().num_nodes());
+        assert_eq!(cache.stats().graph_misses, 2);
+        assert!(cache.building.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -1460,7 +1399,7 @@ mod tests {
         assert!(err.to_string().contains("mutation rejected"), "{err}");
         let err = cache.mutate(&dataset, &[]).unwrap_err();
         assert!(err.to_string().contains("at least one op"), "{err}");
-        assert_eq!(cache.mutations(), 3, "failed mutations must not advance the head");
+        assert_eq!(cache.stats().mutations, 3, "failed mutations must not advance the head");
         assert_eq!(cache.graph_version(&dataset), 3);
         assert_no_accounting_drift(&cache);
     }
@@ -1489,15 +1428,15 @@ mod tests {
         warm.mutate(&dataset, &[op1]).unwrap();
         warm.oracle(&ris_spec).unwrap();
         warm.oracle(&worlds_spec).unwrap();
-        assert_eq!(warm.ris_refreshes(), 1, "the incremental RIS path must engage");
+        assert_eq!(warm.stats().ris_refreshes, 1, "the incremental RIS path must engage");
         // Every pool is keyed, so generation 1 already patches off the
         // version-0 pool, and generation 2 off generation 1.
-        assert_eq!(warm.world_patches(), 1, "the world patch path must engage");
+        assert_eq!(warm.stats().world_patches, 1, "the world patch path must engage");
         warm.mutate(&dataset, &[op2]).unwrap();
         let warm_ris = warm.oracle(&ris_spec).unwrap();
         let warm_worlds = warm.oracle(&worlds_spec).unwrap();
-        assert_eq!(warm.ris_refreshes(), 2);
-        assert_eq!(warm.world_patches(), 2);
+        assert_eq!(warm.stats().ris_refreshes, 2);
+        assert_eq!(warm.stats().world_patches, 2);
 
         // A cold cache replaying the same mutations must answer identically.
         let cold = OracleCache::new();
@@ -1505,8 +1444,8 @@ mod tests {
         cold.mutate(&dataset, &[op2]).unwrap();
         let cold_ris = cold.oracle(&ris_spec).unwrap();
         let cold_worlds = cold.oracle(&worlds_spec).unwrap();
-        assert_eq!(cold.ris_refreshes(), 0);
-        assert_eq!(cold.world_patches(), 0);
+        assert_eq!(cold.stats().ris_refreshes, 0);
+        assert_eq!(cold.stats().world_patches, 0);
         for (warm_oracle, cold_oracle) in [(&warm_ris, &cold_ris), (&warm_worlds, &cold_worlds)] {
             let a = warm_oracle.evaluate(&probe).unwrap();
             let b = cold_oracle.evaluate(&probe).unwrap();

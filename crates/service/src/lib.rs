@@ -12,8 +12,8 @@
 //!   [`ScenarioSpec::fingerprint`](tcim_datasets::ScenarioSpec::fingerprint).
 //!   World collections are deadline-independent, so a warm cache answers a
 //!   new `τ` for the price of a view. Entries live under a sharded byte
-//!   budget ([`CacheConfig`], costs via [`CacheCost`]) with segmented-LRU
-//!   eviction — see `docs/CACHE.md` for the operator's guide.
+//!   budget ([`CacheConfig`], costs via each type's `approx_bytes`) with
+//!   segmented-LRU eviction — see `docs/CACHE.md` for the operator's guide.
 //! * [`ServiceEngine`] fans batches of requests out across threads (via the
 //!   same [`ParallelismConfig`] knob the estimators use) over the shared
 //!   read-only cache, executing every solve through `tcim_core::solve`.
@@ -90,7 +90,7 @@ pub mod server;
 pub mod stats;
 
 pub use cache::{
-    CacheConfig, CacheCost, CacheStats, DatasetSpec, ModelKind, OracleCache, OracleSpec, ShardStats,
+    CacheConfig, CacheStats, DatasetSpec, ModelKind, OracleCache, OracleSpec, ShardStats,
 };
 pub use client::Client;
 pub use engine::ServiceEngine;

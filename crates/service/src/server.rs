@@ -39,7 +39,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -151,17 +151,9 @@ impl Semaphore {
     }
 
     fn acquire(&self) -> SemaphorePermit<'_> {
-        #[expect(
-            clippy::expect_used,
-            reason = "the permit count is touched only by this module, which cannot panic mid-update"
-        )]
-        let mut permits = self.permits.lock().expect("semaphore lock");
-        #[expect(
-            clippy::expect_used,
-            reason = "wait() fails only on poisoning; see the acquire invariant above"
-        )]
+        let mut permits = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *permits == 0 {
-            permits = self.available.wait(permits).expect("semaphore wait");
+            permits = self.available.wait(permits).unwrap_or_else(PoisonError::into_inner);
         }
         *permits -= 1;
         SemaphorePermit { semaphore: self }
@@ -173,12 +165,8 @@ struct SemaphorePermit<'a> {
 }
 
 impl Drop for SemaphorePermit<'_> {
-    #[expect(
-        clippy::expect_used,
-        reason = "the permit count is touched only by this module, which cannot panic mid-update"
-    )]
     fn drop(&mut self) {
-        *self.semaphore.permits.lock().expect("semaphore lock") += 1;
+        *self.semaphore.permits.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         self.semaphore.available.notify_one();
     }
 }
@@ -361,11 +349,7 @@ impl Server {
             // Admission: past the cap the client gets one parseable error
             // line instead of a silent hangup.
             {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the gauge lock guards a bare integer; holders cannot panic"
-                )]
-                let mut count = active.lock().expect("active-connection count");
+                let mut count = active.lock().unwrap_or_else(PoisonError::into_inner);
                 if *count >= self.config.max_connections {
                     drop(count);
                     stats.connection_rejected();
@@ -390,13 +374,9 @@ impl Server {
             let inflight = Arc::clone(&inflight);
             let window = self.config.window;
             let active = Arc::clone(&active);
-            #[expect(
-                clippy::expect_used,
-                reason = "the gauge lock guards a bare integer; holders cannot panic"
-            )]
             thread::spawn(move || {
                 handle_connection(stream, engine, shutdown, inflight, window);
-                *active.lock().expect("active-connection count") -= 1;
+                *active.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
             });
         }
 
@@ -413,11 +393,7 @@ impl Server {
         )]
         let deadline = Instant::now() + self.config.shutdown_grace;
         let drained = loop {
-            #[expect(
-                clippy::expect_used,
-                reason = "the gauge lock guards a bare integer; holders cannot panic"
-            )]
-            if *active.lock().expect("active-connection count") == 0 {
+            if *active.lock().unwrap_or_else(PoisonError::into_inner) == 0 {
                 break true;
             }
             #[expect(

@@ -114,9 +114,9 @@ fn interleaved_churn_matches_cold_rebuilds_at_every_thread_count() {
             // The comparison is only meaningful if the incremental paths
             // actually ran: every step refreshes the resident RIS pool and
             // patches the resident world pool.
-            assert_eq!(engine.cache().ris_refreshes(), steps.len() as u64);
-            assert_eq!(engine.cache().world_patches(), steps.len() as u64);
-            assert_eq!(engine.cache().mutations(), steps.len() as u64);
+            assert_eq!(engine.cache().stats().ris_refreshes, steps.len() as u64);
+            assert_eq!(engine.cache().stats().world_patches, steps.len() as u64);
+            assert_eq!(engine.cache().stats().mutations, steps.len() as u64);
         }
     }
 }
@@ -199,7 +199,7 @@ fn rejected_mutations_leave_the_served_graph_untouched() {
         .unwrap_err()
         .to_string();
     assert!(parse_err.contains("must not be empty"), "{parse_err}");
-    assert_eq!(engine.cache().mutations(), 0);
+    assert_eq!(engine.cache().stats().mutations, 0);
 }
 
 /// Shrinkable raw material for a churn sequence: `(kind, a, b, p‰)` tuples

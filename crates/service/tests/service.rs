@@ -215,11 +215,11 @@ fn golden_churn_files_stay_in_sync() {
     );
     // The mutations actually exercised the incremental paths while producing
     // those bytes (the diffcheck harness proves incremental == cold).
-    assert_eq!(engine.cache().mutations(), 2, "the batch carries two mutate requests");
-    assert!(engine.cache().ris_refreshes() >= 1, "the RIS pool must refresh incrementally");
+    assert_eq!(engine.cache().stats().mutations, 2, "the batch carries two mutate requests");
+    assert!(engine.cache().stats().ris_refreshes >= 1, "the RIS pool must refresh incrementally");
     // Ids 7 and 10 patch the resident world pool (the first off the
     // version-0 pool), and their bytes equal a cold resample's.
-    assert_eq!(engine.cache().world_patches(), 2, "each mutation must patch the world pool");
+    assert_eq!(engine.cache().stats().world_patches, 2, "each mutation must patch the world pool");
 }
 
 #[test]
