@@ -13,47 +13,39 @@ use tcim_diffusion::{
 use tcim_graph::NodeId;
 
 /// Serial vs parallel Monte-Carlo estimation on a workload big enough for
-/// threading to pay off. Results are bitwise identical across the variants
-/// (see `crates/diffusion/tests/determinism.rs`); only throughput differs.
+/// threading to pay off: each variant runs the same estimator under a
+/// `serial()` or an `auto()` pool. Results are bitwise identical across the
+/// variants (see `crates/diffusion/tests/determinism.rs`); only throughput
+/// differs.
 fn bench_parallel_estimation(c: &mut Criterion) {
     let graph = Arc::new(
         SyntheticConfig { num_nodes: 1000, ..SyntheticConfig::default() }.build().unwrap(),
     );
     let deadline = Deadline::finite(20);
     let seeds: Vec<NodeId> = (0..30u32).map(NodeId).collect();
-    let worlds = WorldsConfig { num_worlds: 400, seed: 1, ..Default::default() };
-
-    let serial = WorldEstimator::new(Arc::clone(&graph), deadline, &worlds)
-        .unwrap()
-        .with_parallelism(ParallelismConfig::serial());
-    let parallel = serial.with_parallelism(ParallelismConfig::auto());
-    let mc_serial = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 400, 2)
-        .unwrap()
-        .with_parallelism(ParallelismConfig::serial());
-    let mc_parallel = mc_serial.with_parallelism(ParallelismConfig::auto());
+    let worlds = WorldsConfig { num_worlds: 400, seed: 1 };
+    let world = WorldEstimator::new(Arc::clone(&graph), deadline, &worlds).unwrap();
+    let mc = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 400, 2).unwrap();
 
     let mut group = c.benchmark_group("parallel_estimation");
     group.sample_size(10);
-    group.bench_function("world_eval_400_serial", |b| {
-        b.iter(|| black_box(serial.evaluate(&seeds).unwrap()))
-    });
-    group.bench_function("world_eval_400_auto", |b| {
-        b.iter(|| black_box(parallel.evaluate(&seeds).unwrap()))
-    });
-    group.bench_function("monte_carlo_400_serial", |b| {
-        b.iter(|| black_box(mc_serial.evaluate(&seeds).unwrap()))
-    });
-    group.bench_function("monte_carlo_400_auto", |b| {
-        b.iter(|| black_box(mc_parallel.evaluate(&seeds).unwrap()))
-    });
-    group.bench_function("world_sample_400_serial", |b| {
-        let config = WorldsConfig { parallelism: ParallelismConfig::serial(), ..worlds };
-        b.iter(|| black_box(tcim_diffusion::WorldCollection::sample(&graph, &config).unwrap()))
-    });
-    group.bench_function("world_sample_400_auto", |b| {
-        let config = WorldsConfig { parallelism: ParallelismConfig::auto(), ..worlds };
-        b.iter(|| black_box(tcim_diffusion::WorldCollection::sample(&graph, &config).unwrap()))
-    });
+    for (label, pool) in
+        [("serial", ParallelismConfig::serial()), ("auto", ParallelismConfig::auto())]
+    {
+        group.bench_function(format!("world_eval_400_{label}"), |b| {
+            pool.run(|| b.iter(|| black_box(world.evaluate(&seeds).unwrap())))
+        });
+        group.bench_function(format!("monte_carlo_400_{label}"), |b| {
+            pool.run(|| b.iter(|| black_box(mc.evaluate(&seeds).unwrap())))
+        });
+        group.bench_function(format!("world_sample_400_{label}"), |b| {
+            pool.run(|| {
+                b.iter(|| {
+                    black_box(tcim_diffusion::WorldCollection::sample(&graph, &worlds).unwrap())
+                })
+            })
+        });
+    }
     group.finish();
 }
 
@@ -65,7 +57,7 @@ fn bench_estimators(c: &mut Criterion) {
     let world = WorldEstimator::new(
         Arc::clone(&graph),
         deadline,
-        &WorldsConfig { num_worlds: 100, seed: 1, ..Default::default() },
+        &WorldsConfig { num_worlds: 100, seed: 1 },
     )
     .unwrap();
     let mc = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 100, 2).unwrap();
@@ -91,7 +83,7 @@ fn bench_estimators(c: &mut Criterion) {
                 WorldEstimator::new(
                     Arc::clone(&graph),
                     deadline,
-                    &WorldsConfig { num_worlds: 100, seed: 7, ..Default::default() },
+                    &WorldsConfig { num_worlds: 100, seed: 7 },
                 )
                 .unwrap(),
             )

@@ -24,7 +24,7 @@ fn bench_fairness_overhead(c: &mut Criterion) {
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(10),
-        &WorldsConfig { num_worlds: 50, seed: 1, ..Default::default() },
+        &WorldsConfig { num_worlds: 50, seed: 1 },
     )
     .unwrap();
 

@@ -20,7 +20,7 @@ fn bench_greedy_variants(c: &mut Criterion) {
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(10),
-        &WorldsConfig { num_worlds: 50, seed: 1, ..Default::default() },
+        &WorldsConfig { num_worlds: 50, seed: 1 },
     )
     .unwrap();
 

@@ -110,11 +110,7 @@ fn main() {
     let mc_spec = ProblemSpec::budget(budget)
         .expect("positive budget")
         .with_deadline(deadline)
-        .with_estimator(EstimatorConfig::Worlds(WorldsConfig {
-            num_worlds: 200,
-            seed: 1,
-            ..Default::default()
-        }));
+        .with_estimator(EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 1 }));
     let (mc_solve_ms, mc_report) = timed(|| {
         let oracle = mc_spec
             .estimator
@@ -150,10 +146,9 @@ fn main() {
 
     // --- Estimator throughput: evaluations per second ---------------------
     let eval_seeds: Vec<NodeId> = mc_report.seeds.clone();
-    let world_oracle =
-        EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 1, ..Default::default() })
-            .build(Arc::clone(&graph), deadline)
-            .expect("world oracle");
+    let world_oracle = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 1 })
+        .build(Arc::clone(&graph), deadline)
+        .expect("world oracle");
     let (mc_eval_ms, _) = timed(|| {
         for _ in 0..50 {
             world_oracle.evaluate(&eval_seeds).expect("world evaluate");

@@ -98,7 +98,6 @@ fn main() {
                 EstimatorConfig::Worlds(WorldsConfig {
                     num_worlds: instance.num_worlds,
                     seed: args.seed,
-                    ..Default::default()
                 }),
             ),
             (

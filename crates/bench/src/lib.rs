@@ -262,12 +262,8 @@ pub fn build_oracle(
     samples: usize,
     seed: u64,
 ) -> WorldEstimator {
-    WorldEstimator::new(
-        graph,
-        deadline,
-        &WorldsConfig { num_worlds: samples, seed, ..Default::default() },
-    )
-    .expect("world estimator construction cannot fail for positive sample counts")
+    WorldEstimator::new(graph, deadline, &WorldsConfig { num_worlds: samples, seed })
+        .expect("world estimator construction cannot fail for positive sample counts")
 }
 
 /// Solves P1 and P4 (with the given wrappers) under one budget and returns

@@ -198,7 +198,7 @@ mod tests {
         let est = WorldEstimator::new(
             Arc::clone(&g),
             Deadline::finite(5),
-            &WorldsConfig { num_worlds: 32, seed: 0, ..Default::default() },
+            &WorldsConfig { num_worlds: 32, seed: 0 },
         )
         .unwrap();
         let seeds = top_degree_seeds(&g, 5);

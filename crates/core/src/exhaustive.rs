@@ -188,7 +188,7 @@ mod tests {
         WorldEstimator::new(
             Arc::new(b.build().unwrap()),
             Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 2, seed: 0, ..Default::default() },
+            &WorldsConfig { num_worlds: 2, seed: 0 },
         )
         .unwrap()
     }

@@ -45,7 +45,7 @@
 //! let oracle = WorldEstimator::new(
 //!     Arc::clone(&graph),
 //!     Deadline::finite(3),
-//!     &WorldsConfig { num_worlds: 64, seed: 0, ..Default::default() },
+//!     &WorldsConfig { num_worlds: 64, seed: 0 },
 //! )
 //! .unwrap();
 //!
@@ -93,9 +93,6 @@ pub mod theory;
 
 pub use concave::ConcaveWrapper;
 pub use error::{CoreError, Result};
-// The estimation-parallelism knob rides with the influence oracle
-// (`WorldsConfig.parallelism`); re-exported here so solver users can set it
-// without importing tcim-diffusion directly.
 pub use exhaustive::{solve_budget_exhaustive, ExhaustiveObjective, MAX_EXHAUSTIVE_SETS};
 pub use fairness::{audit_seed_set, disparity, FairnessReport};
 pub use objective::{InfluenceObjective, Scalarization};
@@ -103,6 +100,9 @@ pub use oracle::{Estimator, EstimatorConfig};
 pub use report::{ConstrainedOutcome, CoverOutcome, IterationRecord, SolverReport};
 pub use solve::solve;
 pub use spec::{FairnessMode, GreedyAlgorithm, Objective, ProblemSpec};
+// Estimation runs under the caller's thread count; re-exported here so
+// solver users can set it (`ParallelismConfig::run`) without importing
+// tcim-diffusion directly.
 pub use tcim_diffusion::ParallelismConfig;
 // The estimator knobs ride with the oracle configs; re-exported here so
 // solver users can select and tune an estimator (including the RIS engine)

@@ -170,12 +170,8 @@ mod tests {
         b.add_edge(hub, bridge, 1.0).unwrap();
         b.add_edge(bridge, far, 1.0).unwrap();
         let g = Arc::new(b.build().unwrap());
-        WorldEstimator::new(
-            g,
-            Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 4, seed: 0, ..Default::default() },
-        )
-        .unwrap()
+        WorldEstimator::new(g, Deadline::unbounded(), &WorldsConfig { num_worlds: 4, seed: 0 })
+            .unwrap()
     }
 
     #[test]

@@ -50,10 +50,9 @@ impl Default for EstimatorConfig {
 
 impl EstimatorConfig {
     /// Canonical, collision-free encoding of the config: `worlds:n=…,s=…`,
-    /// `mc:n=…,s=…` or `ris:n=…,s=…[,adaptive(…)]`. The parallelism knob is
-    /// deliberately excluded — thread counts never change results, so two
-    /// configs differing only in parallelism must encode (and cache)
-    /// identically. Float knobs render via their exact bits so distinct
+    /// `mc:n=…,s=…` or `ris:n=…,s=…[,adaptive(…)]`. Configs carry no thread
+    /// count: estimation runs under the caller's, which never changes a
+    /// result. Float knobs render via their exact bits so distinct
     /// configs can never collide. [`crate::ProblemSpec::canonical`] and the
     /// service-layer oracle cache key derive from this.
     pub fn fingerprint(&self) -> String {
@@ -134,10 +133,7 @@ impl EstimatorConfig {
                 ),
             });
         }
-        Ok(Estimator::Worlds(
-            WorldEstimator::from_worlds(graph, worlds, deadline)?
-                .with_parallelism(config.parallelism),
-        ))
+        Ok(Estimator::Worlds(WorldEstimator::from_worlds(graph, worlds, deadline)?))
     }
 }
 
@@ -254,13 +250,12 @@ mod tests {
     fn labels_name_the_backend() {
         let graph = sbm();
         let deadline = Deadline::finite(2);
-        let worlds = EstimatorConfig::Worlds(WorldsConfig {
-            num_worlds: 4,
-            seed: 0,
-            parallelism: ParallelismConfig::serial(),
-        })
-        .build(Arc::clone(&graph), deadline)
-        .unwrap();
+        let worlds = ParallelismConfig::serial()
+            .run(|| {
+                EstimatorConfig::Worlds(WorldsConfig { num_worlds: 4, seed: 0 })
+                    .build(Arc::clone(&graph), deadline)
+            })
+            .unwrap();
         assert_eq!(worlds.label(), "worlds");
         let mc = EstimatorConfig::MonteCarlo { samples: 4, seed: 0 }
             .build(Arc::clone(&graph), deadline)
@@ -275,8 +270,7 @@ mod tests {
     #[test]
     fn build_with_worlds_reuses_the_collection_bitwise() {
         let graph = sbm();
-        let config =
-            EstimatorConfig::Worlds(WorldsConfig { num_worlds: 24, seed: 9, ..Default::default() });
+        let config = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 24, seed: 9 });
         let cold = config.build(Arc::clone(&graph), Deadline::finite(3)).unwrap();
         let Estimator::Worlds(world_est) = &cold else { panic!("worlds config") };
         let shared = world_est.worlds_arc();
@@ -296,8 +290,7 @@ mod tests {
         }
 
         // Mismatches are rejected instead of silently estimating wrong.
-        let wrong_count =
-            EstimatorConfig::Worlds(WorldsConfig { num_worlds: 25, seed: 9, ..Default::default() });
+        let wrong_count = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 25, seed: 9 });
         assert!(wrong_count
             .build_with_worlds(Arc::clone(&graph), Arc::clone(&shared), Deadline::finite(3))
             .is_err());

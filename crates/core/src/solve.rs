@@ -458,7 +458,7 @@ mod tests {
         WorldEstimator::new(
             Arc::new(graph),
             deadline,
-            &WorldsConfig { num_worlds: worlds, seed: 7, ..Default::default() },
+            &WorldsConfig { num_worlds: worlds, seed: 7 },
         )
         .unwrap()
     }

@@ -591,11 +591,7 @@ mod tests {
             .with_fairness_wrapper(ConcaveWrapper::Log)
             .unwrap()
             .with_deadline(5u32)
-            .with_estimator(EstimatorConfig::Worlds(WorldsConfig {
-                num_worlds: 200,
-                seed: 7,
-                ..Default::default()
-            }));
+            .with_estimator(EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 7 }));
         assert_eq!(
             base.canonical(),
             "tcim:budget:25|concave:log|lazy|cand=all|tau=5|worlds:n=200,s=7"

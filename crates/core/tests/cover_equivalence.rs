@@ -84,7 +84,7 @@ fn cover_specs() -> Vec<ProblemSpec> {
 fn lazy_cover_reports_equal_the_plain_scan() {
     let deadline = Deadline::finite(4);
     let estimators = [
-        EstimatorConfig::Worlds(WorldsConfig { num_worlds: 48, seed: 11, ..Default::default() }),
+        EstimatorConfig::Worlds(WorldsConfig { num_worlds: 48, seed: 11 }),
         EstimatorConfig::Ris(RisConfig { num_sets: 3000, seed: 13, ..Default::default() }),
     ];
     let (mut lazy_evaluations, mut plain_evaluations) = (0, 0);

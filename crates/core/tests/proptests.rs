@@ -24,7 +24,7 @@ fn sbm_oracle() -> impl Strategy<Value = (Arc<tcim_graph::Graph>, WorldEstimator
             let oracle = WorldEstimator::new(
                 Arc::clone(&graph),
                 Deadline::finite(tau),
-                &WorldsConfig { num_worlds: 32, seed: seed ^ 0xabcd, ..Default::default() },
+                &WorldsConfig { num_worlds: 32, seed: seed ^ 0xabcd },
             )
             .unwrap();
             (graph, oracle)

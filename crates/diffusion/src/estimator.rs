@@ -10,7 +10,6 @@ use tcim_graph::{Graph, GroupId, NodeId};
 
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
-use crate::parallel::ParallelismConfig;
 use crate::worlds::{bounded_bfs, live_ic_row, VisitScratch, WorldCollection, WorldsConfig};
 
 /// Expected number of influenced nodes per group before the deadline — the
@@ -150,11 +149,10 @@ pub struct WorldEstimator {
     deadline: Deadline,
     group_of: Vec<u32>,
     group_sizes: Vec<usize>,
-    parallelism: ParallelismConfig,
     /// The empty-set gains `gain(v | ∅)`, shared by every cursor of this
-    /// estimator and its [`WorldEstimator::with_parallelism`] copies (never
-    /// across deadlines: the counts depend on τ). Allocated by the first
-    /// empty-set gain, so an estimate-only oracle never pays for it.
+    /// estimator and its clones (never across deadlines: the counts depend
+    /// on τ). Allocated by the first empty-set gain, so an estimate-only
+    /// oracle never pays for it.
     singletons: Arc<OnceLock<SingletonGains>>,
 }
 
@@ -216,7 +214,7 @@ impl WorldEstimator {
     /// Returns an error when `config.num_worlds` is zero.
     pub fn new(graph: Arc<Graph>, deadline: Deadline, config: &WorldsConfig) -> Result<Self> {
         let worlds = Arc::new(WorldCollection::sample(&graph, config)?);
-        Ok(Self::from_worlds(graph, worlds, deadline)?.with_parallelism(config.parallelism))
+        Self::from_worlds(graph, worlds, deadline)
     }
 
     /// Samples `config.num_worlds` **linear-threshold** live-edge worlds from
@@ -229,7 +227,7 @@ impl WorldEstimator {
     pub fn new_lt(graph: Arc<Graph>, deadline: Deadline, config: &WorldsConfig) -> Result<Self> {
         let weights = crate::lt::LtWeights::from_graph(&graph);
         let worlds = Arc::new(WorldCollection::sample_lt(&graph, &weights, config)?);
-        Ok(Self::from_worlds(graph, worlds, deadline)?.with_parallelism(config.parallelism))
+        Self::from_worlds(graph, worlds, deadline)
     }
 
     /// Builds an estimator over an existing world collection (so several
@@ -261,7 +259,6 @@ impl WorldEstimator {
             deadline,
             group_of,
             group_sizes,
-            parallelism: ParallelismConfig::auto(),
             singletons: Arc::default(),
         })
     }
@@ -271,18 +268,6 @@ impl WorldEstimator {
     /// table, whose counts depend on the deadline).
     pub fn with_deadline(&self, deadline: Deadline) -> Self {
         WorldEstimator { deadline, singletons: Arc::default(), ..self.clone() }
-    }
-
-    /// Returns a copy of this estimator with a different parallelism setting.
-    /// Estimates are bitwise identical at every thread count; this only
-    /// changes throughput.
-    pub fn with_parallelism(&self, parallelism: ParallelismConfig) -> Self {
-        WorldEstimator { parallelism, ..self.clone() }
-    }
-
-    /// The parallelism setting evaluation runs with.
-    pub fn parallelism(&self) -> ParallelismConfig {
-        self.parallelism
     }
 
     /// Number of sampled worlds.
@@ -326,7 +311,7 @@ impl WorldEstimator {
         let worlds = self.worlds.worlds();
         let n = self.graph.num_nodes();
         let k = self.group_sizes.len();
-        let counts = world_counts(self.parallelism, worlds.len(), k, |i, scratch, counts| {
+        let counts = world_counts(worlds.len(), k, |i, scratch, counts| {
             let world = &worlds[i];
             let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
             bounded_bfs(n, seeds, self.deadline, scratch, row, |node, _| {
@@ -341,37 +326,34 @@ impl WorldEstimator {
 /// The one per-world count behind every forward estimate:
 /// `count_world(i, scratch, counts)` adds world `i`'s per-group hits to
 /// `counts`, and the totals over worlds `0..num_worlds` come back. The worlds
-/// fan out under `parallelism`, one scratch per worker. Counts stay `u64`
-/// until [`mean_over_worlds`] scales them once: integer addition is
-/// associative, so chunk boundaries (and hence the thread count) cannot
+/// fan out under the ambient thread count, one scratch per worker. Counts
+/// stay `u64` until [`mean_over_worlds`] scales them once: integer addition
+/// is associative, so chunk boundaries (and hence the thread count) cannot
 /// change the result.
 fn world_counts(
-    parallelism: ParallelismConfig,
     num_worlds: usize,
     num_groups: usize,
     count_world: impl Fn(usize, &mut VisitScratch, &mut [u64]) + Sync,
 ) -> Vec<u64> {
-    parallelism.run(|| {
-        (0..num_worlds)
-            .into_par_iter()
-            .fold(
-                || (vec![0u64; num_groups], VisitScratch::new(0)),
-                |(mut counts, mut scratch), i| {
-                    count_world(i, &mut scratch, &mut counts);
-                    (counts, scratch)
-                },
-            )
-            .reduce(
-                || (vec![0u64; num_groups], VisitScratch::new(0)),
-                |(mut acc, scratch), (partial, _)| {
-                    for (a, p) in acc.iter_mut().zip(&partial) {
-                        *a += p;
-                    }
-                    (acc, scratch)
-                },
-            )
-            .0
-    })
+    (0..num_worlds)
+        .into_par_iter()
+        .fold(
+            || (vec![0u64; num_groups], VisitScratch::new(0)),
+            |(mut counts, mut scratch), i| {
+                count_world(i, &mut scratch, &mut counts);
+                (counts, scratch)
+            },
+        )
+        .reduce(
+            || (vec![0u64; num_groups], VisitScratch::new(0)),
+            |(mut acc, scratch), (partial, _)| {
+                for (a, p) in acc.iter_mut().zip(&partial) {
+                    *a += p;
+                }
+                (acc, scratch)
+            },
+        )
+        .0
 }
 
 /// The per-world mean of summed per-group `counts`.
@@ -430,9 +412,10 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 ///
 /// One gain query runs serially on the cursor's own scratch: a pruned gain
 /// typically costs less than the tens of microseconds a fan-out spends
-/// starting threads. Parallelism goes across candidates instead: [`InfluenceCursor::gains`] splits a batch
-/// over threads with a single fan-out once the candidates it has to compute,
-/// times the worlds, reach 50 000.
+/// starting threads. Threads go across candidates instead:
+/// [`InfluenceCursor::gains`] splits a batch with a single fan-out once the
+/// candidates it has to compute, times the worlds, reach 50 000, under the
+/// calling thread's count (see [`crate::ParallelismConfig`]).
 pub struct WorldCursor<'a> {
     estimator: &'a WorldEstimator,
     /// World-major, `num_worlds × num_nodes`: entry `i * n + v` is `v`'s hop
@@ -542,7 +525,7 @@ impl InfluenceCursor for WorldCursor<'_> {
     /// The candidates left to compute run serially on the cursor's scratch,
     /// unless they times the worlds reach 50 000 (a lower bound on the BFS
     /// node visits, since every BFS visits its source in every world): then
-    /// one fan-out under the estimator's parallelism splits them into
+    /// one fan-out under the ambient thread count splits them into
     /// contiguous chunks, one scratch per worker, and the results come back
     /// in candidate order.
     fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
@@ -564,24 +547,22 @@ impl InfluenceCursor for WorldCursor<'_> {
                     .collect()
             } else {
                 let distance = &self.distance;
-                estimator.parallelism.run(|| {
-                    todo.par_iter()
-                        .fold(
-                            || (Vec::new(), VisitScratch::new(0)),
-                            |(mut chunk, mut scratch), &v| {
-                                chunk.push(gain_counts(estimator, distance, v, &mut scratch));
-                                (chunk, scratch)
-                            },
-                        )
-                        .reduce(
-                            || (Vec::new(), VisitScratch::new(0)),
-                            |(mut acc, scratch), (chunk, _)| {
-                                acc.extend(chunk);
-                                (acc, scratch)
-                            },
-                        )
-                        .0
-                })
+                todo.par_iter()
+                    .fold(
+                        || (Vec::new(), VisitScratch::new(0)),
+                        |(mut chunk, mut scratch), &v| {
+                            chunk.push(gain_counts(estimator, distance, v, &mut scratch));
+                            (chunk, scratch)
+                        },
+                    )
+                    .reduce(
+                        || (Vec::new(), VisitScratch::new(0)),
+                        |(mut acc, scratch), (chunk, _)| {
+                            acc.extend(chunk);
+                            (acc, scratch)
+                        },
+                    )
+                    .0
             };
         let mut computed = todo.iter().zip(counts).map(|(&v, counts)| {
             if let Some(table) = table {
@@ -641,7 +622,6 @@ pub struct MonteCarloEstimator {
     deadline: Deadline,
     samples: usize,
     seed: u64,
-    parallelism: ParallelismConfig,
 }
 
 impl MonteCarloEstimator {
@@ -661,30 +641,12 @@ impl MonteCarloEstimator {
         if samples == 0 {
             return Err(crate::error::DiffusionError::NoSamples);
         }
-        Ok(MonteCarloEstimator {
-            graph,
-            deadline,
-            samples,
-            seed,
-            parallelism: ParallelismConfig::auto(),
-        })
+        Ok(MonteCarloEstimator { graph, deadline, samples, seed })
     }
 
     /// Number of worlds per query.
     pub fn samples(&self) -> usize {
         self.samples
-    }
-
-    /// Returns a copy of this estimator with a different parallelism setting.
-    /// World `i` is always keyed by `seed + i` and counts accumulate as
-    /// integers, so estimates are bitwise identical at every thread count.
-    pub fn with_parallelism(&self, parallelism: ParallelismConfig) -> Self {
-        MonteCarloEstimator { parallelism, ..self.clone() }
-    }
-
-    /// The parallelism setting evaluation runs with.
-    pub fn parallelism(&self) -> ParallelismConfig {
-        self.parallelism
     }
 }
 
@@ -701,7 +663,7 @@ impl InfluenceOracle for MonteCarloEstimator {
         crate::ic::validate_seeds(&self.graph, seeds)?;
         let graph = &*self.graph;
         let k = graph.num_groups();
-        let counts = world_counts(self.parallelism, self.samples, k, |i, scratch, counts| {
+        let counts = world_counts(self.samples, k, |i, scratch, counts| {
             let world_seed = self.seed.wrapping_add(i as u64);
             let row = |v| live_ic_row(graph, v, world_seed);
             bounded_bfs(graph.num_nodes(), seeds, self.deadline, scratch, row, |node, _| {
@@ -799,7 +761,7 @@ mod tests {
         let est = WorldEstimator::new(
             Arc::clone(&g),
             Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 8, seed: 0, ..Default::default() },
+            &WorldsConfig { num_worlds: 8, seed: 0 },
         )
         .unwrap();
         let inf = est.evaluate(&[NodeId(0)]).unwrap();
@@ -817,12 +779,9 @@ mod tests {
     fn monte_carlo_matches_world_estimator_on_deterministic_graphs() {
         let g = deterministic_graph();
         let deadline = Deadline::finite(1);
-        let world = WorldEstimator::new(
-            Arc::clone(&g),
-            deadline,
-            &WorldsConfig { num_worlds: 4, seed: 1, ..Default::default() },
-        )
-        .unwrap();
+        let world =
+            WorldEstimator::new(Arc::clone(&g), deadline, &WorldsConfig { num_worlds: 4, seed: 1 })
+                .unwrap();
         // World seeds 2^32.. are disjoint from the pool's 1..5.
         let mc = MonteCarloEstimator::new(Arc::clone(&g), deadline, 16, 1 << 32).unwrap();
         let a = world.evaluate(&[NodeId(0)]).unwrap();
@@ -837,7 +796,7 @@ mod tests {
         let est = WorldEstimator::new(
             Arc::clone(&g),
             Deadline::finite(1),
-            &WorldsConfig { num_worlds: 8, seed: 2, ..Default::default() },
+            &WorldsConfig { num_worlds: 8, seed: 2 },
         )
         .unwrap();
         let mut cursor = est.cursor();
@@ -862,7 +821,7 @@ mod tests {
         let est = WorldEstimator::new(
             Arc::clone(&g),
             Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 4, seed: 5, ..Default::default() },
+            &WorldsConfig { num_worlds: 4, seed: 5 },
         )
         .unwrap();
         assert_eq!(est.evaluate(&[]).unwrap().total(), 0.0);
@@ -876,7 +835,7 @@ mod tests {
         let est = WorldEstimator::new(
             Arc::clone(&g),
             Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 2, seed: 0, ..Default::default() },
+            &WorldsConfig { num_worlds: 2, seed: 0 },
         )
         .unwrap();
         assert!(est.evaluate(&[NodeId(99)]).is_err());
@@ -890,11 +849,7 @@ mod tests {
         b.add_nodes(5, GroupId(0));
         let five = b.build().unwrap();
         let pool = Arc::new(
-            WorldCollection::sample(
-                &five,
-                &WorldsConfig { num_worlds: 3, seed: 0, ..Default::default() },
-            )
-            .unwrap(),
+            WorldCollection::sample(&five, &WorldsConfig { num_worlds: 3, seed: 0 }).unwrap(),
         );
         let mut b = GraphBuilder::new();
         b.add_nodes(4, GroupId(0));
@@ -945,7 +900,7 @@ mod tests {
         let est = WorldEstimator::new_lt(
             Arc::clone(&g),
             Deadline::finite(1),
-            &WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() },
+            &WorldsConfig { num_worlds: 8, seed: 3 },
         )
         .unwrap();
         let inf = est.evaluate(&[NodeId(0)]).unwrap();
@@ -973,7 +928,7 @@ mod tests {
         let est = WorldEstimator::new_lt(
             Arc::clone(&g),
             Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 500, seed: 9, ..Default::default() },
+            &WorldsConfig { num_worlds: 500, seed: 9 },
         )
         .unwrap();
         let estimate = est.evaluate(&[NodeId(0)]).unwrap().total();
@@ -1002,7 +957,7 @@ mod tests {
         let est = WorldEstimator::new(
             Arc::clone(&g),
             Deadline::unbounded(),
-            &WorldsConfig { num_worlds: 4000, seed: 11, ..Default::default() },
+            &WorldsConfig { num_worlds: 4000, seed: 11 },
         )
         .unwrap();
         let inf = est.evaluate(&[a]).unwrap();

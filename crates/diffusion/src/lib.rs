@@ -37,7 +37,7 @@
 //! let estimator = WorldEstimator::new(
 //!     Arc::clone(&graph),
 //!     Deadline::finite(5),
-//!     &WorldsConfig { num_worlds: 50, seed: 0, ..Default::default() },
+//!     &WorldsConfig { num_worlds: 50, seed: 0 },
 //! )
 //! .unwrap();
 //! let influence = estimator.evaluate(&[NodeId(0), NodeId(1)]).unwrap();

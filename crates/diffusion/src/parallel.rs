@@ -1,19 +1,25 @@
-//! Parallelism control for Monte-Carlo estimation.
+//! Thread-count control for Monte-Carlo estimation.
 //!
-//! Every parallel code path in this crate is **deterministic**: world `i`
-//! draws its keyed coins from the world seed `base_seed + i` and per-world
-//! activation counts are accumulated as integers (`u64`) before the single
-//! final conversion to `f64`, so serial and parallel runs — at *any* thread
-//! count — produce bitwise-identical [`crate::GroupInfluence`] vectors.
-//! Parallelism is therefore purely a throughput knob, safe to flip anywhere.
+//! Every fan-out in this crate (world sampling and patching, worlds and
+//! Monte-Carlo evaluation, a batch of world-cursor gains, RR-sketch sampling
+//! and refresh) runs under the **ambient** thread count: the pool the caller
+//! installed with [`ParallelismConfig::run`], else `RAYON_NUM_THREADS`, else
+//! the core count. No estimator or config carries a count of its own.
+//!
+//! Every parallel code path is **deterministic**: world `i` draws its keyed
+//! coins from the world seed `base_seed + i`, sketch `i` from `seed + i`, and
+//! per-world activation counts are accumulated as integers (`u64`) before the
+//! single final conversion to `f64`, so serial and parallel runs — at *any*
+//! thread count — produce bitwise-identical [`crate::GroupInfluence`]
+//! vectors. An oracle built under one count answers the same under another.
 
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
-/// How many worker threads Monte-Carlo sampling and evaluation may use.
+/// How many worker threads the work run under [`ParallelismConfig::run`] may
+/// use.
 ///
 /// The default is [`ParallelismConfig::auto`], which follows the machine
-/// (`RAYON_NUM_THREADS` or the number of available cores). Solvers thread
-/// this knob through [`crate::WorldsConfig`].
+/// (`RAYON_NUM_THREADS` or the number of available cores).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelismConfig {
     /// Requested worker threads; `0` means "decide from the environment".
@@ -53,10 +59,9 @@ impl ParallelismConfig {
 
     /// Runs `op` under a thread pool sized by this configuration.
     ///
-    /// Public so higher layers (the campaign-serving batch engine, custom
-    /// experiment harnesses) can fan work out under the same knob the
-    /// estimators use. Rayon parallel iterators inside `op` pick up the pool
-    /// automatically.
+    /// This is how a caller sets the thread count of estimation: every
+    /// estimator fan-out started inside `op` on this thread (building an
+    /// oracle, evaluating, a batch of gains, a refresh) picks up the pool.
     pub fn run<R>(&self, op: impl FnOnce() -> R) -> R {
         #[expect(
             clippy::expect_used,
@@ -76,14 +81,6 @@ impl Default for ParallelismConfig {
     }
 }
 
-impl From<usize> for ParallelismConfig {
-    /// `0` maps to [`ParallelismConfig::auto`], anything else to
-    /// [`ParallelismConfig::fixed`].
-    fn from(num_threads: usize) -> Self {
-        ParallelismConfig::fixed(num_threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,14 +95,12 @@ mod tests {
     fn fixed_resolves_to_the_requested_count() {
         assert_eq!(ParallelismConfig::fixed(7).resolved_threads(), 7);
         assert!(!ParallelismConfig::fixed(7).is_serial());
-        assert_eq!(ParallelismConfig::from(3), ParallelismConfig::fixed(3));
     }
 
     #[test]
     fn auto_resolves_to_at_least_one_thread() {
         assert!(ParallelismConfig::auto().resolved_threads() >= 1);
         assert_eq!(ParallelismConfig::default(), ParallelismConfig::auto());
-        assert_eq!(ParallelismConfig::from(0), ParallelismConfig::auto());
     }
 
     #[test]

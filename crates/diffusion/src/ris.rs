@@ -47,7 +47,7 @@ use crate::csr::copy_span;
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
 use crate::estimator::{GroupInfluence, InfluenceCursor, InfluenceOracle};
-use crate::parallel::ParallelismConfig;
+use crate::worlds::VisitScratch;
 
 /// One reverse-reachable set, as a view into its [`RrSketches`] pool: the
 /// nodes that reach the target within the deadline in one sampled world,
@@ -159,9 +159,6 @@ pub struct RisConfig {
     /// RNG seed; sketch `i` is generated from `seed + i` so collections are
     /// thread-count independent and can be extended deterministically.
     pub seed: u64,
-    /// Worker threads for sketch generation. Purely a throughput knob:
-    /// sketches are bitwise identical at every thread count.
-    pub parallelism: ParallelismConfig,
     /// Optional IMM-style adaptive sample sizing; `None` keeps the fixed
     /// `num_sets` count.
     pub adaptive: Option<AdaptiveRis>,
@@ -169,12 +166,7 @@ pub struct RisConfig {
 
 impl Default for RisConfig {
     fn default() -> Self {
-        RisConfig {
-            num_sets: 10_000,
-            seed: 0,
-            parallelism: ParallelismConfig::auto(),
-            adaptive: None,
-        }
+        RisConfig { num_sets: 10_000, seed: 0, adaptive: None }
     }
 }
 
@@ -278,48 +270,13 @@ impl InEdges {
     }
 }
 
-/// Reusable per-thread buffers for sketch generation: an epoch-marked visited
-/// array plus the BFS frontier queues.
-struct SketchScratch {
-    epoch: u32,
-    marks: Vec<u32>,
-    frontier: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl SketchScratch {
-    fn new(n: usize) -> Self {
-        SketchScratch { epoch: 0, marks: vec![0; n], frontier: Vec::new(), next: Vec::new() }
-    }
-
-    fn begin(&mut self) {
-        if self.epoch == u32::MAX {
-            self.marks.iter_mut().for_each(|m| *m = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.frontier.clear();
-        self.next.clear();
-    }
-
-    #[inline]
-    fn mark(&mut self, index: usize) -> bool {
-        if self.marks[index] == self.epoch {
-            false
-        } else {
-            self.marks[index] = self.epoch;
-            true
-        }
-    }
-}
-
 /// Sketches are generated in chunks so a worker can amortize one scratch
 /// buffer (an `O(|V|)` zeroed marks array) over many sketches. The chunk
 /// size grows with the graph so the per-sketch share of scratch
 /// initialization stays bounded on large sparse graphs, and shrinks with the
 /// request so small batches still fan out; it depends only on `(n, count)` —
 /// never on the thread count — and sketch `i` derives from `seed + i`
-/// regardless of chunking, so the output is identical at any parallelism.
+/// regardless of chunking, so the output is identical at any thread count.
 fn sketch_chunk_size(n: usize, count: usize) -> usize {
     (n / 64).clamp(64, count.div_ceil(16).max(64))
 }
@@ -347,7 +304,8 @@ impl SketchBatch {
 
 /// Samples `count` sketches of the collection seeded by `base_seed`, the
 /// `k`-th with global id `id(k)`, and returns them as one flat batch per
-/// chunk, in order. Sketch `id` depends only on `base_seed + id`.
+/// chunk, in order. The chunks fan out under the ambient thread count; sketch
+/// `id` depends only on `base_seed + id`.
 fn sample_sketches(
     graph: &Graph,
     in_edges: &InEdges,
@@ -355,36 +313,26 @@ fn sample_sketches(
     base_seed: u64,
     count: usize,
     id: impl Fn(usize) -> usize + Sync,
-    parallelism: ParallelismConfig,
 ) -> Vec<SketchBatch> {
     if count == 0 {
         return Vec::new();
     }
     let chunk_size = sketch_chunk_size(graph.num_nodes(), count);
     let num_chunks = count.div_ceil(chunk_size);
-    parallelism.run(|| {
-        (0..num_chunks)
-            .into_par_iter()
-            .map(|chunk| {
-                let lo = chunk * chunk_size;
-                let hi = (lo + chunk_size).min(count);
-                let mut scratch = SketchScratch::new(graph.num_nodes());
-                let mut batch = SketchBatch::default();
-                for k in lo..hi {
-                    let sketch_seed = base_seed.wrapping_add(id(k) as u64);
-                    sample_one_sketch(
-                        graph,
-                        in_edges,
-                        deadline,
-                        sketch_seed,
-                        &mut scratch,
-                        &mut batch,
-                    );
-                }
-                batch
-            })
-            .collect()
-    })
+    (0..num_chunks)
+        .into_par_iter()
+        .map(|chunk| {
+            let lo = chunk * chunk_size;
+            let hi = (lo + chunk_size).min(count);
+            let mut scratch = VisitScratch::new(graph.num_nodes());
+            let mut batch = SketchBatch::default();
+            for k in lo..hi {
+                let sketch_seed = base_seed.wrapping_add(id(k) as u64);
+                sample_one_sketch(graph, in_edges, deadline, sketch_seed, &mut scratch, &mut batch);
+            }
+            batch
+        })
+        .collect()
 }
 
 /// Samples one RR sketch into `out`: pick a uniform target, then run a
@@ -396,19 +344,19 @@ fn sample_one_sketch(
     in_edges: &InEdges,
     deadline: Deadline,
     sketch_seed: u64,
-    scratch: &mut SketchScratch,
+    scratch: &mut VisitScratch,
     out: &mut SketchBatch,
 ) {
     let n = graph.num_nodes();
     let mut rng = StdRng::seed_from_u64(sketch_seed);
     let target = NodeId::from_index(rng.random_range(0..n));
 
-    scratch.begin();
+    scratch.begin(n);
     let start = out.nodes.len();
     scratch.mark(target.index());
     out.nodes.push(target);
-    let mut frontier = std::mem::take(&mut scratch.frontier);
-    let mut next = std::mem::take(&mut scratch.next);
+    let [mut frontier, mut next] = std::mem::take(&mut scratch.frontiers);
+    frontier.clear();
     frontier.push(target.0);
     let mut hops = 0u32;
     while !frontier.is_empty() {
@@ -422,7 +370,7 @@ fn sample_one_sketch(
             for (&u, &p) in sources.iter().zip(probs) {
                 // Visited check first so edges into visited nodes never flip
                 // a coin (lazy flipping); the final `mark` records the visit.
-                if scratch.marks[u as usize] != scratch.epoch
+                if !scratch.is_marked(u as usize)
                     && p > 0.0
                     && (p >= 1.0 || rng.random_bool(p))
                     && scratch.mark(u as usize)
@@ -435,8 +383,7 @@ fn sample_one_sketch(
         std::mem::swap(&mut frontier, &mut next);
     }
     // Hand the queues back so the next sketch in the chunk reuses them.
-    scratch.frontier = frontier;
-    scratch.next = next;
+    scratch.frontiers = [frontier, next];
     // The BFS marks every node once, so the sorted sketch is duplicate-free.
     out.nodes[start..].sort_unstable_by_key(|n| n.0);
     out.ends.push(out.nodes.len());
@@ -661,7 +608,6 @@ pub struct RisEstimator {
     graph: Arc<Graph>,
     deadline: Deadline,
     base_seed: u64,
-    parallelism: ParallelismConfig,
     in_edges: Arc<InEdges>,
     /// Shared sketch pool; see [`RrSketches`].
     sketches: Arc<RrSketches>,
@@ -703,7 +649,6 @@ impl RisEstimator {
             graph,
             deadline,
             base_seed: config.seed,
-            parallelism: config.parallelism,
             in_edges,
         };
         match config.adaptive {
@@ -730,7 +675,6 @@ impl RisEstimator {
             self.base_seed,
             target - current,
             |k| current + k,
-            self.parallelism,
         );
         // Copy-on-write: clones sharing the pool keep their view while this
         // estimator grows its own (construction-time extension never copies,
@@ -798,7 +742,6 @@ impl RisEstimator {
                 self.base_seed,
                 affected.len(),
                 |k| affected[k] as usize,
-                self.parallelism,
             );
             self.sketches = Arc::new(self.sketches.replaced(&affected, &fresh));
         }
@@ -935,11 +878,6 @@ impl RisEstimator {
     /// The shared graph handle.
     pub fn graph_arc(&self) -> Arc<Graph> {
         Arc::clone(&self.graph)
-    }
-
-    /// The parallelism setting sketch generation runs with.
-    pub fn parallelism(&self) -> ParallelismConfig {
-        self.parallelism
     }
 
     /// Approximate resident heap bytes this estimator *owns*: the sketch
@@ -1081,7 +1019,7 @@ mod tests {
         let world = WorldEstimator::new(
             Arc::clone(&g),
             deadline,
-            &WorldsConfig { num_worlds: 2000, seed: 1, ..Default::default() },
+            &WorldsConfig { num_worlds: 2000, seed: 1 },
         )
         .unwrap();
         let ris = RisEstimator::new(
@@ -1257,8 +1195,7 @@ mod tests {
     fn adaptive_sizing_grows_the_collection_and_stays_deterministic() {
         let g = two_group_sbm();
         let adaptive = AdaptiveRis { epsilon: 0.3, delta: 0.1, budget: 5, max_sets: 50_000 };
-        let config =
-            RisConfig { num_sets: 64, seed: 23, adaptive: Some(adaptive), ..Default::default() };
+        let config = RisConfig { num_sets: 64, seed: 23, adaptive: Some(adaptive) };
         let a = RisEstimator::new(Arc::clone(&g), Deadline::finite(3), &config).unwrap();
         let b = RisEstimator::new(Arc::clone(&g), Deadline::finite(3), &config).unwrap();
         assert!(a.num_sets() > 64, "adaptive sizing never grew past the floor");
@@ -1277,7 +1214,6 @@ mod tests {
                 num_sets: 64,
                 seed: 23,
                 adaptive: Some(AdaptiveRis { max_sets: 500, ..adaptive }),
-                ..Default::default()
             },
         )
         .unwrap();

@@ -30,7 +30,6 @@ use tcim_graph::{Graph, NodeId};
 use crate::csr::copy_span;
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
-use crate::parallel::ParallelismConfig;
 
 /// One sampled live-edge world: the subgraph of live edges in CSR form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,7 +216,8 @@ fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option
     None
 }
 
-/// Reusable visited-marker buffer and frontier queues for [`bounded_bfs`].
+/// Reusable visited-marker buffer and frontier queues for [`bounded_bfs`]
+/// and the reverse BFS of RR-sketch sampling.
 ///
 /// Uses an epoch counter so that consecutive BFS runs do not need to clear the
 /// whole buffer, which matters when the estimator runs hundreds of thousands
@@ -228,7 +228,9 @@ fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option
 pub(crate) struct VisitScratch {
     epoch: u32,
     marks: Vec<u32>,
-    frontiers: [Vec<u32>; 2],
+    /// The current and next BFS frontiers; a search takes them and hands
+    /// them back when it ends.
+    pub(crate) frontiers: [Vec<u32>; 2],
 }
 
 impl VisitScratch {
@@ -237,7 +239,9 @@ impl VisitScratch {
         VisitScratch { epoch: 0, marks: vec![0; n], frontiers: [Vec::new(), Vec::new()] }
     }
 
-    fn begin(&mut self, n: usize) {
+    /// Starts a new search over up to `n` nodes: every mark of the previous
+    /// search goes stale at once.
+    pub(crate) fn begin(&mut self, n: usize) {
         if self.marks.len() < n {
             self.marks.resize(n, 0);
         }
@@ -248,9 +252,16 @@ impl VisitScratch {
         self.epoch += 1;
     }
 
+    /// Whether the current search has already marked `index`.
     #[inline]
-    fn mark(&mut self, index: usize) -> bool {
-        if self.marks[index] == self.epoch {
+    pub(crate) fn is_marked(&self, index: usize) -> bool {
+        self.marks[index] == self.epoch
+    }
+
+    /// Marks `index`; `true` if the current search had not marked it yet.
+    #[inline]
+    pub(crate) fn mark(&mut self, index: usize) -> bool {
+        if self.is_marked(index) {
             false
         } else {
             self.marks[index] = self.epoch;
@@ -272,15 +283,12 @@ pub struct WorldsConfig {
     /// walks; a held-out re-score of seeds chosen on this pool needs a
     /// disjoint range.
     pub seed: u64,
-    /// Worker threads for sampling and estimation. Purely a throughput knob:
-    /// results are bitwise identical at every thread count.
-    pub parallelism: ParallelismConfig,
 }
 
 impl Default for WorldsConfig {
     fn default() -> Self {
         // 200 samples is the paper's default for the synthetic experiments.
-        WorldsConfig { num_worlds: 200, seed: 0, parallelism: ParallelismConfig::auto() }
+        WorldsConfig { num_worlds: 200, seed: 0 }
     }
 }
 
@@ -333,8 +341,9 @@ impl WorldCollection {
     }
 
     /// The one construction path: world `i` is `world(i, config.seed + i)`.
-    /// World `i` depends only on its own seed, so the parallel map is
-    /// trivially identical to the serial loop (collect preserves order).
+    /// World `i` depends only on its own seed, so the parallel map (under the
+    /// ambient thread count) is trivially identical to the serial loop
+    /// (collect preserves order).
     fn draw(
         graph: &Graph,
         config: &WorldsConfig,
@@ -344,12 +353,10 @@ impl WorldCollection {
         if config.num_worlds == 0 {
             return Err(DiffusionError::NoSamples);
         }
-        let worlds = config.parallelism.run(|| {
-            (0..config.num_worlds)
-                .into_par_iter()
-                .map(|i| world(i, config.seed.wrapping_add(i as u64)))
-                .collect()
-        });
+        let worlds = (0..config.num_worlds)
+            .into_par_iter()
+            .map(|i| world(i, config.seed.wrapping_add(i as u64)))
+            .collect();
         Ok(WorldCollection { worlds, num_nodes: graph.num_nodes(), seed: config.seed, model })
     }
 
@@ -471,6 +478,7 @@ impl WorldCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParallelismConfig;
     use tcim_graph::{GraphBuilder, GroupId};
 
     fn path(p: f64) -> Graph {
@@ -621,18 +629,15 @@ mod tests {
     fn lt_world_collections_are_deterministic() {
         let g = lt_fan_in();
         let weights = crate::lt::LtWeights::from_graph(&g);
-        let cfg = WorldsConfig { num_worlds: 12, seed: 5, ..Default::default() };
-        let serial = WorldsConfig { parallelism: ParallelismConfig::fixed(1), ..cfg };
+        let cfg = WorldsConfig { num_worlds: 12, seed: 5 };
         let a = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
-        let b = WorldCollection::sample_lt(&g, &weights, &serial).unwrap();
+        let b = ParallelismConfig::fixed(1)
+            .run(|| WorldCollection::sample_lt(&g, &weights, &cfg))
+            .unwrap();
         assert_eq!(a.len(), 12);
         assert_worlds_bitwise_eq(&a, &b);
         assert!(matches!(
-            WorldCollection::sample_lt(
-                &g,
-                &weights,
-                &WorldsConfig { num_worlds: 0, seed: 0, ..Default::default() }
-            ),
+            WorldCollection::sample_lt(&g, &weights, &WorldsConfig { num_worlds: 0, seed: 0 }),
             Err(DiffusionError::NoSamples)
         ));
     }
@@ -640,7 +645,7 @@ mod tests {
     #[test]
     fn world_collection_is_deterministic_and_validates_size() {
         let g = path(0.5);
-        let cfg = WorldsConfig { num_worlds: 16, seed: 9, ..Default::default() };
+        let cfg = WorldsConfig { num_worlds: 16, seed: 9 };
         let a = WorldCollection::sample(&g, &cfg).unwrap();
         let b = WorldCollection::sample(&g, &cfg).unwrap();
         assert_eq!(a.len(), 16);
@@ -649,21 +654,17 @@ mod tests {
         assert_worlds_bitwise_eq(&a, &b);
         assert!(a.mean_live_edges() >= 0.0 && a.mean_live_edges() <= 3.0);
         assert!(matches!(
-            WorldCollection::sample(
-                &g,
-                &WorldsConfig { num_worlds: 0, seed: 0, ..Default::default() }
-            ),
+            WorldCollection::sample(&g, &WorldsConfig { num_worlds: 0, seed: 0 }),
             Err(DiffusionError::NoSamples)
         ));
     }
 
     #[test]
-    fn keyed_sampling_is_deterministic_and_independent_of_parallelism() {
+    fn keyed_sampling_is_deterministic_and_independent_of_thread_count() {
         let g = path(0.5);
-        let cfg = WorldsConfig { num_worlds: 16, seed: 9, ..Default::default() };
-        let serial = WorldsConfig { parallelism: ParallelismConfig::fixed(1), ..cfg };
+        let cfg = WorldsConfig { num_worlds: 16, seed: 9 };
         let a = WorldCollection::sample(&g, &cfg).unwrap();
-        let b = WorldCollection::sample(&g, &serial).unwrap();
+        let b = ParallelismConfig::fixed(1).run(|| WorldCollection::sample(&g, &cfg)).unwrap();
         assert_worlds_bitwise_eq(&a, &b);
         // World `i` is keyed by `seed + i` alone.
         for (i, world) in a.worlds().iter().enumerate() {
@@ -677,7 +678,7 @@ mod tests {
     fn keyed_lt_worlds_keep_at_most_one_in_edge_and_match_patchless_rebuild() {
         let g = lt_fan_in();
         let weights = crate::lt::LtWeights::from_graph(&g);
-        let cfg = WorldsConfig { num_worlds: 50, seed: 5, ..Default::default() };
+        let cfg = WorldsConfig { num_worlds: 50, seed: 5 };
         let worlds = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
         for (i, world) in worlds.worlds().iter().enumerate() {
             let in_degree_of_2 = world.out_neighbors(NodeId(0)).contains(&2) as usize
@@ -699,11 +700,8 @@ mod tests {
             b.add_edge(hub, leaf, 0.3).unwrap();
         }
         let g = b.build().unwrap();
-        let worlds = WorldCollection::sample(
-            &g,
-            &WorldsConfig { num_worlds: 100, seed: 4, ..Default::default() },
-        )
-        .unwrap();
+        let worlds =
+            WorldCollection::sample(&g, &WorldsConfig { num_worlds: 100, seed: 4 }).unwrap();
         let mean = worlds.mean_live_edges();
         assert!((mean - 60.0).abs() < 6.0, "mean live edges {mean}");
     }
@@ -736,11 +734,8 @@ mod tests {
         }
         let g = b.build().unwrap();
         let trials = 20_000;
-        let worlds = WorldCollection::sample(
-            &g,
-            &WorldsConfig { num_worlds: trials, seed: 31, ..Default::default() },
-        )
-        .unwrap();
+        let worlds =
+            WorldCollection::sample(&g, &WorldsConfig { num_worlds: trials, seed: 31 }).unwrap();
         let live = |w: &LiveEdgeWorld, u: NodeId, v: NodeId| w.out_neighbors(u).contains(&v.0);
         let eps = hoeffding_half_width(trials, edges.len() + 1);
         for &(u, v, p) in &edges {
@@ -775,7 +770,7 @@ mod tests {
         let worlds = WorldCollection::sample_lt(
             &g,
             &weights,
-            &WorldsConfig { num_worlds: trials, seed: 47, ..Default::default() },
+            &WorldsConfig { num_worlds: trials, seed: 47 },
         )
         .unwrap();
         let eps = hoeffding_half_width(trials, 8);
@@ -805,7 +800,7 @@ mod tests {
     fn patch_matches_a_cold_keyed_rebuild_after_each_mutation_kind() {
         use tcim_graph::MutationOp;
         let g = path(0.5);
-        let cfg = WorldsConfig { num_worlds: 24, seed: 7, ..Default::default() };
+        let cfg = WorldsConfig { num_worlds: 24, seed: 7 };
         let base = WorldCollection::sample(&g, &cfg).unwrap();
         let cases = [
             MutationOp::AddEdge { source: NodeId(0), target: NodeId(2), probability: 0.6 },
@@ -823,15 +818,15 @@ mod tests {
     #[test]
     fn patch_rejects_mismatched_shapes() {
         let g = path(0.5);
-        let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
+        let cfg = WorldsConfig { num_worlds: 8, seed: 3 };
         let base = WorldCollection::sample(&g, &cfg).unwrap();
-        let wrong_count = WorldsConfig { num_worlds: 9, seed: 3, ..Default::default() };
+        let wrong_count = WorldsConfig { num_worlds: 9, seed: 3 };
         assert!(matches!(
             base.patch(&g, &[], &wrong_count),
             Err(DiffusionError::InvalidParameter { .. })
         ));
         assert!(matches!(
-            base.patch(&g, &[], &WorldsConfig { num_worlds: 0, seed: 3, ..Default::default() }),
+            base.patch(&g, &[], &WorldsConfig { num_worlds: 0, seed: 3 }),
             Err(DiffusionError::NoSamples)
         ));
         let mut b = GraphBuilder::new();
@@ -843,7 +838,7 @@ mod tests {
     #[test]
     fn patch_rejects_a_config_with_another_seed() {
         let g = path(0.5);
-        let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
+        let cfg = WorldsConfig { num_worlds: 8, seed: 3 };
         let base = WorldCollection::sample(&g, &cfg).unwrap();
         let reseeded = WorldsConfig { seed: 4, ..cfg };
         let err = base.patch(&g, &[(NodeId(0), NodeId(1))], &reseeded).unwrap_err();
@@ -855,7 +850,7 @@ mod tests {
     fn patch_rejects_linear_threshold_collections() {
         let g = lt_fan_in();
         let weights = crate::lt::LtWeights::from_graph(&g);
-        let cfg = WorldsConfig { num_worlds: 8, seed: 3, ..Default::default() };
+        let cfg = WorldsConfig { num_worlds: 8, seed: 3 };
         let base = WorldCollection::sample_lt(&g, &weights, &cfg).unwrap();
         let err = base.patch(&g, &[(NodeId(0), NodeId(2))], &cfg).unwrap_err();
         assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");

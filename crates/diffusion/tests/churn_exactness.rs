@@ -109,12 +109,10 @@ proptest! {
             .iter()
             .map(|&size| RisEstimator::new(Arc::clone(&graph), deadline, &ris_config(size)).unwrap())
             .collect();
-        let worlds_config = |threads| WorldsConfig {
-            num_worlds: 16,
-            seed: seed ^ 0xc0115,
-            parallelism: ParallelismConfig::fixed(threads),
-        };
-        let mut worlds = WorldCollection::sample(&graph, &worlds_config(1)).unwrap();
+        let worlds_config = WorldsConfig { num_worlds: 16, seed: seed ^ 0xc0115 };
+        let mut worlds = ParallelismConfig::serial()
+            .run(|| WorldCollection::sample(&graph, &worlds_config))
+            .unwrap();
 
         for step in 0..4 {
             let ops = random_batch(&mut rng, &mut shadow);
@@ -133,8 +131,10 @@ proptest! {
             }
             let mut next = None;
             for threads in [1, 2] {
-                let patched = worlds.patch(&mutated, &edited, &worlds_config(threads)).unwrap();
-                let cold = WorldCollection::sample(&mutated, &worlds_config(threads)).unwrap();
+                let (patched, cold) = ParallelismConfig::fixed(threads).run(|| {
+                    let patched = worlds.patch(&mutated, &edited, &worlds_config).unwrap();
+                    (patched, WorldCollection::sample(&mutated, &worlds_config).unwrap())
+                });
                 prop_assert_eq!(patched.len(), cold.len());
                 for (i, (x, y)) in patched.worlds().iter().zip(cold.worlds()).enumerate() {
                     assert_eq!(x, y, "seed {seed}, step {step}, world {i}, {threads} threads");

@@ -138,7 +138,7 @@ proptest! {
     ) {
         let n = graph.num_nodes() as u32;
         let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
-        let config = WorldsConfig { num_worlds: WORLDS, seed, ..Default::default() };
+        let config = WorldsConfig { num_worlds: WORLDS, seed };
         let base = WorldEstimator::new(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
         prop_assert_eq!(check_all_deadlines(&base, &order), Ok(()));
     }
@@ -151,7 +151,7 @@ proptest! {
     ) {
         let n = graph.num_nodes() as u32;
         let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
-        let config = WorldsConfig { num_worlds: WORLDS, seed, ..Default::default() };
+        let config = WorldsConfig { num_worlds: WORLDS, seed };
         let base = WorldEstimator::new_lt(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
         prop_assert_eq!(check_all_deadlines(&base, &order), Ok(()));
     }
@@ -169,7 +169,7 @@ fn distances_past_253_hops_saturate() {
         b.add_edge(w[0], w[1], 1.0).unwrap();
     }
     let graph = Arc::new(b.build().unwrap());
-    let config = WorldsConfig { num_worlds: 2, seed: 0, ..Default::default() };
+    let config = WorldsConfig { num_worlds: 2, seed: 0 };
     for deadline in [Deadline::finite(300), Deadline::unbounded()] {
         let oracle = WorldEstimator::new(Arc::clone(&graph), deadline, &config).unwrap();
         for order in [&[0, 260, 100][..], &[150, 0, 280], &[299, 254, 0]] {

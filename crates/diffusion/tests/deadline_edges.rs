@@ -1,7 +1,8 @@
 //! Deadline edge cases: `τ = 0` (seeds only) and `τ = 1` (one hop) are where
 //! off-by-one bugs in the bounded BFS / trace cutoffs live. Every estimator
 //! must agree bitwise between its `evaluate` path and its solver-driving
-//! cursor, and between 1 and 8 threads, at both deadlines.
+//! cursor, and between 1 and 8 threads, at both deadlines. A thread count is
+//! set by running the build or the query under `ParallelismConfig::run`.
 
 use std::sync::Arc;
 
@@ -59,13 +60,12 @@ fn worlds_estimator_handles_deadline_zero_and_one() {
     let seeds = seeds();
     for tau in [0u32, 1] {
         let deadline = Deadline::finite(tau);
-        let serial = WorldEstimator::new(
-            Arc::clone(&graph),
-            deadline,
-            &WorldsConfig { num_worlds: 48, seed: 5, parallelism: ParallelismConfig::serial() },
-        )
-        .unwrap();
-        let reference = serial.evaluate(&seeds).unwrap();
+        let config = WorldsConfig { num_worlds: 48, seed: 5 };
+        let (serial, reference) = ParallelismConfig::serial().run(|| {
+            let serial = WorldEstimator::new(Arc::clone(&graph), deadline, &config).unwrap();
+            let reference = serial.evaluate(&seeds).unwrap();
+            (serial, reference)
+        });
         if tau == 0 {
             // Seeds-only: the live-edge BFS must not take a single hop.
             assert_bitwise_equal(&reference, &seed_counts(&graph, &seeds), "worlds τ=0");
@@ -73,17 +73,18 @@ fn worlds_estimator_handles_deadline_zero_and_one() {
             assert!(reference.total() > seed_counts(&graph, &seeds).total(), "τ=1 adds neighbours");
         }
         for threads in [1usize, 8] {
-            let parallel = serial.with_parallelism(ParallelismConfig::fixed(threads));
-            assert_bitwise_equal(
-                &reference,
-                &parallel.evaluate(&seeds).unwrap(),
-                &format!("worlds τ={tau}, {threads} threads"),
-            );
-            assert_cursor_matches_evaluate(
-                &parallel,
-                &seeds,
-                &format!("worlds cursor τ={tau}, {threads} threads"),
-            );
+            ParallelismConfig::fixed(threads).run(|| {
+                assert_bitwise_equal(
+                    &reference,
+                    &serial.evaluate(&seeds).unwrap(),
+                    &format!("worlds τ={tau}, {threads} threads"),
+                );
+                assert_cursor_matches_evaluate(
+                    &serial,
+                    &seeds,
+                    &format!("worlds cursor τ={tau}, {threads} threads"),
+                );
+            });
         }
     }
 }
@@ -94,25 +95,24 @@ fn monte_carlo_estimator_handles_deadline_zero_and_one() {
     let seeds = seeds();
     for tau in [0u32, 1] {
         let deadline = Deadline::finite(tau);
-        let serial = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 64, 9)
-            .unwrap()
-            .with_parallelism(ParallelismConfig::serial());
-        let reference = serial.evaluate(&seeds).unwrap();
+        let serial = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 64, 9).unwrap();
+        let reference = ParallelismConfig::serial().run(|| serial.evaluate(&seeds)).unwrap();
         if tau == 0 {
             assert_bitwise_equal(&reference, &seed_counts(&graph, &seeds), "monte-carlo τ=0");
         }
         for threads in [1usize, 8] {
-            let parallel = serial.with_parallelism(ParallelismConfig::fixed(threads));
-            assert_bitwise_equal(
-                &reference,
-                &parallel.evaluate(&seeds).unwrap(),
-                &format!("monte-carlo τ={tau}, {threads} threads"),
-            );
-            assert_cursor_matches_evaluate(
-                &parallel,
-                &seeds,
-                &format!("monte-carlo cursor τ={tau}, {threads} threads"),
-            );
+            ParallelismConfig::fixed(threads).run(|| {
+                assert_bitwise_equal(
+                    &reference,
+                    &serial.evaluate(&seeds).unwrap(),
+                    &format!("monte-carlo τ={tau}, {threads} threads"),
+                );
+                assert_cursor_matches_evaluate(
+                    &serial,
+                    &seeds,
+                    &format!("monte-carlo cursor τ={tau}, {threads} threads"),
+                );
+            });
         }
     }
 }
@@ -123,45 +123,31 @@ fn ris_estimator_handles_deadline_zero_and_one() {
     let seeds = seeds();
     for tau in [0u32, 1] {
         let deadline = Deadline::finite(tau);
-        let serial = RisEstimator::new(
-            Arc::clone(&graph),
-            deadline,
-            &RisConfig {
-                num_sets: 800,
-                seed: 13,
-                parallelism: ParallelismConfig::serial(),
-                adaptive: None,
-            },
-        )
-        .unwrap();
-        let reference = serial.evaluate(&seeds).unwrap();
+        let config = RisConfig { num_sets: 800, seed: 13, adaptive: None };
+        let (serial, reference) = ParallelismConfig::serial().run(|| {
+            let serial = RisEstimator::new(Arc::clone(&graph), deadline, &config).unwrap();
+            let reference = serial.evaluate(&seeds).unwrap();
+            (serial, reference)
+        });
         if tau == 0 {
             // τ = 0 sketches contain exactly their target, so every sketch is
             // a singleton and the estimate is driven by target hits alone.
             assert!(serial.sets().all(|s| s.len() == 1), "τ=0 sketches must be singletons");
         }
         for threads in [1usize, 8] {
-            let parallel = RisEstimator::new(
-                Arc::clone(&graph),
-                deadline,
-                &RisConfig {
-                    num_sets: 800,
-                    seed: 13,
-                    parallelism: ParallelismConfig::fixed(threads),
-                    adaptive: None,
-                },
-            )
-            .unwrap();
-            assert_bitwise_equal(
-                &reference,
-                &parallel.evaluate(&seeds).unwrap(),
-                &format!("ris τ={tau}, {threads} threads"),
-            );
-            assert_cursor_matches_evaluate(
-                &parallel,
-                &seeds,
-                &format!("ris cursor τ={tau}, {threads} threads"),
-            );
+            ParallelismConfig::fixed(threads).run(|| {
+                let parallel = RisEstimator::new(Arc::clone(&graph), deadline, &config).unwrap();
+                assert_bitwise_equal(
+                    &reference,
+                    &parallel.evaluate(&seeds).unwrap(),
+                    &format!("ris τ={tau}, {threads} threads"),
+                );
+                assert_cursor_matches_evaluate(
+                    &parallel,
+                    &seeds,
+                    &format!("ris cursor τ={tau}, {threads} threads"),
+                );
+            });
         }
     }
 }
@@ -233,14 +219,14 @@ fn deadline_edges_survive_every_mutation_kind() {
 
     // One worlds pool sampled on the base graph and patched through every
     // mutation; MC over the same `(seed, samples)` must equal it bitwise.
-    let pool_config =
-        WorldsConfig { num_worlds: 48, seed: 5, parallelism: ParallelismConfig::serial() };
-    let mut pool = Arc::new(WorldCollection::sample(&base, &pool_config).unwrap());
+    let serial = ParallelismConfig::serial();
+    let pool_config = WorldsConfig { num_worlds: 48, seed: 5 };
+    let mut pool = Arc::new(serial.run(|| WorldCollection::sample(&base, &pool_config)).unwrap());
     let mut previous = Arc::clone(&base);
     for op in mutations {
         let mutated = Arc::new(previous.apply(std::slice::from_ref(&op)).unwrap());
         let edited = [op.endpoints()];
-        pool = Arc::new(pool.patch(&mutated, &edited, &pool_config).unwrap());
+        pool = Arc::new(serial.run(|| pool.patch(&mutated, &edited, &pool_config)).unwrap());
         for (tau, deadline) in [
             (Some(0u32), Deadline::finite(0)),
             (Some(1), Deadline::finite(1)),
@@ -249,8 +235,12 @@ fn deadline_edges_survive_every_mutation_kind() {
             let context = |estimator: &str| format!("{estimator} after {}, τ={tau:?}", op.label());
             // Worlds: serial == 8 threads on the mutated graph; τ = 0 still
             // reduces to exact seed counts.
-            let worlds = WorldEstimator::new(Arc::clone(&mutated), deadline, &pool_config).unwrap();
-            let reference = worlds.evaluate(&seeds).unwrap();
+            let (worlds, reference) = serial.run(|| {
+                let worlds =
+                    WorldEstimator::new(Arc::clone(&mutated), deadline, &pool_config).unwrap();
+                let reference = worlds.evaluate(&seeds).unwrap();
+                (worlds, reference)
+            });
             if tau == Some(0) {
                 assert_bitwise_equal(
                     &reference,
@@ -258,20 +248,17 @@ fn deadline_edges_survive_every_mutation_kind() {
                     &context("worlds"),
                 );
             }
-            let parallel = worlds.with_parallelism(ParallelismConfig::fixed(8));
             assert_bitwise_equal(
                 &reference,
-                &parallel.evaluate(&seeds).unwrap(),
+                &ParallelismConfig::fixed(8).run(|| worlds.evaluate(&seeds)).unwrap(),
                 &context("worlds"),
             );
 
             // Monte-Carlo: the unstored form of the same worlds, so it equals
             // both the cold pool and the patched one (and thereby inherits
             // τ = 0 exactness), and stays thread-independent.
-            let mc = MonteCarloEstimator::new(Arc::clone(&mutated), deadline, 48, 5)
-                .unwrap()
-                .with_parallelism(ParallelismConfig::serial());
-            let mc_reference = mc.evaluate(&seeds).unwrap();
+            let mc = MonteCarloEstimator::new(Arc::clone(&mutated), deadline, 48, 5).unwrap();
+            let mc_reference = serial.run(|| mc.evaluate(&seeds)).unwrap();
             assert_bitwise_equal(&mc_reference, &reference, &context("monte-carlo vs cold worlds"));
             let patched =
                 WorldEstimator::from_worlds(Arc::clone(&mutated), Arc::clone(&pool), deadline)
@@ -283,35 +270,32 @@ fn deadline_edges_survive_every_mutation_kind() {
             );
             assert_bitwise_equal(
                 &mc_reference,
-                &mc.with_parallelism(ParallelismConfig::fixed(8)).evaluate(&seeds).unwrap(),
+                &ParallelismConfig::fixed(8).run(|| mc.evaluate(&seeds)).unwrap(),
                 &context("monte-carlo"),
             );
 
             // RIS: refreshing the pre-mutation pool must equal a cold build
             // on the mutated graph, bitwise, at every deadline edge.
             for threads in [1usize, 8] {
-                let config = RisConfig {
-                    num_sets: 400,
-                    seed: 13,
-                    parallelism: ParallelismConfig::fixed(threads),
-                    adaptive: None,
-                };
-                let mut refreshed =
-                    RisEstimator::new(Arc::clone(&previous), deadline, &config).unwrap();
-                refreshed.refresh(Arc::clone(&mutated), &edited).unwrap();
-                let cold = RisEstimator::new(Arc::clone(&mutated), deadline, &config).unwrap();
-                assert_bitwise_equal(
-                    &refreshed.evaluate(&seeds).unwrap(),
-                    &cold.evaluate(&seeds).unwrap(),
-                    &format!("{} ({threads} threads)", context("ris refresh")),
-                );
-                if tau == Some(0) {
-                    assert!(
-                        refreshed.sets().all(|s| s.len() == 1),
-                        "τ=0 sketches must stay singletons after {}",
-                        op.label()
+                let config = RisConfig { num_sets: 400, seed: 13, adaptive: None };
+                ParallelismConfig::fixed(threads).run(|| {
+                    let mut refreshed =
+                        RisEstimator::new(Arc::clone(&previous), deadline, &config).unwrap();
+                    refreshed.refresh(Arc::clone(&mutated), &edited).unwrap();
+                    let cold = RisEstimator::new(Arc::clone(&mutated), deadline, &config).unwrap();
+                    assert_bitwise_equal(
+                        &refreshed.evaluate(&seeds).unwrap(),
+                        &cold.evaluate(&seeds).unwrap(),
+                        &format!("{} ({threads} threads)", context("ris refresh")),
                     );
-                }
+                    if tau == Some(0) {
+                        assert!(
+                            refreshed.sets().all(|s| s.len() == 1),
+                            "τ=0 sketches must stay singletons after {}",
+                            op.label()
+                        );
+                    }
+                });
             }
         }
         previous = mutated;
@@ -327,7 +311,7 @@ fn unbounded_and_huge_finite_deadlines_agree() {
     let far = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(10_000),
-        &WorldsConfig { num_worlds: 32, seed: 3, ..Default::default() },
+        &WorldsConfig { num_worlds: 32, seed: 3 },
     )
     .unwrap();
     let unbounded = far.with_deadline(Deadline::unbounded());

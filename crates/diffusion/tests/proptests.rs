@@ -30,12 +30,8 @@ fn random_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Gra
 }
 
 fn estimator(graph: &Graph, deadline: Deadline, seed: u64) -> WorldEstimator {
-    WorldEstimator::new(
-        Arc::new(graph.clone()),
-        deadline,
-        &WorldsConfig { num_worlds: 24, seed, ..Default::default() },
-    )
-    .unwrap()
+    WorldEstimator::new(Arc::new(graph.clone()), deadline, &WorldsConfig { num_worlds: 24, seed })
+        .unwrap()
 }
 
 proptest! {
@@ -80,7 +76,7 @@ proptest! {
     fn influence_is_monotone_in_the_deadline(graph in random_graph(16, 60), seed in 0u64..100) {
         let seeds: Vec<NodeId> = graph.nodes().take(2).collect();
         let graph = Arc::new(graph);
-        let worlds = WorldsConfig { num_worlds: 24, seed, ..Default::default() };
+        let worlds = WorldsConfig { num_worlds: 24, seed };
         let mut previous = 0.0;
         for tau in [0u32, 1, 2, 4, 8] {
             let est = WorldEstimator::new(Arc::clone(&graph), Deadline::finite(tau), &worlds).unwrap();

@@ -68,11 +68,11 @@
 //!
 //! # Determinism
 //!
-//! Cache keys exclude the parallelism knob, and every sampling path derives
+//! Estimator configs carry no thread count, and every sampling path derives
 //! sample `i` from `seed + i` (see `tcim_diffusion::ParallelismConfig`), so
 //! a cache hit returns answers bitwise-identical to a cold build at any
-//! thread count and any cache temperature — the service-level tests and the
-//! CI golden files pin this down.
+//! thread count and any cache temperature, whichever thread built the entry
+//! — the service-level tests and the CI golden files pin this down.
 
 use std::collections::BTreeMap;
 #[expect(clippy::disallowed_types, reason = "the three request-path maps below say why")]
@@ -197,9 +197,8 @@ impl OracleSpec {
 
     /// A canonical cache key. The estimator part is
     /// [`EstimatorConfig::fingerprint`] — the same encoding
-    /// `ProblemSpec::canonical` embeds — and excludes the parallelism knob
-    /// on purpose: thread counts never change results, so requests differing
-    /// only in parallelism must share an entry.
+    /// `ProblemSpec::canonical` embeds. It holds no thread count: estimation
+    /// runs under the serving thread's, which never changes a result.
     pub fn fingerprint(&self) -> String {
         self.fingerprint_with_dataset(&self.dataset.fingerprint())
     }
@@ -1106,18 +1105,14 @@ impl OracleCache {
 mod tests {
     use super::*;
     use tcim_core::{RisConfig, WorldsConfig};
-    use tcim_diffusion::{AdaptiveRis, InfluenceOracle, ParallelismConfig};
+    use tcim_diffusion::{AdaptiveRis, InfluenceOracle};
 
     fn spec(deadline: u32, num_worlds: usize) -> OracleSpec {
         OracleSpec {
             dataset: DatasetSpec { dataset: Dataset::Illustrative, seed: 1 },
             model: ModelKind::IndependentCascade,
             deadline: Deadline::finite(deadline),
-            estimator: EstimatorConfig::Worlds(WorldsConfig {
-                num_worlds,
-                seed: 3,
-                ..Default::default()
-            }),
+            estimator: EstimatorConfig::Worlds(WorldsConfig { num_worlds, seed: 3 }),
         }
     }
 
@@ -1152,24 +1147,16 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_separate_configs_but_not_parallelism() {
+    fn fingerprints_separate_configs() {
         let a = spec(2, 16).fingerprint();
         assert_ne!(a, spec(3, 16).fingerprint());
         assert_ne!(a, spec(2, 17).fingerprint());
-        let mut serial = spec(2, 16);
-        serial.estimator = EstimatorConfig::Worlds(WorldsConfig {
-            num_worlds: 16,
-            seed: 3,
-            parallelism: ParallelismConfig::serial(),
-        });
-        assert_eq!(a, serial.fingerprint(), "parallelism must not split cache entries");
 
         let ris = OracleSpec {
             estimator: EstimatorConfig::Ris(RisConfig {
                 num_sets: 64,
                 seed: 3,
                 adaptive: Some(AdaptiveRis::default()),
-                ..Default::default()
             }),
             ..spec(2, 16)
         };
@@ -1301,8 +1288,7 @@ mod tests {
         let cache = OracleCache::with_config(CacheConfig { max_bytes: 16 * 1024, shards: 2 });
         let overflowing = |seed: u64| {
             let mut s = spec(2, 8);
-            s.estimator =
-                EstimatorConfig::Worlds(WorldsConfig { num_worlds: 8, seed, ..Default::default() });
+            s.estimator = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 8, seed });
             s
         };
         let probe = [tcim_graph::NodeId(0)];

@@ -1,7 +1,7 @@
 //! A blocking JSONL client for the socket serving tier: connect, write
 //! request lines, read response lines. Used by `tcim_query --connect`, the
-//! `tcim_workload --listen` replay mode, the socket example and the
-//! integration tests — anything that speaks to a [`Server`](crate::server)
+//! benchmark's replay clients, the socket example and the integration
+//! tests — anything that speaks to a [`Server`](crate::server)
 //! over TCP or a Unix-domain socket.
 //!
 //! The client is deliberately minimal: requests go out as one line each,

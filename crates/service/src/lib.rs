@@ -14,9 +14,10 @@
 //!   new `τ` for the price of a view. Entries live under a sharded byte
 //!   budget ([`CacheConfig`], costs via each type's `approx_bytes`) with
 //!   segmented-LRU eviction — see `docs/CACHE.md` for the operator's guide.
-//! * [`ServiceEngine`] fans batches of requests out across threads (via the
-//!   same [`ParallelismConfig`] knob the estimators use) over the shared
-//!   read-only cache, executing every solve through `tcim_core::solve`.
+//! * [`ServiceEngine`] fans batches of requests out across threads (the
+//!   [`ParallelismConfig`] it is built with; the estimators run under the
+//!   serving thread's count) over the shared read-only cache, executing
+//!   every solve through `tcim_core::solve`.
 //! * [`protocol`] defines the newline-delimited request/response format the
 //!   `tcim_serve` binary reads from stdin or a file (`tcim_query` is the
 //!   one-shot helper). Solve requests are a direct wire codec for
@@ -36,10 +37,10 @@
 //! ## Determinism contract
 //!
 //! Cached answers are **bitwise-identical** to cold solves at any thread
-//! count: cache keys exclude parallelism, every sampler derives sample `i`
-//! from `seed + i`, and responses never leak cache temperature. CI pipes a
-//! golden request file through `tcim_serve` at 1 and 8 threads and diffs the
-//! output byte-for-byte.
+//! count: no config or cache key holds a thread count, every sampler
+//! derives sample `i` from `seed + i`, and responses never leak cache
+//! temperature. CI pipes a golden request file through `tcim_serve` at 1
+//! and 8 threads and diffs the output byte-for-byte.
 //!
 //! ## Example
 //!

@@ -1011,7 +1011,6 @@ fn parse_oracle(value: &Json) -> Result<OracleParts> {
         "worlds" => EstimatorConfig::Worlds(WorldsConfig {
             num_worlds: samples.unwrap_or(200),
             seed: estimator_seed,
-            ..Default::default()
         }),
         "monte-carlo" => {
             EstimatorConfig::MonteCarlo { samples: samples.unwrap_or(200), seed: estimator_seed }

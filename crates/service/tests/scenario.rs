@@ -14,16 +14,23 @@ fn request(line: &str) -> Request {
 /// A 150-node SBM scenario literal, shared by every test below.
 const SBM: &str = r#"{"family":"sbm","nodes":150,"p_within":0.06,"p_across":0.01,"majority_fraction":0.7,"weights":"uniform","edge_probability":0.1}"#;
 
-/// One request per paper problem, all against the same inline SBM scenario
+/// A 120-node Barabási–Albert scenario literal with weighted-cascade weights.
+const BA: &str = r#"{"family":"barabasi-albert","nodes":120,"edges_per_node":3,"homophily_bias":4.0,"weights":"weighted-cascade"}"#;
+
+/// A 100-node Watts–Strogatz scenario literal.
+const WS: &str =
+    r#"{"family":"watts-strogatz","nodes":100,"neighbors":2,"rewire_probability":0.2}"#;
+
+/// One request per paper problem, all against the same inline `scenario`
 /// and the same oracle coordinates (`τ = 5`, 64 worlds).
-fn p1_to_p6() -> Vec<Request> {
+fn p1_to_p6(scenario: &str) -> Vec<Request> {
     [
-        format!(r#"{{"id":"P1","op":"solve_budget","scenario":{SBM},"deadline":5,"samples":64,"budget":3}}"#),
-        format!(r#"{{"id":"P2","op":"solve_cover","scenario":{SBM},"deadline":5,"samples":64,"quota":0.1}}"#),
-        format!(r#"{{"id":"P3","op":"solve_budget","scenario":{SBM},"deadline":5,"samples":64,"budget":3,"disparity_cap":0.4}}"#),
-        format!(r#"{{"id":"P4","op":"solve_budget","scenario":{SBM},"deadline":5,"samples":64,"budget":3,"fair":true,"wrapper":"log"}}"#),
-        format!(r#"{{"id":"P5","op":"solve_cover","scenario":{SBM},"deadline":5,"samples":64,"quota":0.1,"disparity_cap":0.4}}"#),
-        format!(r#"{{"id":"P6","op":"solve_cover","scenario":{SBM},"deadline":5,"samples":64,"quota":0.1,"fair":true}}"#),
+        format!(r#"{{"id":"P1","op":"solve_budget","scenario":{scenario},"deadline":5,"samples":64,"budget":3}}"#),
+        format!(r#"{{"id":"P2","op":"solve_cover","scenario":{scenario},"deadline":5,"samples":64,"quota":0.1}}"#),
+        format!(r#"{{"id":"P3","op":"solve_budget","scenario":{scenario},"deadline":5,"samples":64,"budget":3,"disparity_cap":0.4}}"#),
+        format!(r#"{{"id":"P4","op":"solve_budget","scenario":{scenario},"deadline":5,"samples":64,"budget":3,"fair":true,"wrapper":"log"}}"#),
+        format!(r#"{{"id":"P5","op":"solve_cover","scenario":{scenario},"deadline":5,"samples":64,"quota":0.1,"disparity_cap":0.4}}"#),
+        format!(r#"{{"id":"P6","op":"solve_cover","scenario":{scenario},"deadline":5,"samples":64,"quota":0.1,"fair":true}}"#),
     ]
     .iter()
     .map(|line| request(line))
@@ -33,7 +40,7 @@ fn p1_to_p6() -> Vec<Request> {
 #[test]
 fn an_inline_sbm_scenario_solves_p1_through_p6() {
     let engine = ServiceEngine::new(ParallelismConfig::serial());
-    let responses = engine.serve_batch(&p1_to_p6());
+    let responses = engine.serve_batch(&p1_to_p6(SBM));
     let mut labels = Vec::new();
     for response in &responses {
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response}");
@@ -46,6 +53,25 @@ fn an_inline_sbm_scenario_solves_p1_through_p6() {
     let stats = engine.cache().stats();
     assert_eq!(stats.world_misses, 1, "one scenario, one world pool");
     assert_eq!(stats.world_hits, 0, "same oracle coordinates: built once, reused in cache");
+}
+
+#[test]
+fn every_generator_family_serves_p1_through_p6_warm_as_cold() {
+    // Each family's P1–P6 batch is served cold and then warm on one engine:
+    // every answer succeeds and the warm pass repeats the cold one byte for
+    // byte.
+    for scenario in [SBM, BA, WS] {
+        let engine = ServiceEngine::new(ParallelismConfig::fixed(2));
+        let batch = p1_to_p6(scenario);
+        let render =
+            |responses: Vec<Json>| responses.iter().map(Json::to_string).collect::<Vec<_>>();
+        let cold = render(engine.serve_batch(&batch));
+        assert!(cold.iter().all(|r| r.contains(r#""ok":true"#)), "{scenario}: {cold:?}");
+        let warm = render(engine.serve_batch(&batch));
+        assert_eq!(cold, warm, "{scenario}: warm answers differ from cold");
+        let stats = engine.cache().stats();
+        assert_eq!(stats.oracle_misses, 1, "{scenario}: the warm pass must hit");
+    }
 }
 
 #[test]

@@ -44,10 +44,9 @@ fn cache_hits_are_bitwise_identical_to_cold_solves() {
 
     // ... and identical to a solve that never touches the service layer.
     let graph = Arc::new(tcim_datasets::registry::Dataset::Synthetic.build(42).unwrap().graph);
-    let oracle =
-        EstimatorConfig::Worlds(WorldsConfig { num_worlds: 64, seed: 5, ..Default::default() })
-            .build(graph, Deadline::finite(4))
-            .unwrap();
+    let oracle = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 64, seed: 5 })
+        .build(graph, Deadline::finite(4))
+        .unwrap();
     let report = solve(&oracle, &ProblemSpec::budget(6).unwrap()).unwrap();
     let served = Json::parse(&warm_response).unwrap();
     let served_seeds: Vec<u64> = served

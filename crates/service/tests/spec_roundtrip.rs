@@ -4,8 +4,8 @@
 //! protocol can carry).
 //!
 //! "Wire-expressible" excludes only what the protocol deliberately does not
-//! transport: parallelism knobs (excluded from every key and codec by the
-//! determinism contract) and adaptive-RIS parameters.
+//! transport: adaptive-RIS parameters. (Thread counts are no part of any
+//! spec or config: estimation runs under the serving thread's count.)
 //!
 //! The vendored `proptest` has no `prop_oneof`/`option` combinators, so
 //! variant choices sample as selector integers folded in `prop_map`.
@@ -70,11 +70,7 @@ fn build_algorithm(for_budget: bool, (kind, epsilon, seed): AlgorithmParts) -> G
 
 fn build_estimator((kind, samples, seed): EstimatorParts) -> EstimatorConfig {
     match kind {
-        0 => EstimatorConfig::Worlds(WorldsConfig {
-            num_worlds: samples,
-            seed,
-            ..Default::default()
-        }),
+        0 => EstimatorConfig::Worlds(WorldsConfig { num_worlds: samples, seed }),
         1 => EstimatorConfig::MonteCarlo { samples, seed },
         _ => EstimatorConfig::Ris(RisConfig { num_sets: samples, seed, ..Default::default() }),
     }
@@ -188,11 +184,7 @@ proptest! {
                 dataset: DatasetSpec { dataset: Dataset::Scenario(spec.clone()), seed },
                 model: ModelKind::IndependentCascade,
                 deadline: Deadline::unbounded(),
-                estimator: EstimatorConfig::Worlds(WorldsConfig {
-                    num_worlds: 200,
-                    seed: 0,
-                    ..Default::default()
-                }),
+                estimator: EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 0 }),
             }),
             op: Op::Estimate { seeds: vec![NodeId(0)] },
         };

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let oracle = WorldEstimator::new(
             Arc::clone(&graph),
             deadline,
-            &WorldsConfig { num_worlds: 100, seed: 17, ..Default::default() },
+            &WorldsConfig { num_worlds: 100, seed: 17 },
         )?;
         let p1 = ProblemSpec::budget(budget)?.with_deadline(deadline);
         let p4 = p1.clone().with_fairness_wrapper(ConcaveWrapper::Log)?;

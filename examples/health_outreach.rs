@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(deadline),
-        &WorldsConfig { num_worlds: config.samples, seed: 5, ..Default::default() },
+        &WorldsConfig { num_worlds: config.samples, seed: 5 },
     )?;
 
     // P2 and P6 are one ProblemSpec apart: same objective, different

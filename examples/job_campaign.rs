@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(deadline),
-        &WorldsConfig { num_worlds: RICE_SAMPLES.min(200), seed: 3, ..Default::default() },
+        &WorldsConfig { num_worlds: RICE_SAMPLES.min(200), seed: 3 },
     )?;
 
     // Baselines the campaign team might try first.

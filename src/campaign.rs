@@ -65,7 +65,7 @@ use tcim_service::{DatasetSpec, ModelKind, OracleCache, OracleSpec, ServiceError
 /// A live-edge-worlds estimator config (`num_worlds` samples, RNG `seed`) —
 /// shorthand for `Campaign::estimator` / `ProblemSpec::with_estimator`.
 pub fn worlds(num_worlds: usize, seed: u64) -> EstimatorConfig {
-    EstimatorConfig::Worlds(WorldsConfig { num_worlds, seed, ..Default::default() })
+    EstimatorConfig::Worlds(WorldsConfig { num_worlds, seed })
 }
 
 /// A reverse-reachable-sketch estimator config (`num_sets` sketches, RNG

@@ -13,7 +13,7 @@ fn synthetic_oracle(deadline: Deadline, worlds: usize) -> (Arc<Graph>, WorldEsti
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         deadline,
-        &WorldsConfig { num_worlds: worlds, seed: 3, ..Default::default() },
+        &WorldsConfig { num_worlds: worlds, seed: 3 },
     )
     .unwrap();
     (graph, oracle)
@@ -45,7 +45,7 @@ fn tighter_deadlines_do_not_decrease_unfairness_of_the_standard_solver() {
         let oracle = WorldEstimator::new(
             Arc::clone(&graph),
             deadline,
-            &WorldsConfig { num_worlds: 100, seed: 9, ..Default::default() },
+            &WorldsConfig { num_worlds: 100, seed: 9 },
         )
         .unwrap();
         let report = solve(&oracle, &ProblemSpec::budget(10).unwrap()).unwrap();
@@ -88,7 +88,7 @@ fn exhaustive_optimum_dominates_greedy_and_certifies_theorem_1() {
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(3),
-        &WorldsConfig { num_worlds: 64, seed: 5, ..Default::default() },
+        &WorldsConfig { num_worlds: 64, seed: 5 },
     )
     .unwrap();
 
@@ -175,7 +175,7 @@ fn linear_threshold_estimator_supports_the_same_solvers() {
     let oracle = fairtcim::diffusion::WorldEstimator::new_lt(
         Arc::clone(&graph),
         Deadline::finite(5),
-        &WorldsConfig { num_worlds: 100, seed: 21, ..Default::default() },
+        &WorldsConfig { num_worlds: 100, seed: 21 },
     )
     .unwrap();
     let p1 = ProblemSpec::budget(10).unwrap();
@@ -224,7 +224,7 @@ fn dataset_registry_feeds_directly_into_the_solvers() {
     let oracle = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(2),
-        &WorldsConfig { num_worlds: 200, seed: 0, ..Default::default() },
+        &WorldsConfig { num_worlds: 200, seed: 0 },
     )
     .unwrap();
     let p1 = ProblemSpec::budget(bundle.defaults.budget).unwrap();
@@ -272,10 +272,9 @@ fn ris_estimator_selected_via_config_drives_greedy_and_celf() {
 
     // The RIS-chosen seeds must be competitive with the world-chosen seeds
     // when both are re-scored by a common held-out Monte-Carlo estimator.
-    let world_oracle =
-        EstimatorConfig::Worlds(WorldsConfig { num_worlds: 150, seed: 3, ..Default::default() })
-            .build(Arc::clone(&graph), deadline)
-            .unwrap();
+    let world_oracle = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 150, seed: 3 })
+        .build(Arc::clone(&graph), deadline)
+        .unwrap();
     let world_solve = solve(&world_oracle, &ProblemSpec::budget(10).unwrap()).unwrap();
     // Held-out worlds start at 2^32, disjoint from the world pool's `3..153`.
     let held_out = MonteCarloEstimator::new(Arc::clone(&graph), deadline, 600, 1 << 32).unwrap();
@@ -304,15 +303,13 @@ fn ris_solves_are_bitwise_identical_across_thread_counts() {
     let graph = Arc::new(config.build().unwrap());
     let deadline = Deadline::finite(5);
     let solve = |threads: usize| {
-        let oracle = EstimatorConfig::Ris(RisConfig {
-            num_sets: 8000,
-            seed: 13,
-            parallelism: ParallelismConfig::fixed(threads),
-            adaptive: None,
+        ParallelismConfig::fixed(threads).run(|| {
+            let oracle =
+                EstimatorConfig::Ris(RisConfig { num_sets: 8000, seed: 13, adaptive: None })
+                    .build(Arc::clone(&graph), deadline)
+                    .unwrap();
+            solve(&oracle, &ProblemSpec::budget(8).unwrap()).unwrap()
         })
-        .build(Arc::clone(&graph), deadline)
-        .unwrap();
-        solve(&oracle, &ProblemSpec::budget(8).unwrap()).unwrap()
     };
     let one = solve(1);
     let eight = solve(8);
@@ -330,7 +327,6 @@ fn adaptive_ris_supports_the_full_solve_path() {
         num_sets: 256,
         seed: 17,
         adaptive: Some(AdaptiveRis { epsilon: 0.3, delta: 0.1, budget: 8, max_sets: 60_000 }),
-        ..Default::default()
     })
     .build(Arc::clone(&graph), Deadline::finite(4))
     .unwrap();
