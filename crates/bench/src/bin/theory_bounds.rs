@@ -1,6 +1,5 @@
 //! Regenerates the paper artifact implemented in
-//! [`tcim_bench::figures::theory`]. See DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for the measured-vs-paper comparison.
+//! [`tcim_bench::figures::theory`], whose module docs say what it shows.
 
 fn main() {
     let args = tcim_bench::Args::parse();

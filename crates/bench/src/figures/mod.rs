@@ -1,7 +1,5 @@
-//! One module per paper figure/table; each exposes `run(&Args) -> FigureOutput`.
-//!
-//! The figure ↔ module mapping is listed in `DESIGN.md` (experiment index)
-//! and the measured-vs-paper comparison in `EXPERIMENTS.md`.
+//! One module per paper figure/table; each exposes `run(&Args) -> FigureOutput`
+//! and opens with the figure it regenerates and the panels it prints.
 
 pub mod fig1;
 pub mod fig10;

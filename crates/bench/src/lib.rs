@@ -6,7 +6,7 @@
 //! copy under `target/experiments/`. Absolute numbers differ from the paper
 //! (different random draws, surrogate datasets), but the qualitative shape —
 //! who wins, by roughly what factor, where the crossovers fall — is the
-//! reproduction target; `EXPERIMENTS.md` records the comparison.
+//! reproduction target.
 
 #![forbid(unsafe_code)]
 

@@ -162,8 +162,8 @@ impl Estimator {
 
     /// Approximate resident bytes this oracle *owns*. Worlds-backed oracles
     /// are views over a shared collection, so they report only their private
-    /// group tables and their singleton-gain table, charged in full whether
-    /// or not a solve has filled it ([`WorldEstimator::approx_view_bytes`]);
+    /// group tables and their gain rows, charged in full whether or not a
+    /// solve has filled them ([`WorldEstimator::approx_view_bytes`]);
     /// RIS oracles own
     /// their sketch pool and reverse adjacency
     /// ([`RisEstimator::approx_owned_bytes`]); Monte-Carlo oracles hold no

@@ -627,8 +627,8 @@ mod tests {
 
     #[test]
     fn a_deadline_copy_does_not_reuse_round_zero_gains() {
-        // The τ = 5 solve fills its oracle's singleton-gain table; the τ = 1
-        // copy shares the worlds but must start from its own table.
+        // The τ = 5 solve fills its oracle's gain rows; the τ = 1 copy
+        // shares the worlds but must start from its own rows.
         let p1 = ProblemSpec::budget(4).unwrap();
         let wide = sbm_oracle(Deadline::finite(5));
         let at_five = solve(&wide, &p1).unwrap();
@@ -640,8 +640,8 @@ mod tests {
 
     #[test]
     fn an_earlier_solve_on_the_oracle_does_not_change_a_later_one() {
-        // P4 fills the singleton-gain table that P1 then reads: same seeds,
-        // same influence, same gain evaluations as P1 on a fresh oracle.
+        // P4 fills the gain rows that P1 then reads: same seeds, same
+        // influence, same gain evaluations as P1 on a fresh oracle.
         let p1 = ProblemSpec::budget(4).unwrap();
         let p4 =
             ProblemSpec::budget(4).unwrap().with_fairness_wrapper(ConcaveWrapper::Log).unwrap();

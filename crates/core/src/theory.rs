@@ -9,8 +9,8 @@
 //!
 //! Optimal solutions are intractable on real instances; the experiment
 //! harness substitutes the exhaustive optimum on the illustrative graph and
-//! certified over-estimates (per-group greedy solutions) elsewhere, as
-//! documented in `EXPERIMENTS.md`.
+//! certified over-estimates (per-group greedy solutions) elsewhere (see the
+//! `theory` figure module of `tcim-bench`).
 
 use crate::concave::ConcaveWrapper;
 

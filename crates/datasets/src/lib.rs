@@ -8,7 +8,8 @@
 //! * [`rice`], [`instagram`], [`fbsnap`] — surrogate generators matching the
 //!   published structural statistics of the Rice-Facebook,
 //!   Instagram-Activities and Facebook-SNAP datasets (the originals are not
-//!   redistributable; see `DESIGN.md` for the substitution rationale),
+//!   redistributable; each module's docs give the statistics it matches and
+//!   why they suffice),
 //! * [`loader`] — plain-text loading of the genuine files when available,
 //! * [`churn`] — deterministic edge-churn sequences over any base graph:
 //!   the temporal workloads behind the dynamic-graph differential tests,

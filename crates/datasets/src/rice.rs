@@ -79,7 +79,7 @@ pub fn rice_facebook_surrogate(seed: u64) -> Result<Graph> {
 
     // Distribute the unreported edges: mostly within the two older cohorts
     // (keeping homophily comparable to V2's), the rest across groups so the
-    // graph stays connected. The split is documented in DESIGN.md.
+    // graph stays connected.
     let within3 = (remaining_edges as f64 * 0.45) as usize;
     let within4 = (remaining_edges as f64 * 0.25) as usize;
     let across_34 = (remaining_edges as f64 * 0.12) as usize;

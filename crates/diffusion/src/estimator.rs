@@ -2,6 +2,7 @@
 //! (Eq. 1 of the paper) and incremental marginal-gain oracles for greedy
 //! seed selection.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -113,9 +114,9 @@ pub trait InfluenceCursor {
 
     /// Per-group marginal gain of adding `candidate` to the current seed set.
     /// Does not modify the cursor state (apart from internal scratch buffers).
-    /// A [`WorldCursor`] with no committed seed may also fill its oracle's
-    /// shared singleton-gain table with the value it returns, so later
-    /// cursors of that oracle read `gain(v | ∅)` instead of recomputing it.
+    /// A [`WorldCursor`] with at most two committed seeds may also store the
+    /// value it returns in its oracle's shared gain rows, so later cursors of
+    /// that oracle with the same seeds read it instead of recomputing it.
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence;
 
     /// The marginal gains of every candidate against the current seed set,
@@ -149,60 +150,104 @@ pub struct WorldEstimator {
     deadline: Deadline,
     group_of: Vec<u32>,
     group_sizes: Vec<usize>,
-    /// The empty-set gains `gain(v | ∅)`, shared by every cursor of this
-    /// estimator and its clones (never across deadlines: the counts depend
-    /// on τ). Allocated by the first empty-set gain, so an estimate-only
-    /// oracle never pays for it.
-    singletons: Arc<OnceLock<SingletonGains>>,
+    /// The gain rows, shared by every cursor of this estimator and its
+    /// clones (never across deadlines: the counts depend on τ). Row `j` is
+    /// claimed by the first gain any cursor asks against a `j`-seed set, so
+    /// an estimate-only oracle never pays for one.
+    rows: Arc<[OnceLock<GainRow>; GAIN_ROWS]>,
 }
 
-/// Per-node, per-group world counts of the empty-set gain, filled lazily by
-/// the gains of a [`WorldCursor`] with no committed seed. Node `v`'s counts
-/// are `counts[v * k .. (v + 1) * k]` and are valid once `ready[v]` is set:
-/// the filler stores the counts, then sets the flag with `Release`; a reader
-/// loads the flag with `Acquire`. Two cursors racing to fill one node store
-/// identical values, so no lock is needed.
+/// Seed-set sizes with a gain row: 0, 1 and 2. Round 0 of every solve on an
+/// oracle asks the same questions, and solves that open with the same seeds
+/// (P1 and the fair problems that retrace it) ask the same ones again.
+const GAIN_ROWS: usize = 3;
+
+/// Per-candidate, per-group world counts of the marginal gains against one
+/// seed set, filled lazily by the gains of every [`WorldCursor`] whose
+/// committed seeds are that set. A gain is a pure integer function of the
+/// worlds, τ, the set and the candidate, so a stored count is the one the
+/// BFS would return. Slot `s`'s counts are `counts[s * k .. (s + 1) * k]`
+/// and are valid once `ready[s]` is set: the filler stores the counts, then
+/// sets the flag with `Release`; a reader loads the flag with `Acquire`. Two
+/// cursors racing to fill one slot store identical values, so no lock is
+/// needed.
 #[derive(Debug)]
-struct SingletonGains {
+struct GainRow {
+    /// The seed set, as sorted ids.
+    key: Box<[NodeId]>,
+    /// The candidates with a slot, sorted; `None` gives every node `v` the
+    /// slot `v.index()`.
+    pool: Option<Box<[NodeId]>>,
     counts: Box<[AtomicU64]>,
     ready: Box<[AtomicBool]>,
 }
 
-impl SingletonGains {
-    fn new(num_nodes: usize, num_groups: usize) -> Self {
-        SingletonGains {
-            counts: (0..num_nodes * num_groups).map(|_| AtomicU64::new(0)).collect(),
-            ready: (0..num_nodes).map(|_| AtomicBool::new(false)).collect(),
+impl GainRow {
+    fn new(
+        key: &[NodeId],
+        pool: Option<Box<[NodeId]>>,
+        num_nodes: usize,
+        num_groups: usize,
+    ) -> Self {
+        let slots = pool.as_ref().map_or(num_nodes, |pool| pool.len());
+        GainRow {
+            key: key.into(),
+            pool,
+            counts: (0..slots * num_groups).map(|_| AtomicU64::new(0)).collect(),
+            ready: (0..slots).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
-    /// Bytes of a table over `num_nodes × num_groups`, whether or not it has
-    /// been allocated or filled yet.
-    fn bytes(num_nodes: usize, num_groups: usize) -> usize {
-        std::mem::size_of::<Self>()
+    /// Bytes of every row at its largest over `num_nodes × num_groups`,
+    /// whether or not a cursor has claimed or filled it yet: `n × k` counts
+    /// and `n` flags each, up to `n` pool ids for rows 1 and 2, and row `j`'s
+    /// `j` key ids.
+    fn bytes_of_all(num_nodes: usize, num_groups: usize) -> usize {
+        let table = std::mem::size_of::<Self>()
             + num_nodes * num_groups * std::mem::size_of::<AtomicU64>()
-            + num_nodes * std::mem::size_of::<AtomicBool>()
+            + num_nodes * std::mem::size_of::<AtomicBool>();
+        let ids = (GAIN_ROWS - 1) * num_nodes + (0..GAIN_ROWS).sum::<usize>();
+        GAIN_ROWS * table + ids * std::mem::size_of::<NodeId>()
     }
 
-    /// Node `v`'s stored counts, if some cursor has filled them.
-    fn get(&self, v: usize, num_groups: usize) -> Option<&[AtomicU64]> {
-        if !self.ready.get(v)?.load(Ordering::Acquire) {
+    fn slot(&self, v: NodeId) -> Option<usize> {
+        match &self.pool {
+            None => Some(v.index()),
+            Some(pool) => pool.binary_search(&v).ok(),
+        }
+    }
+
+    /// `v`'s stored counts, if it has a slot and some cursor has filled it.
+    fn get(&self, v: NodeId, num_groups: usize) -> Option<&[AtomicU64]> {
+        let slot = self.slot(v)?;
+        if !self.ready.get(slot)?.load(Ordering::Acquire) {
             return None;
         }
-        self.counts.get(v * num_groups..(v + 1) * num_groups)
+        self.counts.get(slot * num_groups..(slot + 1) * num_groups)
     }
 
-    fn fill(&self, v: usize, counts: &[u64]) {
-        let start = v * counts.len();
+    fn fill(&self, v: NodeId, counts: &[u64]) {
+        let Some(slot) = self.slot(v) else { return };
+        let start = slot * counts.len();
         if let (Some(slots), Some(ready)) =
-            (self.counts.get(start..start + counts.len()), self.ready.get(v))
+            (self.counts.get(start..start + counts.len()), self.ready.get(slot))
         {
-            for (slot, &c) in slots.iter().zip(counts) {
-                slot.store(c, Ordering::Relaxed);
+            for (cell, &c) in slots.iter().zip(counts) {
+                cell.store(c, Ordering::Relaxed);
             }
             ready.store(true, Ordering::Release);
         }
     }
+}
+
+/// `candidates` as a row's slot set: their in-range ids, sorted and
+/// deduplicated, or `None` when that is every node.
+fn slot_set(candidates: &[NodeId], num_nodes: usize) -> Option<Box<[NodeId]>> {
+    let mut ids: Vec<NodeId> =
+        candidates.iter().copied().filter(|v| v.index() < num_nodes).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    (ids.len() < num_nodes).then(|| ids.into_boxed_slice())
 }
 
 impl WorldEstimator {
@@ -253,21 +298,23 @@ impl WorldEstimator {
         }
         let group_of: Vec<u32> = graph.nodes().map(|v| graph.group_of(v).0).collect();
         let group_sizes = graph.group_sizes();
-        Ok(WorldEstimator {
-            graph,
-            worlds,
-            deadline,
-            group_of,
-            group_sizes,
-            singletons: Arc::default(),
-        })
+        Ok(WorldEstimator { graph, worlds, deadline, group_of, group_sizes, rows: Arc::default() })
     }
 
     /// Returns a copy of this estimator that evaluates against a different
-    /// deadline but shares the same sampled worlds (not the singleton-gain
-    /// table, whose counts depend on the deadline).
+    /// deadline but shares the same sampled worlds (not the gain rows, whose
+    /// counts depend on the deadline).
     pub fn with_deadline(&self, deadline: Deadline) -> Self {
-        WorldEstimator { deadline, singletons: Arc::default(), ..self.clone() }
+        WorldEstimator { deadline, rows: Arc::default(), ..self.clone() }
+    }
+
+    /// How many candidates the gain row for `size`-seed sets has a slot for,
+    /// once a cursor has claimed it: `n` when its claimant's first batch of
+    /// gains covered every node, else that batch's distinct in-range
+    /// candidates. `None` before the claim, and for `size` past 2, which
+    /// never gets a row.
+    pub fn gain_row_slots(&self, size: usize) -> Option<usize> {
+        Some(self.rows.get(size)?.get()?.ready.len())
     }
 
     /// Number of sampled worlds.
@@ -294,9 +341,10 @@ impl WorldEstimator {
 
     /// Approximate heap bytes this estimator owns *beyond* its shared graph
     /// and world-collection `Arc`s: the per-node group lookup, the group
-    /// sizes and the singleton-gain table (`n × k` counts of 8 bytes plus one
-    /// ready flag per node). The table is charged in full up front, whether
-    /// or not a cursor has allocated or filled it yet, so the charge is a
+    /// sizes and the three gain rows at their largest (each `n × k` counts of
+    /// 8 bytes plus one ready flag per node, rows 1 and 2 up to `n` pool ids,
+    /// and the rows' keys). The rows are charged in full up front, whether
+    /// or not a cursor has claimed or filled them yet, so the charge is a
     /// function of the graph alone. A worlds-backed estimator is a view: the
     /// serving-tier cache accounts for (and budgets) the collection itself
     /// as its own entry.
@@ -304,7 +352,7 @@ impl WorldEstimator {
         2 * std::mem::size_of::<Vec<u8>>()
             + self.group_of.len() * std::mem::size_of::<u32>()
             + self.group_sizes.len() * std::mem::size_of::<usize>()
-            + SingletonGains::bytes(self.group_of.len(), self.group_sizes.len())
+            + GainRow::bytes_of_all(self.group_of.len(), self.group_sizes.len())
     }
 
     fn evaluate_worlds(&self, seeds: &[NodeId]) -> GroupInfluence {
@@ -407,8 +455,16 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 /// candidate to a node the seeds do not reach, every node is farther from
 /// the seeds than from the candidate, so none is pruned and the counts are
 /// the same integers a full BFS gives. The state costs one byte per node
-/// per world. With no committed seed, a gain is read from (or stored in)
-/// the estimator's shared singleton-gain table.
+/// per world.
+///
+/// While its committed seeds, sorted, equal the key of the estimator's gain
+/// row for their count (0, 1 or 2 seeds), a gain is read from (or stored
+/// in) that row. The first gain any cursor asks against a set of that size
+/// claims the row for its set. Row 0 has a slot for every node; rows 1 and
+/// 2 have one for each candidate of the claiming cursor's first batch of
+/// gains (every node when it was the whole graph), so a solve over a small
+/// pool allocates small rows. A gain with no slot, or against another set,
+/// is computed and not stored.
 ///
 /// One gain query runs serially on the cursor's own scratch: a pruned gain
 /// typically costs less than the tens of microseconds a fan-out spends
@@ -426,6 +482,9 @@ pub struct WorldCursor<'a> {
     current: GroupInfluence,
     seeds: Vec<NodeId>,
     scratch: VisitScratch,
+    /// The slot set of the candidates of this cursor's first batch of gains
+    /// (see [`slot_set`]): the slots of a row 1 or 2 this cursor claims.
+    ground: OnceCell<Option<Box<[NodeId]>>>,
 }
 
 /// A batch of gains fans out over threads only when the candidates it still
@@ -446,26 +505,31 @@ impl<'a> WorldCursor<'a> {
             current: GroupInfluence::zeros(k),
             seeds: Vec::new(),
             scratch: VisitScratch::new(n),
+            ground: OnceCell::new(),
         }
     }
 
-    /// The oracle's singleton-gain table while no seed is committed: round 0
-    /// of every solve on this oracle asks the same n questions.
-    fn singletons(&self) -> Option<&'a SingletonGains> {
+    /// The oracle's gain row for the committed seeds, claimed for them if no
+    /// cursor has asked a gain against a set of their size yet. `None` when
+    /// another set holds the row, or past two seeds.
+    fn row(&self) -> Option<&'a GainRow> {
         let estimator = self.estimator;
-        let (n, k) = (estimator.graph.num_nodes(), estimator.group_sizes.len());
-        self.seeds
-            .is_empty()
-            .then(|| estimator.singletons.get_or_init(|| SingletonGains::new(n, k)))
+        let size = self.seeds.len();
+        let cell = estimator.rows.get(size)?;
+        let mut key = [NodeId(0); GAIN_ROWS - 1];
+        let key = &mut key[..size];
+        key.copy_from_slice(&self.seeds);
+        key.sort_unstable();
+        let row = cell.get_or_init(|| {
+            let pool = if size == 0 { None } else { self.ground.get().cloned().flatten() };
+            GainRow::new(key, pool, estimator.graph.num_nodes(), estimator.group_sizes.len())
+        });
+        (*row.key == *key).then_some(row)
     }
 
-    /// `candidate`'s gain from `table`, if some cursor has stored it.
-    fn stored_gain(
-        &self,
-        table: Option<&SingletonGains>,
-        candidate: NodeId,
-    ) -> Option<GroupInfluence> {
-        let stored = table?.get(candidate.index(), self.estimator.group_sizes.len())?;
+    /// `candidate`'s gain from `row`, if some cursor has stored it.
+    fn stored_gain(&self, row: Option<&GainRow>, candidate: NodeId) -> Option<GroupInfluence> {
+        let stored = row?.get(candidate, self.estimator.group_sizes.len())?;
         let counts = stored.iter().map(|c| c.load(Ordering::Relaxed));
         Some(mean_over_worlds(counts, self.estimator.worlds.len()))
     }
@@ -508,31 +572,33 @@ impl InfluenceCursor for WorldCursor<'_> {
     }
 
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence {
-        let table = self.singletons();
-        if let Some(stored) = self.stored_gain(table, candidate) {
+        let row = self.row();
+        if let Some(stored) = self.stored_gain(row, candidate) {
             return stored;
         }
         let counts = gain_counts(self.estimator, &self.distance, candidate, &mut self.scratch);
-        if let Some(table) = table {
-            table.fill(candidate.index(), &counts);
+        if let Some(row) = row {
+            row.fill(candidate, &counts);
         }
         mean_over_worlds(counts, self.estimator.worlds.len())
     }
 
     /// The gains of `candidates`, bitwise those of [`InfluenceCursor::gain`]
-    /// one by one. With no committed seed, candidates already in the
-    /// singleton-gain table are read from it and the rest are stored there.
-    /// The candidates left to compute run serially on the cursor's scratch,
-    /// unless they times the worlds reach 50 000 (a lower bound on the BFS
-    /// node visits, since every BFS visits its source in every world): then
-    /// one fan-out under the ambient thread count splits them into
-    /// contiguous chunks, one scratch per worker, and the results come back
-    /// in candidate order.
+    /// one by one. Candidates already in the gain row for the committed seeds
+    /// are read from it and the rest are stored there if they have a slot.
+    /// The first batch also fixes the slots of any row 1 or 2 this cursor
+    /// claims. The candidates left to compute run serially on the cursor's
+    /// scratch, unless they times the worlds reach 50 000 (a lower bound on
+    /// the BFS node visits, since every BFS visits its source in every
+    /// world): then one fan-out under the ambient thread count splits them
+    /// into contiguous chunks, one scratch per worker, and the results come
+    /// back in candidate order.
     fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
         let estimator = self.estimator;
-        let table = self.singletons();
+        self.ground.get_or_init(|| slot_set(candidates, estimator.graph.num_nodes()));
+        let row = self.row();
         let stored: Vec<Option<GroupInfluence>> =
-            candidates.iter().map(|&v| self.stored_gain(table, v)).collect();
+            candidates.iter().map(|&v| self.stored_gain(row, v)).collect();
         let todo: Vec<NodeId> = candidates
             .iter()
             .zip(&stored)
@@ -565,8 +631,8 @@ impl InfluenceCursor for WorldCursor<'_> {
                     .0
             };
         let mut computed = todo.iter().zip(counts).map(|(&v, counts)| {
-            if let Some(table) = table {
-                table.fill(v.index(), &counts);
+            if let Some(row) = row {
+                row.fill(v, &counts);
             }
             mean_over_worlds(counts, num_worlds)
         });

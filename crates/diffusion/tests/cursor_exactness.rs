@@ -1,16 +1,21 @@
 //! The world cursor against a reference answer. `WorldCursor` keeps each
 //! node's hop distance from the committed seeds and prunes its BFS at nodes
-//! the seeds reach sooner; it also serves round-0 gains from a table shared
-//! by every cursor of one oracle, and answers whole scans as one batch. None
-//! of that may change an answer: the cursor's state must equal `evaluate(S)`
-//! bitwise, every marginal gain must equal `evaluate(S ∪ {v}) − evaluate(S)`
-//! as integer world counts, and a batch must equal the single gains bitwise,
-//! under IC and LT worlds at every deadline edge.
+//! the seeds reach sooner; it also serves gains against the first seed sets
+//! of size 0, 1 and 2 from rows shared by every cursor of one oracle, and
+//! answers whole scans as one batch. None of that may change an answer: the
+//! cursor's state must equal `evaluate(S)` bitwise, every marginal gain must
+//! equal `evaluate(S ∪ {v}) − evaluate(S)` as integer world counts, a batch
+//! must equal the single gains bitwise, and a gain read from a row must equal
+//! the one a fresh oracle computes, under IC and LT worlds at every deadline
+//! edge.
 
 use std::sync::Arc;
 
+use std::sync::Barrier;
+
 use proptest::prelude::*;
 use tcim_diffusion::{Deadline, GroupInfluence, InfluenceOracle, WorldEstimator, WorldsConfig};
+use tcim_graph::generators::{watts_strogatz, WattsStrogatzConfig};
 use tcim_graph::{Graph, GraphBuilder, GroupId, NodeId};
 
 const WORLDS: usize = 16;
@@ -115,8 +120,8 @@ fn check_cursor(oracle: &WorldEstimator, order: &[NodeId]) -> Result<(), String>
 }
 
 /// Every deadline on one pool, through [`WorldEstimator::with_deadline`]
-/// (whose copies must not share the singleton table), twice each: the first
-/// cursor fills the table, the second reads it.
+/// (whose copies must not share gain rows), twice each: the first cursor
+/// fills the rows, the second reads them.
 fn check_all_deadlines(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
     for deadline in deadlines() {
         let oracle = base.with_deadline(deadline);
@@ -127,8 +132,119 @@ fn check_all_deadlines(base: &WorldEstimator, order: &[NodeId]) -> Result<(), St
     Ok(())
 }
 
+/// The bits of the gains of `candidates` at every step of committing
+/// `order` on one cursor of `oracle`: the batch, then each single gain.
+fn gain_bits(oracle: &WorldEstimator, order: &[NodeId], candidates: &[NodeId]) -> Vec<Vec<u64>> {
+    let mut cursor = oracle.cursor();
+    let mut trace = Vec::new();
+    for step in 0..=order.len() {
+        trace.extend(cursor.gains(candidates).iter().map(bits));
+        trace.extend(candidates.iter().map(|&v| bits(&cursor.gain(v))));
+        if let Some(&next) = order.get(step) {
+            cursor.add_seed(next);
+        }
+    }
+    trace
+}
+
+/// What [`gain_bits`] must return, from oracles that have stored no gain:
+/// at each step a fresh copy of `oracle` (new, empty rows) commits the
+/// seeds so far and computes one batch, which stands for the single gains
+/// too.
+fn fresh_gain_bits(
+    oracle: &WorldEstimator,
+    order: &[NodeId],
+    candidates: &[NodeId],
+) -> Vec<Vec<u64>> {
+    let mut trace = Vec::new();
+    for step in 0..=order.len() {
+        let fresh = oracle.with_deadline(oracle.deadline());
+        let mut cursor = fresh.cursor();
+        for &seed in &order[..step] {
+            cursor.add_seed(seed);
+        }
+        let batch: Vec<Vec<u64>> = cursor.gains(candidates).iter().map(bits).collect();
+        trace.extend(batch.iter().cloned());
+        trace.extend(batch);
+    }
+    trace
+}
+
+/// Cursors that share an oracle's gain rows, each against fresh oracles, at
+/// every deadline: one replaying the claimant's seeds, one over another
+/// candidate set than the claimant's first batch (a pool of the even nodes
+/// after the whole graph, and the whole graph after that pool), and one
+/// whose first seed differs. Afterwards rows exist for sizes 0 to
+/// `min(|order|, 2)` only, row 0 over every node and rows 1 and 2 over the
+/// claimant's first batch.
+fn check_rows(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
+    let n = base.graph().num_nodes();
+    let all: Vec<NodeId> = (0..=n as u32).map(NodeId).collect();
+    let pool: Vec<NodeId> = all.iter().copied().filter(|v| v.0 % 2 == 0).collect();
+    let mut other = order.to_vec();
+    if let Some(first) = other.first_mut() {
+        *first = NodeId((first.0 + 1) % n as u32);
+    }
+    for deadline in deadlines() {
+        for (claimant, reader) in [(&all, &pool), (&pool, &all)] {
+            let oracle = base.with_deadline(deadline);
+            let runs =
+                [(order, claimant), (order, claimant), (order, reader), (&other[..], reader)];
+            for (run, (seeds, candidates)) in runs.into_iter().enumerate() {
+                if gain_bits(&oracle, seeds, candidates)
+                    != fresh_gain_bits(&oracle, seeds, candidates)
+                {
+                    return Err(format!(
+                        "{deadline}, run {run} (seeds {seeds:?}, {} candidates) differs from a fresh oracle",
+                        candidates.len()
+                    ));
+                }
+            }
+            let ground = claimant.iter().filter(|v| v.index() < n).count();
+            let expected: Vec<Option<usize>> = (0..5)
+                .map(|size| match size {
+                    0 => Some(n),
+                    1 | 2 if size <= order.len() => Some(ground),
+                    _ => None,
+                })
+                .collect();
+            let rows: Vec<Option<usize>> = (0..5).map(|size| oracle.gain_row_slots(size)).collect();
+            if rows != expected {
+                return Err(format!("{deadline}: row slots {rows:?}, expected {expected:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn ic_gain_rows_answer_as_fresh_oracles_do(
+        graph in random_graph(12, 36),
+        seed in 0u64..1000,
+        order in proptest::collection::vec(0u32..12, 0..=4),
+    ) {
+        let n = graph.num_nodes() as u32;
+        let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
+        let config = WorldsConfig { num_worlds: WORLDS, seed };
+        let base = WorldEstimator::new(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
+        prop_assert_eq!(check_rows(&base, &order), Ok(()));
+    }
+
+    #[test]
+    fn lt_gain_rows_answer_as_fresh_oracles_do(
+        graph in random_graph(12, 36),
+        seed in 0u64..1000,
+        order in proptest::collection::vec(0u32..12, 0..=4),
+    ) {
+        let n = graph.num_nodes() as u32;
+        let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
+        let config = WorldsConfig { num_worlds: WORLDS, seed };
+        let base = WorldEstimator::new_lt(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
+        prop_assert_eq!(check_rows(&base, &order), Ok(()));
+    }
 
     #[test]
     fn ic_cursor_matches_evaluate_exactly(
@@ -177,4 +293,72 @@ fn distances_past_253_hops_saturate() {
             assert_eq!(check_cursor(&oracle, &order), Ok(()), "{deadline}, order {order:?}");
         }
     }
+}
+
+fn small_world(num_nodes: usize, seed: u64) -> Arc<Graph> {
+    let config = WattsStrogatzConfig {
+        num_nodes,
+        neighbors: 3,
+        rewire_probability: 0.1,
+        minority_fraction: 0.3,
+        edge_probability: 0.3,
+        seed,
+    };
+    Arc::new(watts_strogatz(&config).unwrap())
+}
+
+/// Two threads behind a barrier race to claim and fill the same rows: each
+/// commits the same seeds on its own cursor of one oracle and asks every
+/// node's gain at every step. Both must see exactly a fresh oracle's gains.
+#[test]
+fn racing_cursors_claim_and_fill_one_row_set() {
+    let graph = small_world(400, 5);
+    let order = [NodeId(7), NodeId(200), NodeId(13)];
+    let all: Vec<NodeId> = graph.nodes().collect();
+    for seed in 0..8 {
+        let config = WorldsConfig { num_worlds: 16, seed };
+        let oracle = WorldEstimator::new(Arc::clone(&graph), Deadline::finite(4), &config).unwrap();
+        let expected = fresh_gain_bits(&oracle, &order, &all);
+        let start = Barrier::new(2);
+        let runs: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        gain_bits(&oracle, &order, &all)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (thread, run) in runs.iter().enumerate() {
+            assert!(
+                *run == expected,
+                "world seed {seed}, thread {thread} differs from a fresh oracle"
+            );
+        }
+        let rows: Vec<Option<usize>> = (0..4).map(|size| oracle.gain_row_slots(size)).collect();
+        assert_eq!(rows, [Some(400), Some(400), Some(400), None]);
+    }
+}
+
+/// A greedy solve over a 200-candidate pool on a 2·10^4-node oracle claims
+/// rows 1 and 2 with a slot per candidate, not per node; only row 0 spans
+/// the graph.
+#[test]
+fn a_pool_solve_sizes_its_rows_by_the_pool() {
+    let graph = small_world(20_000, 9);
+    let config = WorldsConfig { num_worlds: 4, seed: 3 };
+    let oracle = WorldEstimator::new(graph, Deadline::finite(3), &config).unwrap();
+    let mut remaining: Vec<NodeId> = (0..200).map(|i| NodeId(i * 97)).collect();
+    let mut cursor = oracle.cursor();
+    for _ in 0..4 {
+        let gains = cursor.gains(&remaining);
+        let best = (0..remaining.len())
+            .max_by(|&a, &b| gains[a].total().total_cmp(&gains[b].total()).then(b.cmp(&a)))
+            .unwrap();
+        cursor.add_seed(remaining.remove(best));
+    }
+    let rows: Vec<Option<usize>> = (0..4).map(|size| oracle.gain_row_slots(size)).collect();
+    assert_eq!(rows, [Some(20_000), Some(200), Some(200), None]);
 }

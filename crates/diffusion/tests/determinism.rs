@@ -105,8 +105,8 @@ fn auto_parallelism_matches_serial() {
     // PARALLEL_GAIN_MIN_WORK (50 000), so the fan-out over candidates
     // really runs. It must equal, bitwise, one serial `gain` per candidate,
     // at ∅ and after two commits. Every estimator is separate, because the
-    // cursors of one estimator share its singleton-gain table and a batch
-    // would read the reference's round-0 gains instead of computing its own.
+    // cursors of one estimator share its gain rows and a batch would read
+    // the reference's gains instead of computing its own.
     let big = WorldsConfig { num_worlds: 256, seed: 7 };
     let all: Vec<NodeId> = graph.nodes().collect();
     assert_eq!(all.len(), 300);
@@ -306,8 +306,8 @@ fn celf_trace(oracle: &dyn InfluenceOracle, budget: usize) -> (Vec<NodeId>, Vec<
     (cursor.seeds().to_vec(), asked)
 }
 
-/// Every cursor of one estimator shares its singleton-gain table, so eight
-/// threads racing through round 0 of the same CELF fill it concurrently.
+/// Every cursor of one estimator shares its gain rows, so eight threads
+/// racing through the same CELF fill them concurrently.
 /// Whoever fills an entry, each thread must see exactly the serial run
 /// on a fresh estimator.
 #[test]
@@ -378,8 +378,8 @@ fn greedy_trace(
 /// built under. Each oracle is built serially; one copy answers `evaluate`
 /// and the P1 (total influence) and P4 (sum of log normalised group
 /// influence) greedy solves under eight threads, and a second copy answers
-/// them serially. Separate copies keep the worlds oracle's round-0 gains from
-/// being read out of a singleton-gain table the other run filled.
+/// them serially. Separate copies keep the worlds oracle's gains from being
+/// read out of gain rows the other run filled.
 #[test]
 fn oracles_built_serially_answer_identically_under_eight_threads() {
     let graph = sbm();

@@ -63,8 +63,17 @@ impl ServiceEngine {
     }
 
     /// Serves one request, returning the response object (errors become
-    /// `"ok": false` responses, never panics).
+    /// `"ok": false` responses, never panics). Every fan-out the request
+    /// starts (building its oracle, evaluating, a batch of gains) runs under
+    /// the engine's thread count, whichever thread calls this.
     pub fn serve(&self, request: &Request) -> Json {
+        self.parallelism.run(|| self.respond(request))
+    }
+
+    /// [`ServiceEngine::serve`] under the calling thread's count: a batch's
+    /// workers call this, so each request keeps the share of the engine's
+    /// count that its chunk of the batch was given.
+    fn respond(&self, request: &Request) -> Json {
         let kind = OpKind::of(&request.op);
         self.stats.request_started();
         #[expect(
@@ -114,10 +123,12 @@ impl ServiceEngine {
         if requests.len() < 2 || self.parallelism.is_serial() {
             return requests.iter().map(|r| self.serve(r)).collect();
         }
-        self.parallelism.run(|| requests.par_iter().map(|r| self.serve(r)).collect())
+        self.parallelism.run(|| requests.par_iter().map(|r| self.respond(r)).collect())
     }
 
     fn execute(&self, request: &Request) -> Result<Vec<(String, Json)>> {
+        #[cfg(test)]
+        tests::record_thread_count(request);
         // Serving-tier ops never touch an oracle. `stats` snapshots before
         // its own completion is recorded, so the reported counts cover
         // *completed* requests (the snapshot does count itself as in-flight,
@@ -224,10 +235,60 @@ fn fairness_fields(report: &FairnessReport) -> Vec<(String, Json)> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+
+    /// The thread count each request id started executing under, across
+    /// every test in this binary (so each test filters its own ids).
+    static THREAD_COUNTS: Mutex<Vec<(String, usize)>> = Mutex::new(Vec::new());
+
+    pub(super) fn record_thread_count(request: &Request) {
+        if let Some(Json::Str(id)) = &request.id {
+            let threads = rayon::current_num_threads();
+            THREAD_COUNTS.lock().unwrap().push((id.clone(), threads));
+        }
+    }
+
+    fn thread_counts(prefix: &str) -> Vec<(String, usize)> {
+        let mut seen: Vec<(String, usize)> = THREAD_COUNTS
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(id, _)| id.starts_with(prefix))
+            .cloned()
+            .collect();
+        seen.sort();
+        seen
+    }
 
     fn request(line: &str) -> Request {
         Request::parse_line(line).unwrap()
+    }
+
+    #[test]
+    fn a_request_runs_its_fan_outs_under_the_engines_count() {
+        let engine = ServiceEngine::new(ParallelismConfig::fixed(3));
+        // Whatever the calling thread's own count is, `serve` runs under 3.
+        let response = ParallelismConfig::fixed(5).run(|| {
+            engine.serve(&request(
+                r#"{"id":"serve-3","op":"estimate","dataset":"illustrative","samples":64,"seeds":[0]}"#,
+            ))
+        });
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response}");
+        assert_eq!(thread_counts("serve-3"), [("serve-3".to_string(), 3)]);
+    }
+
+    #[test]
+    fn a_batch_splits_the_engines_count_between_its_workers() {
+        let engine = ServiceEngine::new(ParallelismConfig::fixed(4));
+        let responses = engine.serve_batch(&[
+            request(r#"{"id":"batch-4a","op":"estimate","dataset":"illustrative","samples":8,"seeds":[0]}"#),
+            request(r#"{"id":"batch-4b","op":"estimate","dataset":"illustrative","samples":8,"seeds":[1]}"#),
+        ]);
+        assert!(responses.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))));
+        let expected = [("batch-4a".to_string(), 2), ("batch-4b".to_string(), 2)];
+        assert_eq!(thread_counts("batch-4"), expected);
     }
 
     #[test]
