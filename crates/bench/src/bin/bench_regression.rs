@@ -12,7 +12,8 @@
 //! `--sha` defaults to `$GITHUB_SHA`, then "local". Quality metrics are
 //! fully deterministic (fixed seeds); wall-times vary with the runner, which
 //! is why the checked-in baseline carries generous headroom on top of the
-//! 25% gate. The `service_cache_speedup` ratio divides two wall-times
+//! 25% gate. `mc_eval_per_s` and `ris_eval_per_s` are the median of five
+//! timed blocks of 50 evaluations after one warm-up block. The `service_cache_speedup` ratio divides two wall-times
 //! measured in the same process, so runner speed largely cancels out — its
 //! baseline enforces the "cached serving amortizes estimator construction"
 //! contract (>= 5x on the 20-query grid). `service_warm_hit_rate` replays
@@ -65,6 +66,31 @@ fn timed<R>(op: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let result = op();
     (start.elapsed().as_secs_f64() * 1e3, result)
+}
+
+/// Evaluations per block of an estimator-throughput gate.
+const EVALS_PER_BLOCK: usize = 50;
+
+/// Timed blocks per estimator-throughput gate, after one untimed warm-up.
+const EVAL_BLOCKS: usize = 5;
+
+/// `evaluate` calls per second: one warm-up block of [`EVALS_PER_BLOCK`]
+/// calls, then the median rate over [`EVAL_BLOCKS`] timed blocks, so one
+/// descheduled block on a shared runner cannot move the gate.
+fn median_eval_rate(mut evaluate: impl FnMut()) -> f64 {
+    let mut block = || {
+        timed(|| {
+            for _ in 0..EVALS_PER_BLOCK {
+                evaluate();
+            }
+        })
+        .0
+    };
+    block();
+    let mut rates: Vec<f64> =
+        (0..EVAL_BLOCKS).map(|_| EVALS_PER_BLOCK as f64 / (block() / 1e3)).collect();
+    rates.sort_by(f64::total_cmp);
+    rates[EVAL_BLOCKS / 2]
 }
 
 /// The repeated-query serving workload: 20 budget solves over a τ × B grid
@@ -149,12 +175,10 @@ fn main() {
     let world_oracle = EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 1 })
         .build(Arc::clone(&graph), deadline)
         .expect("world oracle");
-    let (mc_eval_ms, _) = timed(|| {
-        for _ in 0..50 {
-            world_oracle.evaluate(&eval_seeds).expect("world evaluate");
-        }
+    let mc_eval_per_s = median_eval_rate(|| {
+        world_oracle.evaluate(&eval_seeds).expect("world evaluate");
     });
-    record.push("mc_eval_per_s", 50.0 / (mc_eval_ms / 1e3));
+    record.push("mc_eval_per_s", mc_eval_per_s);
 
     let ris_oracle = ris_spec
         .estimator
@@ -162,12 +186,10 @@ fn main() {
         .expect("estimator set above")
         .build(Arc::clone(&graph), deadline)
         .expect("ris oracle");
-    let (ris_eval_ms, _) = timed(|| {
-        for _ in 0..50 {
-            ris_oracle.evaluate(&eval_seeds).expect("ris evaluate");
-        }
+    let ris_eval_per_s = median_eval_rate(|| {
+        ris_oracle.evaluate(&eval_seeds).expect("ris evaluate");
     });
-    record.push("ris_eval_per_s", 50.0 / (ris_eval_ms / 1e3));
+    record.push("ris_eval_per_s", ris_eval_per_s);
 
     // --- Seed-set quality under a common held-out estimator ---------------
     // Deterministic (fixed seeds), so the 25% gate also catches correctness

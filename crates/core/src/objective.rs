@@ -87,10 +87,25 @@ impl Scalarization {
 /// An incremental scalar objective over seed nodes, driven by an
 /// [`InfluenceCursor`]. Ground-set items are node indices
 /// (`NodeId::index()`).
+///
+/// It keeps each ground item's last per-group gain so that
+/// [`IncrementalObjective::bound`] can re-scalarize it at the current
+/// influence `f` as `φ(f + δ_last) − φ(f)`. A cursor's per-group gains only
+/// shrink as seeds are added, and every scalarization is non-decreasing in
+/// each group, so that is an upper bound on the item's gain; it costs `k`
+/// flops, not a BFS. The ground is the first [`IncrementalObjective::gains`]
+/// batch's items (round 0 of a solve scores them all in one batch), so the
+/// storage is `|ground| × k`, never `n × k`.
 pub struct InfluenceObjective<'a> {
     cursor: Box<dyn InfluenceCursor + 'a>,
     scalarization: Scalarization,
     cached_value: f64,
+    /// The items of the first `gains` batch, sorted and deduplicated.
+    ground: Option<Box<[usize]>>,
+    /// `ground[s]`'s last per-group gain is `last_gains[s * k..(s + 1) * k]`.
+    last_gains: Vec<f64>,
+    /// The influence after each committed seed, in insertion order.
+    history: Vec<GroupInfluence>,
 }
 
 impl<'a> InfluenceObjective<'a> {
@@ -98,12 +113,25 @@ impl<'a> InfluenceObjective<'a> {
     /// seed set.
     pub fn new(cursor: Box<dyn InfluenceCursor + 'a>, scalarization: Scalarization) -> Self {
         let cached_value = scalarization.value(cursor.current().values());
-        InfluenceObjective { cursor, scalarization, cached_value }
+        InfluenceObjective {
+            cursor,
+            scalarization,
+            cached_value,
+            ground: None,
+            last_gains: Vec::new(),
+            history: Vec::new(),
+        }
     }
 
     /// Influence of the currently committed seed set.
     pub fn influence(&self) -> &GroupInfluence {
         self.cursor.current()
+    }
+
+    /// The influence after each committed seed: entry `i` is the influence
+    /// of the first `i + 1` seeds.
+    pub(crate) fn history(&self) -> &[GroupInfluence] {
+        &self.history
     }
 
     /// Seeds committed so far.
@@ -118,10 +146,27 @@ impl<'a> InfluenceObjective<'a> {
 
     /// The scalar gain of a per-group gain vector against the committed
     /// seeds, clamped at zero.
-    fn scalar_gain(&self, gain: &GroupInfluence) -> f64 {
-        let new_value =
-            self.scalarization.value_with_gain(self.cursor.current().values(), gain.values());
+    fn scalar_gain(&self, gain: &[f64]) -> f64 {
+        let new_value = self.scalarization.value_with_gain(self.cursor.current().values(), gain);
         (new_value - self.cached_value).max(0.0)
+    }
+
+    /// `item`'s slot in `last_gains`, if it is in the ground.
+    fn slot(&self, item: usize) -> Option<std::ops::Range<usize>> {
+        let s = self.ground.as_ref()?.binary_search(&item).ok()?;
+        let k = self.cursor.current().num_groups();
+        Some(s * k..(s + 1) * k)
+    }
+
+    /// Records `gain` as `item`'s last per-group gain, if it has a slot.
+    fn record(&mut self, item: usize, gain: &GroupInfluence) {
+        if let Some(slot) = self.slot(item) {
+            if let Some(last) = self.last_gains.get_mut(slot) {
+                for (last, &g) in last.iter_mut().zip(gain.values()) {
+                    *last = g;
+                }
+            }
+        }
     }
 }
 
@@ -132,20 +177,40 @@ impl IncrementalObjective for InfluenceObjective<'_> {
 
     fn gain(&mut self, item: usize) -> f64 {
         let gain = self.cursor.gain(NodeId::from_index(item));
-        self.scalar_gain(&gain)
+        self.record(item, &gain);
+        self.scalar_gain(gain.values())
     }
 
     /// One [`InfluenceCursor::gains`] batch, each result scalarized as
-    /// `gain` scalarizes it.
+    /// `gain` scalarizes it. The first batch fixes the ground whose gains
+    /// are kept for [`IncrementalObjective::bound`].
     fn gains(&mut self, items: &[usize]) -> Vec<f64> {
+        if self.ground.is_none() {
+            let mut ground = items.to_vec();
+            ground.sort_unstable();
+            ground.dedup();
+            self.last_gains = vec![0.0; ground.len() * self.cursor.current().num_groups()];
+            self.ground = Some(ground.into_boxed_slice());
+        }
         let candidates: Vec<NodeId> = items.iter().map(|&item| NodeId::from_index(item)).collect();
         let gains = self.cursor.gains(&candidates);
-        gains.iter().map(|gain| self.scalar_gain(gain)).collect()
+        for (&item, gain) in items.iter().zip(&gains) {
+            self.record(item, gain);
+        }
+        gains.iter().map(|gain| self.scalar_gain(gain.values())).collect()
     }
 
     fn insert(&mut self, item: usize) {
         self.cursor.add_seed(NodeId::from_index(item));
         self.cached_value = self.scalarization.value(self.cursor.current().values());
+        self.history.push(self.cursor.current().clone());
+    }
+
+    /// `item`'s last per-group gain re-scalarized at the current influence.
+    /// `None` before its first gain, or outside the ground.
+    fn bound(&self, item: usize) -> Option<f64> {
+        let last = self.last_gains.get(self.slot(item)?)?;
+        Some(self.scalar_gain(last))
     }
 }
 

@@ -152,7 +152,7 @@ fn solve_budget(
     let ground = resolve_candidates(oracle, spec.candidates.as_deref())?;
     let mut objective = InfluenceObjective::new(oracle.cursor(), scalarization);
     let trace = run_greedy(&mut objective, &ground, budget, spec.algorithm)?;
-    build_report(oracle, &trace, spec.label(), Some(spec.canonical()))
+    Ok(build_report(oracle, &objective, &trace, spec.label(), Some(spec.canonical())))
 }
 
 /// Shared cover driver: greedy cover (lazy unless the spec asks for the
@@ -183,14 +183,17 @@ fn solve_cover(
             cover_lazy(&mut objective, &ground, &config)?
         }
     };
-    let mut report = build_report(oracle, &result.trace, spec.label(), Some(spec.canonical()))?;
+    let mut report =
+        build_report(oracle, &objective, &result.trace, spec.label(), Some(spec.canonical()));
     report.cover = Some(CoverOutcome { quota: outcome_quota, reached: result.reached });
     Ok(report)
 }
 
 /// P3: sweep the wrapper ladder (then minority up-weighting) for the
 /// highest-influence solution within the disparity cap; fall back to the
-/// least disparate solution, flagged infeasible, when none qualifies.
+/// least disparate solution, flagged infeasible, when none qualifies. The
+/// report's `gain_evaluations` sums every rung that ran, not just the
+/// chosen one.
 fn constrained_budget_sweep(
     oracle: &dyn InfluenceOracle,
     spec: &ProblemSpec,
@@ -209,6 +212,7 @@ fn constrained_budget_sweep(
     // Worst-off group under the unweighted Log rung, which the ladder always
     // reaches when no rung is feasible; the up-weighting lever targets it.
     let mut log_worst_off = None;
+    let mut gain_evaluations = 0;
 
     let consider = |best_feasible: &mut Option<Candidate>,
                     least_disparate: &mut Option<Candidate>,
@@ -239,6 +243,7 @@ fn constrained_budget_sweep(
     for wrapper in DEFAULT_WRAPPER_LADDER {
         let report =
             solve_budget(oracle, spec, budget, Scalarization::Concave { wrapper, weights: None })?;
+        gain_evaluations += report.gain_evaluations;
         let feasible = report.disparity() <= disparity_cap + 1e-9;
         if wrapper == ConcaveWrapper::Log {
             log_worst_off = report.fairness().worst_off_group();
@@ -273,6 +278,7 @@ fn constrained_budget_sweep(
                         weights: Some(weights.clone()),
                     },
                 )?;
+                gain_evaluations += report.gain_evaluations;
                 let feasible = report.disparity() <= disparity_cap + 1e-9;
                 consider(
                     &mut best_feasible,
@@ -297,6 +303,7 @@ fn constrained_budget_sweep(
     )]
     let chosen = best_feasible.or(least_disparate).expect("at least one ladder rung was evaluated");
     let mut report = chosen.report;
+    report.gain_evaluations = gain_evaluations;
     report.constrained = Some(ConstrainedOutcome {
         disparity_cap,
         feasible: chosen.feasible,
@@ -363,8 +370,8 @@ pub(crate) fn resolve_candidates(
 }
 
 /// Replays `seeds` on a fresh cursor of `oracle`, returning the influence
-/// after each prefix. Used to attach per-iteration influence records to the
-/// solver reports without entangling the solvers themselves.
+/// after each prefix, for reports on seed sets no [`InfluenceObjective`]
+/// chose (baselines, exhaustive search).
 pub(crate) fn replay_influence(
     oracle: &dyn InfluenceOracle,
     seeds: &[NodeId],
@@ -404,19 +411,33 @@ pub(crate) fn run_greedy(
     Ok(trace)
 }
 
-pub(crate) fn build_report(
+/// The report of a solve that selected `trace` on `objective`. The
+/// per-seed and final influences are the ones `objective` recorded as it
+/// committed each seed: every cursor computes its current influence with
+/// the integer-then-scale arithmetic of [`InfluenceOracle::evaluate`], so
+/// they equal a replay and a fresh evaluation bitwise without paying for
+/// either.
+fn build_report(
     oracle: &dyn InfluenceOracle,
+    objective: &InfluenceObjective<'_>,
     trace: &SelectionTrace,
     label: String,
     spec: Option<String>,
-) -> Result<SolverReport> {
+) -> SolverReport {
     let seeds: Vec<NodeId> = trace.selected.iter().map(|&i| NodeId::from_index(i)).collect();
-    let objective_values: Vec<f64> = trace.steps.iter().map(|s| s.value_after).collect();
-    let iterations = replay_influence(oracle, &seeds, &objective_values);
-    let influence = oracle.evaluate(&seeds)?;
-    Ok(SolverReport {
+    let iterations = seeds
+        .iter()
+        .zip(objective.history())
+        .zip(&trace.steps)
+        .map(|((&seed, influence), step)| IterationRecord {
+            seed,
+            influence: influence.clone(),
+            objective_value: step.value_after,
+        })
+        .collect();
+    SolverReport {
         seeds,
-        influence,
+        influence: objective.influence().clone(),
         group_sizes: oracle.graph().group_sizes(),
         iterations,
         gain_evaluations: trace.gain_evaluations,
@@ -424,14 +445,15 @@ pub(crate) fn build_report(
         spec,
         cover: None,
         constrained: None,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::EstimatorConfig;
     use std::sync::Arc;
-    use tcim_diffusion::{Deadline, WorldEstimator, WorldsConfig};
+    use tcim_diffusion::{Deadline, GroupInfluence, RisConfig, WorldEstimator, WorldsConfig};
     use tcim_graph::generators::{
         illustrative_example, stochastic_block_model, IllustrativeConfig, SbmConfig,
     };
@@ -861,6 +883,81 @@ mod tests {
         // ignored entirely.
         assert_eq!(minority.seeds, vec![NodeId(11)]);
         assert!(minority.fairness().group_fraction(GroupId(1)) >= 0.5);
+    }
+
+    fn same_bits(a: &GroupInfluence, b: &GroupInfluence) -> bool {
+        let bits = |g: &GroupInfluence| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        bits(a) == bits(b)
+    }
+
+    #[test]
+    fn reports_equal_a_replay_and_a_fresh_evaluation_bitwise() {
+        let graph = Arc::new(
+            stochastic_block_model(&SbmConfig::two_group(90, 0.7, 0.08, 0.01, 0.3, 4)).unwrap(),
+        );
+        let configs = [
+            EstimatorConfig::Worlds(WorldsConfig { num_worlds: 16, seed: 3 }),
+            EstimatorConfig::MonteCarlo { samples: 16, seed: 3 },
+            EstimatorConfig::Ris(RisConfig { num_sets: 3000, seed: 3, ..Default::default() }),
+        ];
+        let specs = [
+            ProblemSpec::budget(5).unwrap(),
+            ProblemSpec::budget(5).unwrap().with_fairness_wrapper(ConcaveWrapper::Log).unwrap(),
+            p6(0.3),
+        ];
+        for config in configs {
+            let oracle = config.build(Arc::clone(&graph), Deadline::finite(3)).unwrap();
+            for spec in &specs {
+                let report = solve(&oracle, spec).unwrap();
+                let context = format!("{} {}", oracle.label(), spec.label());
+                assert!(report.num_seeds() > 1, "{context}");
+                let values: Vec<f64> =
+                    report.iterations.iter().map(|r| r.objective_value).collect();
+                let replayed = replay_influence(&oracle, &report.seeds, &values);
+                assert_eq!(report.iterations.len(), replayed.len(), "{context}");
+                for (got, want) in report.iterations.iter().zip(&replayed) {
+                    assert_eq!(got.seed, want.seed, "{context}");
+                    assert!(same_bits(&got.influence, &want.influence), "{context}");
+                }
+                let evaluated = oracle.evaluate(&report.seeds).unwrap();
+                assert!(same_bits(&report.influence, &evaluated), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn p3_counts_the_gain_evaluations_of_every_rung_it_ran() {
+        let est = oracle();
+        let rung = |budget, wrapper, weights| {
+            let fairness = FairnessMode::Concave { wrapper, weights };
+            let spec = ProblemSpec::budget(budget).unwrap().with_fairness(fairness).unwrap();
+            solve(&est, &spec).unwrap()
+        };
+        // A vacuous cap stops at the first non-identity rung.
+        let loose = solve(&est, &capped(ProblemSpec::budget(2).unwrap(), 1.0)).unwrap();
+        let ran: usize = DEFAULT_WRAPPER_LADDER[..2]
+            .iter()
+            .map(|&wrapper| rung(2, wrapper, None).gain_evaluations)
+            .sum();
+        assert_eq!(loose.gain_evaluations, ran);
+        // One seed never meets a 0.1 cap: all five ladder rungs and all
+        // three up-weighting rungs run.
+        let infeasible = solve(&est, &capped(ProblemSpec::budget(1).unwrap(), 0.1)).unwrap();
+        let ladder: usize = DEFAULT_WRAPPER_LADDER
+            .iter()
+            .map(|&wrapper| rung(1, wrapper, None).gain_evaluations)
+            .sum();
+        let worst = rung(1, ConcaveWrapper::Log, None).fairness().worst_off_group().unwrap();
+        let boosts: usize = [4.0, 16.0, 64.0]
+            .iter()
+            .map(|&boost| {
+                let mut weights = vec![1.0; 2];
+                weights[worst.index()] = boost;
+                rung(1, ConcaveWrapper::Log, Some(weights)).gain_evaluations
+            })
+            .sum();
+        assert_eq!(infeasible.gain_evaluations, ladder + boosts);
+        assert!(infeasible.gain_evaluations > rung(1, ConcaveWrapper::Log, None).gain_evaluations);
     }
 
     #[test]

@@ -116,9 +116,12 @@ pub fn cover_greedy<O: IncrementalObjective>(
 ///
 /// Submodularity makes every gain computed in an earlier round an upper
 /// bound on the item's current gain, so stale gains wait in a max-heap and
-/// only entries near the top are re-evaluated. Before each pick, every entry
-/// whose bound lies within a tie band of `1e-9 · max(1, |value|)` below the
-/// best fresh gain is re-evaluated too. The pick is then made among gains
+/// only entries near the top are re-evaluated. A stale entry that reaches
+/// the top is first tightened, once per round, by the objective's
+/// [`bound`](IncrementalObjective::bound) and re-pushed; it is evaluated
+/// only if it still reaches the top. Before each pick, every entry whose
+/// bound lies within a tie band of `1e-9 · max(1, |value|)` below the best
+/// fresh gain is re-evaluated too. The pick is then made among gains
 /// computed in this round, ties going to the smallest item id, so rounding
 /// noise in stale bounds cannot change the selection. The stop rules are
 /// those of [`cover_greedy`].
@@ -158,11 +161,15 @@ pub fn cover_lazy<O: IncrementalObjective>(
                 break;
             }
             heap.pop();
+            if let Some(bounded) = top.rebound(objective, trace.len()) {
+                heap.push(bounded);
+                continue;
+            }
             let fresh = if top.round == trace.len() {
                 top
             } else {
                 trace.gain_evaluations += 1;
-                HeapEntry { gain: objective.gain(top.item), item: top.item, round: trace.len() }
+                HeapEntry::fresh(objective.gain(top.item), top.item, trace.len())
             };
             let (gain, item) = (fresh.gain, fresh.item);
             let better = match best {

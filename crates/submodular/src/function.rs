@@ -33,6 +33,15 @@ pub trait IncrementalObjective {
 
     /// Commits `item` to the current set.
     fn insert(&mut self, item: usize);
+
+    /// A cheap upper bound on `gain(item)` against the current set, or
+    /// `None` when the objective has none. The lazy solvers ask here before
+    /// they pay for a stale entry's gain and keep the smaller of the bound
+    /// and the stale gain, so a bound only has to be valid, not tight. The
+    /// default has none, which leaves plain CELF.
+    fn bound(&self, _item: usize) -> Option<f64> {
+        None
+    }
 }
 
 /// Blanket helper implemented for every objective: evaluates a whole set from

@@ -6,6 +6,13 @@
 //! selection as plain greedy while typically issuing orders of magnitude
 //! fewer oracle calls — which matters because each call here is a Monte-Carlo
 //! influence estimate over hundreds of sampled worlds.
+//!
+//! Before it pays for a stale top entry's gain, CELF asks the objective for
+//! a cheap [`bound`](IncrementalObjective::bound) once per entry per round
+//! and re-pushes the entry under the smaller of its stale gain and that
+//! bound. The entry is evaluated only if it is still on top. A valid bound
+//! is an upper bound like a stale gain, so it saves evaluations without
+//! changing the selection; an objective without one runs plain CELF.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,6 +29,30 @@ pub(crate) struct HeapEntry {
     /// Selection round in which `gain` was computed; an entry is fresh iff
     /// this equals the current round.
     pub(crate) round: usize,
+    /// Last round in which `gain` was computed or tightened by the
+    /// objective's bound; a stale entry is re-bounded at most once a round.
+    bounded: usize,
+}
+
+impl HeapEntry {
+    /// An entry whose gain was computed in `round`.
+    pub(crate) fn fresh(gain: f64, item: usize, round: usize) -> Self {
+        HeapEntry { gain, item, round, bounded: round }
+    }
+
+    /// `self` under the objective's bound in `round`, if it is stale, not yet
+    /// re-bounded in `round` and the objective has a bound for it.
+    pub(crate) fn rebound<O: IncrementalObjective>(
+        self,
+        objective: &O,
+        round: usize,
+    ) -> Option<Self> {
+        if self.round == round || self.bounded == round {
+            return None;
+        }
+        let bound = objective.bound(self.item)?;
+        Some(HeapEntry { gain: self.gain.min(bound), bounded: round, ..self })
+    }
 }
 
 impl PartialEq for HeapEntry {
@@ -88,11 +119,15 @@ pub fn maximize_lazy<O: IncrementalObjective>(
             objective.insert(top.item);
             round += 1;
             trace.push(top.item, top.gain, objective.current_value());
+        } else if let Some(bounded) = top.rebound(objective, round) {
+            // Stale entry: tighten it first; it is paid for only if it is
+            // still on top.
+            heap.push(bounded);
         } else {
             // Stale entry: re-evaluate and push back.
             let gain = objective.gain(top.item);
             trace.gain_evaluations += 1;
-            heap.push(HeapEntry { gain, item: top.item, round });
+            heap.push(HeapEntry::fresh(gain, top.item, round));
         }
     }
     Ok(trace)
@@ -107,7 +142,7 @@ pub(crate) fn round_zero<O: IncrementalObjective>(
 ) -> BinaryHeap<HeapEntry> {
     let gains = objective.gains(items);
     trace.gain_evaluations += items.len();
-    items.iter().zip(gains).map(|(&item, gain)| HeapEntry { gain, item, round: 0 }).collect()
+    items.iter().zip(gains).map(|(&item, gain)| HeapEntry::fresh(gain, item, 0)).collect()
 }
 
 #[cfg(test)]
