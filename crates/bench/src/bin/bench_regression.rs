@@ -12,8 +12,10 @@
 //! `--sha` defaults to `$GITHUB_SHA`, then "local". Quality metrics are
 //! fully deterministic (fixed seeds); wall-times vary with the runner, which
 //! is why the checked-in baseline carries generous headroom on top of the
-//! 25% gate. `mc_eval_per_s` and `ris_eval_per_s` are the median of five
-//! timed blocks of 50 evaluations after one warm-up block. The `service_cache_speedup` ratio divides two wall-times
+//! 25% gate. `mc_solve_ms` and `ris_solve_ms` are the median of five timed
+//! solves after one warm-up solve, and `mc_eval_per_s` and `ris_eval_per_s`
+//! the median of five timed blocks of 50 evaluations after one warm-up
+//! block. The `service_cache_speedup` ratio divides two wall-times
 //! measured in the same process, so runner speed largely cancels out — its
 //! baseline enforces the "cached serving amortizes estimator construction"
 //! contract (>= 5x on the 20-query grid). `service_warm_hit_rate` replays
@@ -68,29 +70,31 @@ fn timed<R>(op: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64() * 1e3, result)
 }
 
+/// Timed calls per wall-time gate, after one untimed warm-up call.
+const REPEATS: usize = 5;
+
+/// The median wall-time in milliseconds of [`REPEATS`] timed calls of `op`
+/// after one untimed warm-up call, with the warm-up's result: one
+/// descheduled call on a shared runner cannot move the gate.
+fn median_ms<R>(mut op: impl FnMut() -> R) -> (f64, R) {
+    let warm = op();
+    let mut times: Vec<f64> = (0..REPEATS).map(|_| timed(&mut op).0).collect();
+    times.sort_by(f64::total_cmp);
+    (times[REPEATS / 2], warm)
+}
+
 /// Evaluations per block of an estimator-throughput gate.
 const EVALS_PER_BLOCK: usize = 50;
 
-/// Timed blocks per estimator-throughput gate, after one untimed warm-up.
-const EVAL_BLOCKS: usize = 5;
-
-/// `evaluate` calls per second: one warm-up block of [`EVALS_PER_BLOCK`]
-/// calls, then the median rate over [`EVAL_BLOCKS`] timed blocks, so one
-/// descheduled block on a shared runner cannot move the gate.
+/// `evaluate` calls per second over the median block of
+/// [`EVALS_PER_BLOCK`] calls (see [`median_ms`]).
 fn median_eval_rate(mut evaluate: impl FnMut()) -> f64 {
-    let mut block = || {
-        timed(|| {
-            for _ in 0..EVALS_PER_BLOCK {
-                evaluate();
-            }
-        })
-        .0
-    };
-    block();
-    let mut rates: Vec<f64> =
-        (0..EVAL_BLOCKS).map(|_| EVALS_PER_BLOCK as f64 / (block() / 1e3)).collect();
-    rates.sort_by(f64::total_cmp);
-    rates[EVAL_BLOCKS / 2]
+    let (ms, ()) = median_ms(|| {
+        for _ in 0..EVALS_PER_BLOCK {
+            evaluate();
+        }
+    });
+    EVALS_PER_BLOCK as f64 / (ms / 1e3)
 }
 
 /// The repeated-query serving workload: 20 budget solves over a τ × B grid
@@ -137,7 +141,7 @@ fn main() {
         .expect("positive budget")
         .with_deadline(deadline)
         .with_estimator(EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 1 }));
-    let (mc_solve_ms, mc_report) = timed(|| {
+    let (mc_solve_ms, mc_report) = median_ms(|| {
         let oracle = mc_spec
             .estimator
             .as_ref()
@@ -158,7 +162,7 @@ fn main() {
             seed: 2,
             ..Default::default()
         }));
-    let (ris_solve_ms, ris_report) = timed(|| {
+    let (ris_solve_ms, ris_report) = median_ms(|| {
         let oracle = ris_spec
             .estimator
             .as_ref()

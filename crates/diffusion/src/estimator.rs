@@ -11,7 +11,9 @@ use tcim_graph::{Graph, GroupId, NodeId};
 
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
-use crate::worlds::{bounded_bfs, live_ic_row, VisitScratch, WorldCollection, WorldsConfig};
+use crate::worlds::{
+    bounded_bfs, live_ic_row, LiveEdgeWorld, VisitScratch, WorldCollection, WorldsConfig,
+};
 
 /// Expected number of influenced nodes per group before the deadline — the
 /// vector `(f_τ(S; V_1), …, f_τ(S; V_k))`.
@@ -447,7 +449,8 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 
 /// Incremental coverage state over the live-edge worlds of a
 /// [`WorldEstimator`]: each node's hop distance from the committed seeds in
-/// each world.
+/// each world and, once the cursor has bought them, every ground
+/// candidate's gain counts.
 ///
 /// A gain query (and `add_seed`) runs the τ-bounded BFS from the candidate
 /// but prunes every node the committed seeds reach in at most as many hops
@@ -466,12 +469,35 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 /// pool allocates small rows. A gain with no slot, or against another set,
 /// is computed and not stored.
 ///
+/// On the fixed worlds a gain is a coverage count: the uncovered (world,
+/// node) pairs within τ live hops of the candidate. When a seed newly
+/// covers pair `(i, w)`, exactly the candidates within τ hops of `w` in
+/// world `i` lose one count in `w`'s group, and a τ-bounded BFS over world
+/// `i`'s reversed live edges from `w` finds them. So the cursor can keep
+/// the counts of its ground (the candidates of its first batch) current
+/// instead of searching forwards, and a gain of a ground candidate becomes
+/// a lookup of the integers the pruned BFS returns. Over a whole solve the
+/// reverse searches cost at most one more round 0: the reverse balls of all
+/// pairs have the sizes of the forward balls of all nodes.
+///
+/// The cursor buys these counts lazily, so a solve that would not repay
+/// them never pays. It buys when a gain misses the rows, the cursor holds
+/// seeds, its ground is set, row 0 holds every ground slot, and the BFS
+/// node visits its computed gains have paid (round 0 included) reach the
+/// work of reversing the worlds' live rows, `2·(W·n + live edges)`. Buying
+/// reverses each world, copies the ground's counts from row 0 and subtracts
+/// every pair the distance array marks covered. From then on `add_seed`
+/// records the pairs it newly covers, and the next gain that misses the
+/// rows subtracts them first; at 1 or 2 seeds it then writes every ground
+/// slot of the matching row. The rule decides speed, never an answer. The
+/// reversed worlds belong to the cursor and go with it.
+///
 /// One gain query runs serially on the cursor's own scratch: a pruned gain
 /// typically costs less than the tens of microseconds a fan-out spends
 /// starting threads. Threads go across candidates instead:
-/// [`InfluenceCursor::gains`] splits a batch with a single fan-out once the
-/// candidates it has to compute, times the worlds, reach 50 000, under the
-/// calling thread's count (see [`crate::ParallelismConfig`]).
+/// [`InfluenceCursor::gains`] splits a batch it has to search for with a
+/// single fan-out once a lower bound on its BFS node visits reaches 50 000,
+/// under the calling thread's count (see [`crate::ParallelismConfig`]).
 pub struct WorldCursor<'a> {
     estimator: &'a WorldEstimator,
     /// World-major, `num_worlds × num_nodes`: entry `i * n + v` is `v`'s hop
@@ -483,16 +509,107 @@ pub struct WorldCursor<'a> {
     seeds: Vec<NodeId>,
     scratch: VisitScratch,
     /// The slot set of the candidates of this cursor's first batch of gains
-    /// (see [`slot_set`]): the slots of a row 1 or 2 this cursor claims.
+    /// (see [`slot_set`]): the slots of a row 1 or 2 this cursor claims, and
+    /// the ground whose counts it keeps.
     ground: OnceCell<Option<Box<[NodeId]>>>,
+    /// BFS node visits the gains this cursor computed by search have paid.
+    visits: u64,
+    /// The ground's gain counts, once bought.
+    kept: Option<KeptCounts>,
 }
 
-/// A batch of gains fans out over threads only when the candidates it still
-/// has to compute, times the number of worlds, reach this. Every BFS visits
-/// its source in every world, so the product is a lower bound on the batch's
-/// node visits. Below it, starting scoped threads (tens of microseconds per
-/// operation) would cost more than the BFS work it spreads.
+/// A batch of gains fans out over threads only when a lower bound on the
+/// BFS node visits of the candidates it still has to search for reaches
+/// this: each candidate in every world, and past τ = 0 one more per live
+/// out-edge there (each leads to another node, save a self-loop). Below
+/// it, starting scoped threads (tens of microseconds per operation) would
+/// cost more than the BFS work it spreads.
 const PARALLEL_GAIN_MIN_WORK: usize = 50_000;
+
+/// [`KeptCounts::slot_of`] entry of a node outside the ground.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The gain counts a [`WorldCursor`] keeps current once it has bought them.
+struct KeptCounts {
+    /// Each world's live edges, turned around.
+    reverse: Vec<LiveEdgeWorld>,
+    /// Each node's ground slot, [`NO_SLOT`] outside the ground.
+    slot_of: Vec<u32>,
+    /// Slot `s`'s per-group counts at `s * k .. (s + 1) * k`: its gain
+    /// against the committed seeds, less the pairs still in `pending`.
+    counts: Vec<u64>,
+    /// The distance-array indices `i * n + w` of the pairs newly covered by
+    /// seeds committed since the last refresh.
+    pending: Vec<usize>,
+    /// How many committed seeds the counts reflect: 0 until the first
+    /// refresh after buying.
+    refreshed: usize,
+}
+
+impl KeptCounts {
+    /// Buys the counts of `ground` (every node when `None`) against the
+    /// seeds whose hop distances `distance` holds: the ground's counts from
+    /// `row0`, less every covered pair. `None`, before any world is
+    /// reversed, unless `row0` holds every ground slot.
+    fn buy(
+        estimator: &WorldEstimator,
+        ground: Option<&[NodeId]>,
+        row0: &GainRow,
+        distance: &[u8],
+        scratch: &mut VisitScratch,
+    ) -> Option<Self> {
+        let n = estimator.graph.num_nodes();
+        let k = estimator.group_sizes.len();
+        let all: Vec<NodeId>;
+        let ground = match ground {
+            Some(ground) => ground,
+            None => {
+                all = estimator.graph.nodes().collect();
+                &all
+            }
+        };
+        let stored: Vec<&[AtomicU64]> =
+            ground.iter().map(|&v| row0.get(v, k)).collect::<Option<_>>()?;
+        let counts = stored.iter().flat_map(|c| c.iter().map(|c| c.load(Ordering::Relaxed)));
+        let counts = counts.collect();
+        let mut slot_of = vec![NO_SLOT; n];
+        for (slot, &v) in ground.iter().enumerate() {
+            slot_of[v.index()] = slot as u32;
+        }
+        let reverse = estimator.worlds.worlds().iter().map(LiveEdgeWorld::reversed).collect();
+        let mut kept = KeptCounts { reverse, slot_of, counts, pending: Vec::new(), refreshed: 0 };
+        for (index, _) in distance.iter().enumerate().filter(|(_, &d)| d != UNCOVERED) {
+            kept.uncover(estimator, index, scratch);
+        }
+        Some(kept)
+    }
+
+    /// Takes the pair at distance-array index `index` off the counts of
+    /// every ground candidate within τ hops of it.
+    fn uncover(&mut self, estimator: &WorldEstimator, index: usize, scratch: &mut VisitScratch) {
+        let n = estimator.graph.num_nodes();
+        let k = estimator.group_sizes.len();
+        let (world, node) = (index / n, index % n);
+        let group = estimator.group_of[node] as usize;
+        let reverse = &self.reverse[world];
+        let row = |v| reverse.out_neighbors(NodeId(v)).iter().copied();
+        let (slot_of, counts) = (&self.slot_of, &mut self.counts);
+        bounded_bfs(n, &[NodeId::from_index(node)], estimator.deadline, scratch, row, |u, _| {
+            let slot = slot_of[u.index()];
+            if slot != NO_SLOT {
+                counts[slot as usize * k + group] -= 1;
+            }
+            true
+        });
+    }
+
+    /// `v`'s counts, if it is in the ground.
+    fn counts_of(&self, v: NodeId, num_groups: usize) -> Option<&[u64]> {
+        let slot = *self.slot_of.get(v.index())?;
+        let slot = (slot != NO_SLOT).then_some(slot as usize)?;
+        self.counts.get(slot * num_groups..(slot + 1) * num_groups)
+    }
+}
 
 impl<'a> WorldCursor<'a> {
     fn new(estimator: &'a WorldEstimator) -> Self {
@@ -506,6 +623,8 @@ impl<'a> WorldCursor<'a> {
             seeds: Vec::new(),
             scratch: VisitScratch::new(n),
             ground: OnceCell::new(),
+            visits: 0,
+            kept: None,
         }
     }
 
@@ -533,15 +652,127 @@ impl<'a> WorldCursor<'a> {
         let counts = stored.iter().map(|c| c.load(Ordering::Relaxed));
         Some(mean_over_worlds(counts, self.estimator.worlds.len()))
     }
+
+    /// The kept counts, brought up to the committed seeds, if this cursor
+    /// has bought them or buys them now (see [`WorldCursor`] for when). The
+    /// first call after a buy or a commit refreshes them, then writes every
+    /// ground slot of `row`, the row for the committed seeds, if any.
+    fn kept(&mut self, row: Option<&GainRow>) -> Option<&KeptCounts> {
+        let estimator = self.estimator;
+        if self.kept.is_none() {
+            let ground = self.ground.get()?;
+            if self.seeds.is_empty() || self.visits < buy_price(estimator) {
+                return None;
+            }
+            let row0 = estimator.rows.first()?.get()?;
+            self.kept = Some(KeptCounts::buy(
+                estimator,
+                ground.as_deref(),
+                row0,
+                &self.distance,
+                &mut self.scratch,
+            )?);
+        }
+        let kept = self.kept.as_mut()?;
+        if kept.refreshed == self.seeds.len() {
+            return Some(kept);
+        }
+        for index in std::mem::take(&mut kept.pending) {
+            kept.uncover(estimator, index, &mut self.scratch);
+        }
+        kept.refreshed = self.seeds.len();
+        if let Some(row) = row {
+            let k = estimator.group_sizes.len();
+            for (v, &slot) in kept.slot_of.iter().enumerate().filter(|(_, &s)| s != NO_SLOT) {
+                let slot = slot as usize;
+                row.fill(NodeId::from_index(v), &kept.counts[slot * k..(slot + 1) * k]);
+            }
+        }
+        Some(kept)
+    }
+
+    /// The counts of the gains of `todo`, which missed the rows: read from
+    /// the kept counts where the cursor has them, else searched for, all
+    /// on the cursor's scratch unless [`fans_out`] says the batch is worth
+    /// one fan-out. Every searched node visit is paid into `visits`.
+    fn computed(&mut self, row: Option<&GainRow>, todo: &[NodeId]) -> Vec<Vec<u64>> {
+        let estimator = self.estimator;
+        let k = estimator.group_sizes.len();
+        if todo.is_empty() {
+            return Vec::new();
+        }
+        if let Some(kept) = self.kept(row) {
+            let read: Vec<Option<Vec<u64>>> =
+                todo.iter().map(|&v| kept.counts_of(v, k).map(<[u64]>::to_vec)).collect();
+            return read
+                .into_iter()
+                .zip(todo)
+                .map(|(read, &v)| read.unwrap_or_else(|| self.searched(v)))
+                .collect();
+        }
+        if !fans_out(estimator, todo) {
+            return todo.iter().map(|&v| self.searched(v)).collect();
+        }
+        let distance = &self.distance;
+        let (counts, _, visits) = todo
+            .par_iter()
+            .fold(
+                || (Vec::new(), VisitScratch::new(0), 0u64),
+                |(mut chunk, mut scratch, mut visits), &v| {
+                    chunk.push(gain_counts(estimator, distance, v, &mut scratch, &mut visits));
+                    (chunk, scratch, visits)
+                },
+            )
+            .reduce(
+                || (Vec::new(), VisitScratch::new(0), 0),
+                |(mut acc, scratch, visits), (chunk, _, more)| {
+                    acc.extend(chunk);
+                    (acc, scratch, visits + more)
+                },
+            );
+        self.visits += visits;
+        counts
+    }
+
+    /// `candidate`'s gain counts by a search on the cursor's own scratch.
+    fn searched(&mut self, candidate: NodeId) -> Vec<u64> {
+        gain_counts(self.estimator, &self.distance, candidate, &mut self.scratch, &mut self.visits)
+    }
+}
+
+/// The BFS node visits after which a [`WorldCursor`] buys kept counts: the
+/// work of reversing every world's live rows, `2·(W·n + live edges)`.
+fn buy_price(estimator: &WorldEstimator) -> u64 {
+    let worlds = estimator.worlds.worlds();
+    let live: usize = worlds.iter().map(LiveEdgeWorld::num_live_edges).sum();
+    2 * (worlds.len() * estimator.graph.num_nodes() + live) as u64
+}
+
+/// Whether searching for the gains of `todo` is worth one fan-out: whether
+/// the lower bound on its node visits that [`PARALLEL_GAIN_MIN_WORK`]
+/// describes reaches that constant.
+fn fans_out(estimator: &WorldEstimator, todo: &[NodeId]) -> bool {
+    let n = estimator.graph.num_nodes();
+    let expands = estimator.deadline.allows(1);
+    let mut work = 0usize;
+    todo.len() > 1
+        && todo.iter().filter(|v| v.index() < n).any(|&v| {
+            for world in estimator.worlds.worlds() {
+                work += 1 + if expands { world.out_neighbors(v).len() } else { 0 };
+            }
+            work >= PARALLEL_GAIN_MIN_WORK
+        })
 }
 
 /// The per-group world counts of `candidate`'s marginal gain over the seeds
-/// whose hop distances `distance` holds, world by world on one scratch.
+/// whose hop distances `distance` holds, world by world on one scratch;
+/// adds the node visits of the search to `visits`.
 fn gain_counts(
     estimator: &WorldEstimator,
     distance: &[u8],
     candidate: NodeId,
     scratch: &mut VisitScratch,
+    visits: &mut u64,
 ) -> Vec<u64> {
     let n = estimator.graph.num_nodes();
     let mut counts = vec![0u64; estimator.group_sizes.len()];
@@ -549,6 +780,7 @@ fn gain_counts(
         let distance = &distance[i * n..(i + 1) * n];
         let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
         bounded_bfs(n, &[candidate], estimator.deadline, scratch, row, |node, hops| {
+            *visits += 1;
             let d = distance[node.index()];
             if reached_sooner(d, hops) {
                 return false;
@@ -576,7 +808,7 @@ impl InfluenceCursor for WorldCursor<'_> {
         if let Some(stored) = self.stored_gain(row, candidate) {
             return stored;
         }
-        let counts = gain_counts(self.estimator, &self.distance, candidate, &mut self.scratch);
+        let counts = self.computed(row, &[candidate]).pop().unwrap_or_default();
         if let Some(row) = row {
             row.fill(candidate, &counts);
         }
@@ -586,13 +818,13 @@ impl InfluenceCursor for WorldCursor<'_> {
     /// The gains of `candidates`, bitwise those of [`InfluenceCursor::gain`]
     /// one by one. Candidates already in the gain row for the committed seeds
     /// are read from it and the rest are stored there if they have a slot.
-    /// The first batch also fixes the slots of any row 1 or 2 this cursor
-    /// claims. The candidates left to compute run serially on the cursor's
-    /// scratch, unless they times the worlds reach 50 000 (a lower bound on
-    /// the BFS node visits, since every BFS visits its source in every
-    /// world): then one fan-out under the ambient thread count splits them
-    /// into contiguous chunks, one scratch per worker, and the results come
-    /// back in candidate order.
+    /// The first batch also fixes the cursor's ground: the slots of any row
+    /// 1 or 2 it claims, and the candidates whose counts it may keep. The
+    /// candidates left to search for run serially on the cursor's scratch,
+    /// unless a lower bound on their BFS node visits reaches 50 000: then
+    /// one fan-out under the ambient thread count splits them into
+    /// contiguous chunks, one scratch per worker, and the results come back
+    /// in candidate order.
     fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
         let estimator = self.estimator;
         self.ground.get_or_init(|| slot_set(candidates, estimator.graph.num_nodes()));
@@ -605,31 +837,8 @@ impl InfluenceCursor for WorldCursor<'_> {
             .filter(|(_, stored)| stored.is_none())
             .map(|(&v, _)| v)
             .collect();
+        let counts = self.computed(row, &todo);
         let num_worlds = estimator.worlds.len();
-        let counts: Vec<Vec<u64>> =
-            if todo.len().saturating_mul(num_worlds) < PARALLEL_GAIN_MIN_WORK {
-                todo.iter()
-                    .map(|&v| gain_counts(estimator, &self.distance, v, &mut self.scratch))
-                    .collect()
-            } else {
-                let distance = &self.distance;
-                todo.par_iter()
-                    .fold(
-                        || (Vec::new(), VisitScratch::new(0)),
-                        |(mut chunk, mut scratch), &v| {
-                            chunk.push(gain_counts(estimator, distance, v, &mut scratch));
-                            (chunk, scratch)
-                        },
-                    )
-                    .reduce(
-                        || (Vec::new(), VisitScratch::new(0)),
-                        |(mut acc, scratch), (chunk, _)| {
-                            acc.extend(chunk);
-                            (acc, scratch)
-                        },
-                    )
-                    .0
-            };
         let mut computed = todo.iter().zip(counts).map(|(&v, counts)| {
             if let Some(row) = row {
                 row.fill(v, &counts);
@@ -643,6 +852,7 @@ impl InfluenceCursor for WorldCursor<'_> {
         let group_of = &self.estimator.group_of;
         let deadline = self.estimator.deadline;
         let n = self.estimator.graph.num_nodes();
+        let mut pending = self.kept.as_mut().map(|kept| &mut kept.pending);
         for (i, world) in self.estimator.worlds.worlds().iter().enumerate() {
             let distance = &mut self.distance[i * n..(i + 1) * n];
             let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
@@ -653,6 +863,9 @@ impl InfluenceCursor for WorldCursor<'_> {
                 }
                 if *d == UNCOVERED {
                     self.group_totals[group_of[node.index()] as usize] += 1.0;
+                    if let Some(pending) = pending.as_mut() {
+                        pending.push(i * n + node.index());
+                    }
                 }
                 *d = (*d).min(u8::try_from(hops).map_or(FAR, |h| h.min(FAR)));
                 true
@@ -879,6 +1092,49 @@ mod tests {
         // A leaf already covered gains nothing.
         let gain_leaf = cursor.gain(NodeId(1));
         assert!(gain_leaf.total().abs() < 1e-12);
+    }
+
+    /// Where the sweep spends its time, the kept counts pay: on a
+    /// supercritical 600-node SBM with 64 worlds at τ = 5, round 0 alone
+    /// pays more BFS visits than reversing the worlds costs, so a lazy
+    /// greedy run to a 40% cover quota buys the counts with its first lazy
+    /// gain and reads them from then on.
+    #[test]
+    fn a_cover_run_on_a_supercritical_sbm_buys_kept_counts() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        use tcim_graph::generators::{stochastic_block_model, SbmConfig};
+
+        let config = SbmConfig::two_group(600, 0.7, 0.05, 0.005, 0.1, 7);
+        let graph = Arc::new(stochastic_block_model(&config).unwrap());
+        let worlds = WorldsConfig { num_worlds: 64, seed: 7 };
+        let est = WorldEstimator::new(graph, Deadline::finite(5), &worlds).unwrap();
+        let mut cursor = WorldCursor::new(&est);
+        let all: Vec<NodeId> = est.graph().nodes().collect();
+        let round_zero = cursor.gains(&all);
+        assert!(cursor.visits >= buy_price(&est), "{} visits", cursor.visits);
+        // Max-heap on (gain, smallest id), each entry tagged with the seed
+        // count it was computed against; gains are non-negative, so their
+        // bits order as they do.
+        let mut heap: BinaryHeap<(u64, Reverse<NodeId>, usize)> = all
+            .iter()
+            .zip(&round_zero)
+            .map(|(&v, g)| (g.total().to_bits(), Reverse(v), 0))
+            .collect();
+        let mut lazy_gains = 0;
+        while cursor.current().total() < 240.0 {
+            let Some((_, Reverse(v), at)) = heap.pop() else { break };
+            if at == cursor.seeds().len() {
+                cursor.add_seed(v);
+                continue;
+            }
+            let gain = cursor.gain(v).total();
+            lazy_gains += 1;
+            assert!(cursor.kept.is_some(), "lazy gain {lazy_gains} at {} seeds", at + 1);
+            heap.push((gain.to_bits(), Reverse(v), cursor.seeds().len()));
+        }
+        let seeds = cursor.seeds().len();
+        assert!(seeds > 2 && lazy_gains > seeds, "{lazy_gains} lazy gains for {seeds} seeds");
     }
 
     #[test]

@@ -116,6 +116,29 @@ impl LiveEdgeWorld {
         let v = node.index();
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
+
+    /// This world with every live edge turned around, so that row `w` lists
+    /// the live in-neighbours of `w` in ascending order. A counting sort by
+    /// target: one pass to count, one to place, `O(n + live edges)`.
+    pub(crate) fn reversed(&self) -> LiveEdgeWorld {
+        let n = self.num_nodes();
+        let mut offsets = vec![0u32; n + 1];
+        for &w in &self.targets {
+            offsets[w as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets.clone();
+        let mut sources = vec![0u32; self.targets.len()];
+        for v in 0..n {
+            for &w in self.out_neighbors(NodeId::from_index(v)) {
+                sources[next[w as usize] as usize] = v as u32;
+                next[w as usize] += 1;
+            }
+        }
+        LiveEdgeWorld { offsets, targets: sources }
+    }
 }
 
 /// The one τ-bounded forward BFS: searches from `sources` over the live
@@ -611,6 +634,21 @@ mod tests {
         assert_eq!(world.out_neighbors(NodeId(0)), &[1, 3]);
         assert_eq!(world.out_neighbors(NodeId(1)), &[] as &[u32]);
         assert_eq!(world.out_neighbors(NodeId(2)), &[0]);
+    }
+
+    #[test]
+    fn reversed_worlds_list_in_neighbours() {
+        let edges = vec![(2, 0), (0, 1), (0, 3), (3, 1), (1, 1)];
+        let world = LiveEdgeWorld::from_edges(4, edges.clone());
+        let reverse = world.reversed();
+        assert_eq!(reverse.num_live_edges(), 5);
+        assert_eq!(reverse.out_neighbors(NodeId(0)), &[2]);
+        assert_eq!(reverse.out_neighbors(NodeId(1)), &[0, 1, 3]);
+        assert_eq!(reverse.out_neighbors(NodeId(2)), &[] as &[u32]);
+        assert_eq!(reverse.out_neighbors(NodeId(3)), &[0]);
+        let turned = edges.into_iter().map(|(u, v)| (v, u)).collect();
+        assert_eq!(reverse, LiveEdgeWorld::from_edges(4, turned));
+        assert_eq!(reverse.reversed(), world);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! node's hop distance from the committed seeds and prunes its BFS at nodes
 //! the seeds reach sooner; it also serves gains against the first seed sets
 //! of size 0, 1 and 2 from rows shared by every cursor of one oracle, and
-//! answers whole scans as one batch. None of that may change an answer: the
-//! cursor's state must equal `evaluate(S)` bitwise, every marginal gain must
-//! equal `evaluate(S ∪ {v}) − evaluate(S)` as integer world counts, a batch
-//! must equal the single gains bitwise, and a gain read from a row must equal
-//! the one a fresh oracle computes, under IC and LT worlds at every deadline
-//! edge.
+//! answers whole scans as one batch. Once its searches have paid for it, it
+//! keeps every ground candidate's gain current by reverse searches instead.
+//! None of that may change an answer: the cursor's state must equal
+//! `evaluate(S)` bitwise, every marginal gain must equal
+//! `evaluate(S ∪ {v}) − evaluate(S)` as integer world counts, a batch must
+//! equal the single gains bitwise, and a gain read from a row or from kept
+//! counts must equal the one a fresh oracle computes, under IC and LT worlds
+//! at every deadline edge.
 
 use std::sync::Arc;
 
@@ -217,6 +219,85 @@ fn check_rows(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
     Ok(())
 }
 
+/// The integer world counts of the gains of `candidates` on a fresh copy of
+/// `oracle` (new, empty rows) that has committed `seeds`: a cursor that has
+/// paid for no search, so every count comes from a forward BFS.
+fn fresh_counts(oracle: &WorldEstimator, seeds: &[NodeId], candidates: &[NodeId]) -> Vec<Vec<i64>> {
+    let fresh = oracle.with_deadline(oracle.deadline());
+    let mut cursor = fresh.cursor();
+    for &seed in seeds {
+        cursor.add_seed(seed);
+    }
+    let worlds = oracle.num_worlds();
+    cursor.gains(candidates).iter().map(|gain| world_counts(gain, worlds)).collect()
+}
+
+/// Drives one cursor of `oracle` over `ground` through `order` until it
+/// must have bought kept counts, and checks it against a fresh oracle after
+/// every commit: first every ground candidate's single gain, then one
+/// batch, as integer world counts.
+///
+/// The cursor buys once the BFS node visits of the gains it searched for
+/// reach `2·(W·n + live edges)`, at the first gain that misses the rows
+/// after that (its ground is set and row 0 holds it from step 0's batch).
+/// A supercritical oracle pays that in round 0, so it buys at one seed and
+/// refreshes rows 1 and 2 from kept counts. Any other pays at three seeds,
+/// where no row answers: every search of an in-range candidate visits at
+/// least its source in every world, so the batches asked there pay the
+/// price, and the seeds after them run on kept counts.
+fn check_kept_counts(
+    oracle: &WorldEstimator,
+    ground: &[NodeId],
+    order: &[NodeId],
+) -> Result<(), String> {
+    let n = oracle.graph().num_nodes();
+    let worlds = oracle.num_worlds();
+    let live: usize = oracle.worlds().worlds().iter().map(|w| w.num_live_edges()).sum();
+    let price = 2 * (worlds * n + live);
+    let in_range = ground.iter().filter(|v| v.index() < n).count().max(1);
+    let mut cursor = oracle.cursor();
+    let mut seeds: Vec<NodeId> = Vec::new();
+    for step in 0..=order.len() {
+        let expected = fresh_counts(oracle, &seeds, ground);
+        let singles: Vec<Vec<i64>> =
+            ground.iter().map(|&v| world_counts(&cursor.gain(v), worlds)).collect();
+        if singles != expected {
+            return Err(format!("seeds {seeds:?}: single gains {singles:?} vs {expected:?}"));
+        }
+        let batch: Vec<Vec<i64>> =
+            cursor.gains(ground).iter().map(|gain| world_counts(gain, worlds)).collect();
+        if batch != expected {
+            return Err(format!("seeds {seeds:?}: batch {batch:?} vs {expected:?}"));
+        }
+        if seeds.len() == 3 {
+            for _ in 0..price.div_ceil(worlds * in_range) {
+                cursor.gains(ground);
+            }
+        }
+        if let Some(&next) = order.get(step) {
+            cursor.add_seed(next);
+            seeds.push(next);
+        }
+    }
+    Ok(())
+}
+
+/// [`check_kept_counts`] at every deadline, over every node (and one past
+/// the last) and over the even nodes.
+fn check_kept_counts_everywhere(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
+    let n = base.graph().num_nodes();
+    let all: Vec<NodeId> = (0..=n as u32).map(NodeId).collect();
+    let pool: Vec<NodeId> = all.iter().copied().filter(|v| v.0 % 2 == 0).collect();
+    for deadline in deadlines() {
+        for ground in [&all, &pool] {
+            let oracle = base.with_deadline(deadline);
+            check_kept_counts(&oracle, ground, order)
+                .map_err(|e| format!("{deadline}, {} candidates: {e}", ground.len()))?;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -270,6 +351,32 @@ proptest! {
         let config = WorldsConfig { num_worlds: WORLDS, seed };
         let base = WorldEstimator::new_lt(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
         prop_assert_eq!(check_all_deadlines(&base, &order), Ok(()));
+    }
+
+    #[test]
+    fn ic_kept_counts_match_fresh_oracles(
+        graph in random_graph(12, 36),
+        seed in 0u64..1000,
+        order in proptest::collection::vec(0u32..12, 4..=6),
+    ) {
+        let n = graph.num_nodes() as u32;
+        let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
+        let config = WorldsConfig { num_worlds: WORLDS, seed };
+        let base = WorldEstimator::new(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
+        prop_assert_eq!(check_kept_counts_everywhere(&base, &order), Ok(()));
+    }
+
+    #[test]
+    fn lt_kept_counts_match_fresh_oracles(
+        graph in random_graph(12, 36),
+        seed in 0u64..1000,
+        order in proptest::collection::vec(0u32..12, 4..=6),
+    ) {
+        let n = graph.num_nodes() as u32;
+        let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
+        let config = WorldsConfig { num_worlds: WORLDS, seed };
+        let base = WorldEstimator::new_lt(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
+        prop_assert_eq!(check_kept_counts_everywhere(&base, &order), Ok(()));
     }
 }
 
