@@ -13,12 +13,18 @@
 //! fully deterministic (fixed seeds); wall-times vary with the runner, which
 //! is why the checked-in baseline carries generous headroom on top of the
 //! 25% gate. `mc_solve_ms` and `ris_solve_ms` are the median of five timed
-//! solves after one warm-up solve, and `mc_eval_per_s` and `ris_eval_per_s`
+//! solves after one warm-up solve, `mc_eval_per_s` and `ris_eval_per_s`
 //! the median of five timed blocks of 50 evaluations after one warm-up
-//! block. The `service_cache_speedup` ratio divides two wall-times
-//! measured in the same process, so runner speed largely cancels out — its
+//! block, and `service_cold20_ms` and `service_cached20_ms` the median of
+//! five timed serves of the 20-query grid after one warm-up serve. The
+//! `service_cache_speedup` ratio divides those two medians, measured in the
+//! same process, so runner speed largely cancels out — its
 //! baseline enforces the "cached serving amortizes estimator construction"
-//! contract (>= 5x on the 20-query grid). `service_warm_hit_rate` replays
+//! contract (>= 5x on the 20-query grid). `incremental_refresh_speedup`
+//! divides the median cold RIS rebuild by the median incremental refresh
+//! over five churn steps after a warm-up step, on the 2·10^4-node
+//! Watts–Strogatz graph of perfbench's `churn_ris`, so costs that grow with
+//! the graph show on both sides. `service_warm_hit_rate` replays
 //! the grid twice through a byte-budgeted cache and gates the oracle hit
 //! rate (deterministically 0.75 under segmented LRU), so an eviction-policy
 //! regression that churns hot entries fails CI even when wall-times pass.
@@ -31,7 +37,7 @@ use std::time::Instant;
 use tcim_bench::regression::{compare, BenchRecord, REGRESSION_TOLERANCE};
 use tcim_core::{solve, EstimatorConfig, ProblemSpec, RisConfig, WorldsConfig};
 use tcim_datasets::churn::ChurnConfig;
-use tcim_datasets::SyntheticConfig;
+use tcim_datasets::{ScenarioSpec, SyntheticConfig};
 use tcim_diffusion::{
     Deadline, InfluenceOracle, MonteCarloEstimator, ParallelismConfig, RisEstimator,
 };
@@ -78,9 +84,14 @@ const REPEATS: usize = 5;
 /// descheduled call on a shared runner cannot move the gate.
 fn median_ms<R>(mut op: impl FnMut() -> R) -> (f64, R) {
     let warm = op();
-    let mut times: Vec<f64> = (0..REPEATS).map(|_| timed(&mut op).0).collect();
+    let times = (0..REPEATS).map(|_| timed(&mut op).0).collect();
+    (median(times), warm)
+}
+
+/// The median of `times` (the upper one of an even count).
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(f64::total_cmp);
-    (times[REPEATS / 2], warm)
+    times[times.len() / 2]
 }
 
 /// Evaluations per block of an estimator-throughput gate.
@@ -211,15 +222,19 @@ fn main() {
     // world collection — what the fig binaries do today. Cached: one engine,
     // one batch; the deadline-independent world pool samples once and every
     // (τ, B) query shares it. Same requests, byte-identical responses.
+    // Each timed cached serve gets an engine of its own, so every one of
+    // them samples the world pool once, as the first did; the engine of
+    // the last serve reports the cache counts.
     let requests = service_grid();
-    let (service_cold_ms, cold_responses) = timed(|| {
+    let (service_cold_ms, cold_responses) = median_ms(|| {
         requests
             .iter()
             .map(|request| ServiceEngine::new(ParallelismConfig::auto()).serve(request).to_string())
             .collect::<Vec<String>>()
     });
-    let cached_engine = ServiceEngine::new(ParallelismConfig::auto());
-    let (service_cached_ms, cached_responses) = timed(|| {
+    let mut cached_engine = ServiceEngine::new(ParallelismConfig::auto());
+    let (service_cached_ms, cached_responses) = median_ms(|| {
+        cached_engine = ServiceEngine::new(ParallelismConfig::auto());
         cached_engine
             .serve_batch(&requests)
             .into_iter()
@@ -281,20 +296,28 @@ fn main() {
     record.push("service_warm_hit_rate", warm_hit_rate);
 
     // --- Incremental sketch refresh vs cold rebuild under churn -----------
-    // Sparse edge churn (a few edges per step) against the 20k-sketch RIS
-    // pool: `refresh` resamples only the RR sets that touch a mutated edge,
-    // a cold rebuild resamples all of them. The ratio divides two wall-times
-    // from the same process (runner speed cancels), and the baseline gate
-    // enforces the incremental path's reason to exist: refreshing after a
-    // sparse mutation must stay well over 2x cheaper than rebuilding. The
-    // refreshed pool must also stay bitwise-identical to the cold one — a
-    // divergence is a determinism bug, not a perf number.
+    // Sparse edge churn (8 edits per step, as perfbench's `churn_ris` makes)
+    // against a 20k-sketch RIS pool on that workload's 2·10^4-node
+    // Watts–Strogatz graph: `refresh` resamples only the RR sets that touch
+    // a mutated edge, a cold rebuild resamples all of them. The ratio
+    // divides the median cold rebuild by the median refresh over the timed
+    // steps after one warm-up step, both from the same process (runner
+    // speed cancels), and the baseline gate enforces the incremental path's
+    // reason to exist: refreshing after a sparse mutation must stay well
+    // over 2x cheaper than rebuilding. The refreshed pool must also stay
+    // bitwise-identical to the cold one at every step — a divergence is a
+    // determinism bug, not a perf number.
+    let churn_graph = ScenarioSpec::watts_strogatz(20_000, 3, 0.1)
+        .and_then(|spec| spec.with_uniform_weights(0.1))
+        .and_then(|spec| spec.build(1))
+        .expect("churn_ris Watts-Strogatz scenario");
     let ris_config = RisConfig { num_sets: 20_000, seed: 2, ..Default::default() };
-    let churn = ChurnConfig::new(8, 2, 11).generate(&graph).expect("churn sequence");
-    let mut live = Arc::clone(&graph);
+    let churn =
+        ChurnConfig::new(1 + REPEATS, 8, 11).generate(&churn_graph).expect("churn sequence");
+    let mut live = Arc::new(churn_graph);
     let mut warm =
         RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("warm ris pool");
-    let (mut cold_total_ms, mut refresh_total_ms) = (0.0f64, 0.0f64);
+    let (mut cold_times, mut refresh_times) = (Vec::new(), Vec::new());
     for ops in &churn.steps {
         live = Arc::new(live.apply(ops).expect("churn step applies"));
         let edited: Vec<(NodeId, NodeId)> = ops.iter().map(MutationOp::endpoints).collect();
@@ -303,8 +326,8 @@ fn main() {
         let (cold_ms, cold) = timed(|| {
             RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("cold ris pool")
         });
-        refresh_total_ms += refresh_ms;
-        cold_total_ms += cold_ms;
+        refresh_times.push(refresh_ms);
+        cold_times.push(cold_ms);
         let warm_influence = warm.evaluate(&eval_seeds).expect("warm evaluate");
         let cold_influence = cold.evaluate(&eval_seeds).expect("cold evaluate");
         if warm_influence.total().to_bits() != cold_influence.total().to_bits() {
@@ -318,13 +341,16 @@ fn main() {
             exit(1);
         }
     }
+    // Step 0 warms up.
+    let (cold_ms, refresh_ms) =
+        (median(cold_times.split_off(1)), median(refresh_times.split_off(1)));
     eprintln!(
-        "churn refresh: {} step(s), {:.1}ms refreshed vs {:.1}ms cold",
-        churn.steps.len(),
-        refresh_total_ms,
-        cold_total_ms
+        "churn refresh: {} timed step(s) on {} nodes, median {refresh_ms:.2}ms refreshed vs \
+         {cold_ms:.2}ms cold",
+        churn.steps.len() - 1,
+        live.num_nodes(),
     );
-    record.push("incremental_refresh_speedup", cold_total_ms / refresh_total_ms);
+    record.push("incremental_refresh_speedup", cold_ms / refresh_ms);
 
     print!("{}", record.to_json());
 

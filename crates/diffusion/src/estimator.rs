@@ -319,6 +319,19 @@ impl WorldEstimator {
         Some(self.rows.get(size)?.get()?.ready.len())
     }
 
+    /// The per-group world counts of the marginal gains of `candidates`
+    /// against `seeds`, by the reachability sweep a [`WorldCursor`] runs
+    /// instead of its searches where it predicts the sweep cheaper. For
+    /// tests that hold the sweep to the searches it replaces.
+    #[doc(hidden)]
+    pub fn swept_gain_counts(&self, seeds: &[NodeId], candidates: &[NodeId]) -> Vec<Vec<u64>> {
+        let mut cursor = WorldCursor::new(self);
+        for &seed in seeds {
+            cursor.add_seed(seed);
+        }
+        swept_counts(self, &cursor.distance, candidates)
+    }
+
     /// Number of sampled worlds.
     pub fn num_worlds(&self) -> usize {
         self.worlds.len()
@@ -485,19 +498,41 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 /// seeds, its ground is set, row 0 holds every ground slot, and the BFS
 /// node visits its computed gains have paid (round 0 included) reach the
 /// work of reversing the worlds' live rows, `2·(W·n + live edges)`. Buying
-/// reverses each world, copies the ground's counts from row 0 and subtracts
-/// every pair the distance array marks covered. From then on `add_seed`
-/// records the pairs it newly covers, and the next gain that misses the
-/// rows subtracts them first; at 1 or 2 seeds it then writes every ground
-/// slot of the matching row. The rule decides speed, never an answer. The
-/// reversed worlds belong to the cursor and go with it.
+/// reverses each world and counts the ground against the committed seeds,
+/// by one of two routes (below): row 0's counts less every pair the
+/// distance array marks covered, or one reachability sweep per world. From
+/// then on `add_seed` records the pairs it newly covers, and the next gain
+/// that misses the rows subtracts them first; at 1 or 2 seeds it then
+/// writes every ground slot of the matching row. The rule decides speed,
+/// never an answer. The reversed worlds belong to the cursor and go with
+/// it.
+///
+/// Dense worlds answer a whole ground at once faster than one search per
+/// candidate. Per world and per block of 256 targets, a sweep starts each
+/// node's row as the node itself and runs τ rounds (fewer if a round
+/// changes no row) of `R[u] ← R[u] ∪ ⋃_{u→v live} R[v]`, reading the
+/// previous round's rows only, so row `u` ends as `u`'s τ-ball within the
+/// block. Popcounts of the rows against per-group masks of the targets the
+/// seeds leave uncovered give every candidate's counts: the integers the
+/// pruned BFS returns. The sweep costs `⌈n/256⌉ · (W·n + τ·(W·n + live
+/// edges))` block operations whatever the batch. A batch against no seeds
+/// (round 0) sweeps when that is under 5 times the predicted visits of its
+/// searches, `|batch| · W · min(n, Σ_{t≤τ} d̄^t)` with `d̄` the worlds' mean
+/// live out-degree, and pays the visits the searches would have paid. A
+/// buy sweeps when it is under 8 times the replay's predicted reverse
+/// visits, the covered pairs times the ground's mean ball in row 0. Both
+/// factors are measured (see `SWEEP_OPS_PER_VISIT`), and both rules are
+/// functions of the worlds and the batch or cursor state only; at τ = ∞
+/// neither sweeps.
 ///
 /// One gain query runs serially on the cursor's own scratch: a pruned gain
 /// typically costs less than the tens of microseconds a fan-out spends
 /// starting threads. Threads go across candidates instead:
 /// [`InfluenceCursor::gains`] splits a batch it has to search for with a
 /// single fan-out once a lower bound on its BFS node visits reaches 50 000,
-/// under the calling thread's count (see [`crate::ParallelismConfig`]).
+/// under the calling thread's count (see [`crate::ParallelismConfig`]). A
+/// sweep fans out across worlds once its block operations reach that
+/// count, one pair of `n × 32`-byte row buffers per worker.
 pub struct WorldCursor<'a> {
     estimator: &'a WorldEstimator,
     /// World-major, `num_worlds × num_nodes`: entry `i * n + v` is `v`'s hop
@@ -548,9 +583,10 @@ struct KeptCounts {
 
 impl KeptCounts {
     /// Buys the counts of `ground` (every node when `None`) against the
-    /// seeds whose hop distances `distance` holds: the ground's counts from
-    /// `row0`, less every covered pair. `None`, before any world is
-    /// reversed, unless `row0` holds every ground slot.
+    /// seeds whose hop distances `distance` holds. `None`, before any world
+    /// is reversed, unless `row0` holds every ground slot. The counts come
+    /// from one reachability sweep per world where [`sweeps_buy`] predicts
+    /// it cheaper, else from `row0` less every covered pair.
     fn buy(
         estimator: &WorldEstimator,
         ground: Option<&[NodeId]>,
@@ -570,16 +606,24 @@ impl KeptCounts {
         };
         let stored: Vec<&[AtomicU64]> =
             ground.iter().map(|&v| row0.get(v, k)).collect::<Option<_>>()?;
-        let counts = stored.iter().flat_map(|c| c.iter().map(|c| c.load(Ordering::Relaxed)));
-        let counts = counts.collect();
+        let stored = || stored.iter().flat_map(|c| c.iter().map(|c| c.load(Ordering::Relaxed)));
         let mut slot_of = vec![NO_SLOT; n];
         for (slot, &v) in ground.iter().enumerate() {
             slot_of[v.index()] = slot as u32;
         }
         let reverse = estimator.worlds.worlds().iter().map(LiveEdgeWorld::reversed).collect();
+        let covered = || distance.iter().enumerate().filter(|(_, &d)| d != UNCOVERED);
+        let swept = sweeps_buy(estimator, ground.len(), stored().sum(), covered().count());
+        let counts = if swept {
+            swept_counts(estimator, distance, ground).concat()
+        } else {
+            stored().collect()
+        };
         let mut kept = KeptCounts { reverse, slot_of, counts, pending: Vec::new(), refreshed: 0 };
-        for (index, _) in distance.iter().enumerate().filter(|(_, &d)| d != UNCOVERED) {
-            kept.uncover(estimator, index, scratch);
+        if !swept {
+            for (index, _) in covered() {
+                kept.uncover(estimator, index, scratch);
+            }
         }
         Some(kept)
     }
@@ -692,9 +736,11 @@ impl<'a> WorldCursor<'a> {
     }
 
     /// The counts of the gains of `todo`, which missed the rows: read from
-    /// the kept counts where the cursor has them, else searched for, all
-    /// on the cursor's scratch unless [`fans_out`] says the batch is worth
-    /// one fan-out. Every searched node visit is paid into `visits`.
+    /// the kept counts where the cursor has them, else swept where
+    /// [`sweeps_round_zero`] predicts it cheaper, else searched for, all on
+    /// the cursor's scratch unless [`fans_out`] says the batch is worth one
+    /// fan-out. Every searched node visit, or its swept equivalent, is paid
+    /// into `visits`.
     fn computed(&mut self, row: Option<&GainRow>, todo: &[NodeId]) -> Vec<Vec<u64>> {
         let estimator = self.estimator;
         let k = estimator.group_sizes.len();
@@ -709,6 +755,13 @@ impl<'a> WorldCursor<'a> {
                 .zip(todo)
                 .map(|(read, &v)| read.unwrap_or_else(|| self.searched(v)))
                 .collect();
+        }
+        if self.seeds.is_empty() && todo.len() > 1 && sweeps_round_zero(estimator, todo) {
+            // With no seeds every pair is uncovered, so a candidate's counts
+            // sum to its τ-ball: the node visits its search would have paid.
+            let counts = swept_counts(estimator, &self.distance, todo);
+            self.visits += counts.iter().flatten().sum::<u64>();
+            return counts;
         }
         if !fans_out(estimator, todo) {
             return todo.iter().map(|&v| self.searched(v)).collect();
@@ -743,9 +796,12 @@ impl<'a> WorldCursor<'a> {
 /// The BFS node visits after which a [`WorldCursor`] buys kept counts: the
 /// work of reversing every world's live rows, `2·(W·n + live edges)`.
 fn buy_price(estimator: &WorldEstimator) -> u64 {
-    let worlds = estimator.worlds.worlds();
-    let live: usize = worlds.iter().map(LiveEdgeWorld::num_live_edges).sum();
-    2 * (worlds.len() * estimator.graph.num_nodes() + live) as u64
+    2 * (estimator.worlds.len() * estimator.graph.num_nodes() + live_edges(estimator)) as u64
+}
+
+/// The live edges of every world.
+fn live_edges(estimator: &WorldEstimator) -> usize {
+    estimator.worlds.worlds().iter().map(LiveEdgeWorld::num_live_edges).sum()
 }
 
 /// Whether searching for the gains of `todo` is worth one fan-out: whether
@@ -794,6 +850,193 @@ fn gain_counts(
     counts
 }
 
+/// Targets per block of a sweep row. One row is one node's reached targets
+/// within one block, so a worker's two row buffers take `n × 32` bytes.
+const SWEEP_BLOCK: usize = 256;
+
+/// One node's reached targets within one block of [`SWEEP_BLOCK`]: bit `t`
+/// of word `t / 64` stands for the block's `t`-th target.
+type Block = [u64; SWEEP_BLOCK / 64];
+
+/// Sweep block operations one BFS node visit of round 0 is worth. Timed
+/// on `sweep_cold`'s SBM, BA and Watts–Strogatz graphs at 150–600 nodes
+/// (64 worlds, τ = 5), the sweep won wherever [`sweep_ops`] over the
+/// predicted visits read 4.7 or less, tied at 5.5 and 7.6, and lost at 11.4.
+const SWEEP_OPS_PER_VISIT: f64 = 5.0;
+
+/// Sweep block operations one reverse BFS node visit of a buy's replay is
+/// worth. On the same graphs the sweep bought 1.9 times faster where
+/// [`sweep_ops`] over the predicted replayed visits read 4.8, and lost
+/// from 16.7 up.
+const SWEEP_OPS_PER_REPLAYED_VISIT: f64 = 8.0;
+
+/// The block operations of one sweep over every world (see
+/// [`swept_counts`]): per block of targets, `W·n` to start the rows and at
+/// most `min(τ, n)` rounds of `W·n + live edges` (no row changes after
+/// `n − 1` rounds, and a round that changes none ends the sweep).
+fn sweep_ops(estimator: &WorldEstimator) -> f64 {
+    let n = estimator.graph.num_nodes();
+    let cells = estimator.worlds.len() * n;
+    let rounds = estimator.deadline.horizon().map_or(n, |tau| n.min(tau as usize));
+    n.div_ceil(SWEEP_BLOCK) as f64
+        * (cells as f64 + rounds as f64 * (cells + live_edges(estimator)) as f64)
+}
+
+/// Whether one sweep is predicted to cost less than searching for the
+/// gains of `todo` against no seeds: `|todo| × W × min(n, Σ_{t≤τ} d̄^t)`
+/// node visits, `d̄` the worlds' mean live out-degree, each worth
+/// [`SWEEP_OPS_PER_VISIT`] block operations. A function of the worlds and
+/// the batch only; never at τ = ∞, where the rounds are unknown.
+fn sweeps_round_zero(estimator: &WorldEstimator, todo: &[NodeId]) -> bool {
+    let n = estimator.graph.num_nodes();
+    let Some(tau) = estimator.deadline.horizon() else { return false };
+    let worlds = estimator.worlds.len() as f64;
+    let degree = live_edges(estimator) as f64 / (worlds * n as f64);
+    let (mut ball, mut term) = (0.0, 1.0);
+    for _ in 0..=n.min(tau as usize) {
+        ball += term;
+        term *= degree;
+        if ball >= n as f64 {
+            break;
+        }
+    }
+    let searched = todo.iter().filter(|v| v.index() < n).count() as f64;
+    let searched = searched * worlds * ball.min(n as f64);
+    searched > 0.0 && sweep_ops(estimator) < SWEEP_OPS_PER_VISIT * searched
+}
+
+/// Whether buying the counts of a `ground`-candidate ground by one sweep is
+/// predicted to cost less than replaying every covered pair: `covered` pairs
+/// times the ground's mean τ-ball in row 0, `row0_total / (W·|ground|)`,
+/// reverse node visits, each worth [`SWEEP_OPS_PER_REPLAYED_VISIT`] block
+/// operations. Never at τ = ∞.
+fn sweeps_buy(estimator: &WorldEstimator, ground: usize, row0_total: u64, covered: usize) -> bool {
+    let replayed = covered as f64 * row0_total as f64 / (estimator.worlds.len() * ground) as f64;
+    !estimator.deadline.is_unbounded()
+        && ground > 0
+        && sweep_ops(estimator) < SWEEP_OPS_PER_REPLAYED_VISIT * replayed
+}
+
+/// The per-group world counts of the marginal gains of `candidates` over
+/// the seeds whose hop distances `distance` holds, in candidate order. One
+/// reachability sweep per world (see [`Sweep::add_world`]) fans out over
+/// worlds once its [`sweep_ops`] reach [`PARALLEL_GAIN_MIN_WORK`]; the
+/// counts are integers, so any thread count sums the same.
+fn swept_counts(
+    estimator: &WorldEstimator,
+    distance: &[u8],
+    candidates: &[NodeId],
+) -> Vec<Vec<u64>> {
+    let k = estimator.group_sizes.len();
+    let len = candidates.len() * k;
+    let add = |mut sweep: Sweep, i| {
+        sweep.add_world(estimator, distance, candidates, i);
+        sweep
+    };
+    let worlds = 0..estimator.worlds.len();
+    let sweep = if sweep_ops(estimator) < PARALLEL_GAIN_MIN_WORK as f64 {
+        worlds.fold(Sweep::new(len), add)
+    } else {
+        worlds
+            .into_par_iter()
+            .fold(|| Sweep::new(len), add)
+            .reduce(|| Sweep::new(len), Sweep::merge)
+    };
+    (0..candidates.len()).map(|j| sweep.counts[j * k..(j + 1) * k].to_vec()).collect()
+}
+
+/// One worker's share of a sweep: the counts (candidate-major, `j * k + g`)
+/// of the worlds it has added, and the two row buffers it reuses from world
+/// to world.
+struct Sweep {
+    counts: Vec<u64>,
+    rows: [Vec<Block>; 2],
+}
+
+impl Sweep {
+    fn new(len: usize) -> Self {
+        Sweep { counts: vec![0; len], rows: [Vec::new(), Vec::new()] }
+    }
+
+    fn merge(mut self, other: Sweep) -> Sweep {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self
+    }
+
+    /// Adds world `i`. Block by block of targets, row `u` starts as `{u}`
+    /// and each round sets it to `R[u] ∪ ⋃_{u→v live} R[v]`, reading the
+    /// previous round's rows only, so after `t` rounds it holds exactly the
+    /// targets within `t` live hops of `u`. The rounds stop at τ or at the
+    /// first that changes no row. A candidate's counts are then its row's
+    /// popcounts against the block's per-group masks of targets the seeds
+    /// do not reach within τ: the uncovered pairs of its τ-ball, which are
+    /// the integers the pruned BFS counts.
+    fn add_world(
+        &mut self,
+        estimator: &WorldEstimator,
+        distance: &[u8],
+        candidates: &[NodeId],
+        i: usize,
+    ) {
+        let n = estimator.graph.num_nodes();
+        let k = estimator.group_sizes.len();
+        let world = &estimator.worlds.worlds()[i];
+        let distance = &distance[i * n..(i + 1) * n];
+        let [mut rows, mut next] = std::mem::take(&mut self.rows);
+        rows.resize(n, Block::default());
+        next.resize(n, Block::default());
+        let mut masks = vec![Block::default(); k];
+        for base in (0..n).step_by(SWEEP_BLOCK) {
+            rows.fill(Block::default());
+            masks.fill(Block::default());
+            for t in 0..SWEEP_BLOCK.min(n - base) {
+                let (word, bit) = (t / 64, 1u64 << (t % 64));
+                rows[base + t][word] |= bit;
+                if distance[base + t] == UNCOVERED {
+                    masks[estimator.group_of[base + t] as usize][word] |= bit;
+                }
+            }
+            let mut hops = 1;
+            while estimator.deadline.allows(hops) && sweep_round(world, &rows, &mut next) {
+                std::mem::swap(&mut rows, &mut next);
+                hops += 1;
+            }
+            for (j, &c) in candidates.iter().enumerate() {
+                let Some(row) = rows.get(c.index()) else { continue };
+                for (count, mask) in self.counts[j * k..(j + 1) * k].iter_mut().zip(&masks) {
+                    *count += ones(row, mask);
+                }
+            }
+        }
+        self.rows = [rows, next];
+    }
+}
+
+/// One round of a sweep: `next[u] = rows[u] ∪ ⋃_{u→v live} rows[v]` for
+/// every node `u`. Whether any row changed.
+fn sweep_round(world: &LiveEdgeWorld, rows: &[Block], next: &mut [Block]) -> bool {
+    let mut changed = false;
+    for (u, (row, out)) in rows.iter().zip(next.iter_mut()).enumerate() {
+        let mut reached = *row;
+        for &v in world.out_neighbors(NodeId::from_index(u)) {
+            for (r, w) in reached.iter_mut().zip(&rows[v as usize]) {
+                *r |= w;
+            }
+        }
+        changed |= reached != *row;
+        *out = reached;
+    }
+    changed
+}
+
+/// The set bits of `row & mask`.
+#[inline]
+fn ones(row: &Block, mask: &Block) -> u64 {
+    row.iter().zip(mask).map(|(r, m)| u64::from((r & m).count_ones())).sum()
+}
+
 impl InfluenceCursor for WorldCursor<'_> {
     fn seeds(&self) -> &[NodeId] {
         &self.seeds
@@ -819,12 +1062,13 @@ impl InfluenceCursor for WorldCursor<'_> {
     /// one by one. Candidates already in the gain row for the committed seeds
     /// are read from it and the rest are stored there if they have a slot.
     /// The first batch also fixes the cursor's ground: the slots of any row
-    /// 1 or 2 it claims, and the candidates whose counts it may keep. The
-    /// candidates left to search for run serially on the cursor's scratch,
-    /// unless a lower bound on their BFS node visits reaches 50 000: then
-    /// one fan-out under the ambient thread count splits them into
-    /// contiguous chunks, one scratch per worker, and the results come back
-    /// in candidate order.
+    /// 1 or 2 it claims, and the candidates whose counts it may keep. Against
+    /// no seeds, the rest may be counted by one reachability sweep per world
+    /// instead (see [`WorldCursor`]). The candidates left to search for run
+    /// serially on the cursor's scratch, unless a lower bound on their BFS
+    /// node visits reaches 50 000: then one fan-out under the ambient thread
+    /// count splits them into contiguous chunks, one scratch per worker, and
+    /// the results come back in candidate order.
     fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
         let estimator = self.estimator;
         self.ground.get_or_init(|| slot_set(candidates, estimator.graph.num_nodes()));
@@ -1135,6 +1379,92 @@ mod tests {
         }
         let seeds = cursor.seeds().len();
         assert!(seeds > 2 && lazy_gains > seeds, "{lazy_gains} lazy gains for {seeds} seeds");
+    }
+
+    /// Whether a buy by `cursor` now would sweep, from the inputs its rule
+    /// reads: the ground, row 0's counts of it and the covered pairs.
+    fn buy_would_sweep(cursor: &WorldCursor<'_>, ground: &[NodeId]) -> bool {
+        let est = cursor.estimator;
+        let row0 = est.rows[0].get().unwrap();
+        let k = est.group_sizes.len();
+        let total = ground.iter().flat_map(|&v| row0.get(v, k).unwrap());
+        let total = total.map(|c| c.load(Ordering::Relaxed)).sum();
+        let covered = cursor.distance.iter().filter(|&&d| d != UNCOVERED).count();
+        sweeps_buy(est, ground.len(), total, covered)
+    }
+
+    /// Round 0 over `ground` on a fresh cursor of `est`, then the best
+    /// `seeds` by round-0 gain committed: the state a lazy solve buys in.
+    fn after_round_zero<'a>(
+        est: &'a WorldEstimator,
+        ground: &[NodeId],
+        seeds: usize,
+    ) -> WorldCursor<'a> {
+        let mut cursor = WorldCursor::new(est);
+        let gains = cursor.gains(ground);
+        let mut order: Vec<usize> = (0..ground.len()).collect();
+        order.sort_by(|&a, &b| gains[b].total().total_cmp(&gains[a].total()).then(a.cmp(&b)));
+        for &j in &order[..seeds] {
+            cursor.add_seed(ground[j]);
+        }
+        cursor
+    }
+
+    /// The supercritical 600-node SBM (mean τ-ball about 45 nodes) sweeps
+    /// both its round 0 and its buy.
+    #[test]
+    fn a_supercritical_sbm_sweeps_round_zero_and_its_buy() {
+        use tcim_graph::generators::{stochastic_block_model, SbmConfig};
+
+        let config = SbmConfig::two_group(600, 0.7, 0.05, 0.005, 0.1, 7);
+        let graph = Arc::new(stochastic_block_model(&config).unwrap());
+        let worlds = WorldsConfig { num_worlds: 64, seed: 7 };
+        let est = WorldEstimator::new(graph, Deadline::finite(5), &worlds).unwrap();
+        let all: Vec<NodeId> = est.graph().nodes().collect();
+        assert!(sweeps_round_zero(&est, &all));
+        let cursor = after_round_zero(&est, &all, 1);
+        assert!(cursor.visits >= buy_price(&est), "{} visits", cursor.visits);
+        assert!(buy_would_sweep(&cursor, &all));
+    }
+
+    /// Sparse worlds keep the searches: a 600-node Watts–Strogatz graph at
+    /// edge probability 0.1 (mean τ-ball about 2.4 nodes) in round 0 and at
+    /// any buy, and a 200-candidate pool on a 2·10^4-node one with 8 worlds,
+    /// whose sweep would cover the whole graph for 200 small balls.
+    #[test]
+    fn sparse_worlds_and_small_pools_keep_the_searches() {
+        use tcim_graph::generators::{watts_strogatz, WattsStrogatzConfig};
+
+        let small_world = |num_nodes, seed| {
+            let config = WattsStrogatzConfig {
+                num_nodes,
+                neighbors: 3,
+                rewire_probability: 0.1,
+                minority_fraction: 0.3,
+                edge_probability: 0.1,
+                seed,
+            };
+            Arc::new(watts_strogatz(&config).unwrap())
+        };
+        let worlds = WorldsConfig { num_worlds: 64, seed: 7 };
+        let est = WorldEstimator::new(small_world(600, 7), Deadline::finite(5), &worlds).unwrap();
+        let all: Vec<NodeId> = est.graph().nodes().collect();
+        assert!(!sweeps_round_zero(&est, &all));
+        for seeds in [1, 10, 60] {
+            assert!(!buy_would_sweep(&after_round_zero(&est, &all, seeds), &all), "{seeds} seeds");
+        }
+
+        let worlds = WorldsConfig { num_worlds: 8, seed: 7 };
+        let est =
+            WorldEstimator::new(small_world(20_000, 7), Deadline::finite(5), &worlds).unwrap();
+        let pool: Vec<NodeId> = (0..200).map(|i| NodeId(i * 97)).collect();
+        assert!(!sweeps_round_zero(&est, &pool));
+        for seeds in [1, 10, 60] {
+            assert!(
+                !buy_would_sweep(&after_round_zero(&est, &pool, seeds), &pool),
+                "{seeds} seeds"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! `evaluate(S ∪ {v}) − evaluate(S)` as integer world counts, a batch must
 //! equal the single gains bitwise, and a gain read from a row or from kept
 //! counts must equal the one a fresh oracle computes, under IC and LT worlds
-//! at every deadline edge.
+//! at every deadline edge. Where the cursor predicts it cheaper, it counts a
+//! batch by one reachability sweep per world over 256-target blocks
+//! instead of searching; the sweep's counts must equal the searches' as
+//! integers at node counts on either side of every block edge.
 
 use std::sync::Arc;
 
@@ -220,8 +223,9 @@ fn check_rows(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
 }
 
 /// The integer world counts of the gains of `candidates` on a fresh copy of
-/// `oracle` (new, empty rows) that has committed `seeds`: a cursor that has
-/// paid for no search, so every count comes from a forward BFS.
+/// `oracle` (new, empty rows) that has committed `seeds`, asked one by one:
+/// a cursor that asks no batch never sweeps, and with no ground set never
+/// buys kept counts, so every count comes from the pruned forward BFS.
 fn fresh_counts(oracle: &WorldEstimator, seeds: &[NodeId], candidates: &[NodeId]) -> Vec<Vec<i64>> {
     let fresh = oracle.with_deadline(oracle.deadline());
     let mut cursor = fresh.cursor();
@@ -229,7 +233,7 @@ fn fresh_counts(oracle: &WorldEstimator, seeds: &[NodeId], candidates: &[NodeId]
         cursor.add_seed(seed);
     }
     let worlds = oracle.num_worlds();
-    cursor.gains(candidates).iter().map(|gain| world_counts(gain, worlds)).collect()
+    candidates.iter().map(|&v| world_counts(&cursor.gain(v), worlds)).collect()
 }
 
 /// Drives one cursor of `oracle` over `ground` through `order` until it
@@ -296,6 +300,89 @@ fn check_kept_counts_everywhere(base: &WorldEstimator, order: &[NodeId]) -> Resu
         }
     }
     Ok(())
+}
+
+/// Strategy: a random directed graph in 3 groups whose node count sits on
+/// either side of a 64- or 256-target block edge (1 to 600 nodes), with up
+/// to two edges per node and random probabilities (0 and 1 included).
+fn block_edge_graph() -> impl Strategy<Value = Graph> {
+    const SIZES: [usize; 8] = [1, 63, 64, 65, 255, 256, 257, 600];
+    (0..SIZES.len()).prop_flat_map(|size| {
+        let n = SIZES[size];
+        let p = (0u32..4, 0.0f64..=1.0).prop_map(|(kind, p)| [0.0, 1.0, p, p][kind as usize]);
+        let edge = (0..n as u32, 0..n as u32, p);
+        proptest::collection::vec(edge, 0..=2 * n).prop_map(move |edges| {
+            let mut b = GraphBuilder::new();
+            for i in 0..n {
+                b.add_node(GroupId((i % 3) as u32));
+            }
+            for (s, t, p) in edges {
+                b.add_edge(NodeId(s), NodeId(t), p).unwrap();
+            }
+            b.build().unwrap()
+        })
+    })
+}
+
+/// The sweep's counts against the searches', as integers, at every deadline
+/// and after every commit of `order` (∅ first): over every node, and over
+/// a pool with duplicates and ids past the last node.
+fn check_sweep(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
+    let n = base.graph().num_nodes() as u32;
+    let all: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let pool: Vec<NodeId> = [n + 3, 0, n - 1, 0, n / 2, n, n - 1].map(NodeId).to_vec();
+    for deadline in deadlines() {
+        let oracle = base.with_deadline(deadline);
+        for step in 0..=order.len() {
+            let seeds = &order[..step];
+            for candidates in [&all, &pool] {
+                let swept: Vec<Vec<i64>> = oracle
+                    .swept_gain_counts(seeds, candidates)
+                    .into_iter()
+                    .map(|counts| counts.into_iter().map(|c| c as i64).collect())
+                    .collect();
+                let searched = fresh_counts(&oracle, seeds, candidates);
+                if swept != searched {
+                    let first = swept.iter().zip(&searched).position(|(a, b)| a != b);
+                    return Err(format!(
+                        "{deadline}, seeds {seeds:?}, {} candidates: first difference at {first:?}",
+                        candidates.len()
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn ic_sweeps_count_as_the_searches_do(
+        graph in block_edge_graph(),
+        seed in 0u64..1000,
+        order in proptest::collection::vec(0u32..600, 0..=3),
+    ) {
+        let n = graph.num_nodes() as u32;
+        let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
+        let config = WorldsConfig { num_worlds: 8, seed };
+        let base = WorldEstimator::new(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
+        prop_assert_eq!(check_sweep(&base, &order), Ok(()));
+    }
+
+    #[test]
+    fn lt_sweeps_count_as_the_searches_do(
+        graph in block_edge_graph(),
+        seed in 0u64..1000,
+        order in proptest::collection::vec(0u32..600, 0..=3),
+    ) {
+        let n = graph.num_nodes() as u32;
+        let order: Vec<NodeId> = order.into_iter().map(|v| NodeId(v % n)).collect();
+        let config = WorldsConfig { num_worlds: 8, seed };
+        let base = WorldEstimator::new_lt(Arc::new(graph), Deadline::unbounded(), &config).unwrap();
+        prop_assert_eq!(check_sweep(&base, &order), Ok(()));
+    }
 }
 
 proptest! {
