@@ -495,17 +495,23 @@ fn reached_sooner(distance: u8, hops: u32) -> bool {
 ///
 /// The cursor buys these counts lazily, so a solve that would not repay
 /// them never pays. It buys when a gain misses the rows, the cursor holds
-/// seeds, its ground is set, row 0 holds every ground slot, and the BFS
-/// node visits its computed gains have paid (round 0 included) reach the
-/// work of reversing the worlds' live rows, `2·(W·n + live edges)`. Buying
-/// reverses each world and counts the ground against the committed seeds,
-/// by one of two routes (below): row 0's counts less every pair the
-/// distance array marks covered, or one reachability sweep per world. From
-/// then on `add_seed` records the pairs it newly covers, and the next gain
-/// that misses the rows subtracts them first; at 1 or 2 seeds it then
-/// writes every ground slot of the matching row. The rule decides speed,
-/// never an answer. The reversed worlds belong to the cursor and go with
-/// it.
+/// seeds, its ground is set, row 0 holds every ground slot, and the node
+/// visits it has paid reach the work of reversing the worlds' live rows,
+/// `2·(W·n + live edges)`. Its computed gains pay the BFS node visits of
+/// their searches (round 0 included). A round-0 gain read from row 0 pays
+/// nothing, but it stands for its candidate's unpruned τ-ball in every
+/// world, the sum of its counts; those reads count once the cursor holds 3
+/// seeds, where no row answers. So a long solve whose round 0 another
+/// cursor computed (P5 and P6 after P1) buys at its first gain past the
+/// rows, and a budget-3 solve, which never asks a gain at 3 seeds, buys
+/// only where its own searches pay the price. Buying reverses each world
+/// and counts the ground against the committed seeds, by one of two routes
+/// (below): row 0's counts less every pair the distance array marks
+/// covered, or one reachability sweep per world. From then on `add_seed`
+/// records the pairs it newly covers, and the next gain that misses the
+/// rows subtracts them first; at 1 or 2 seeds it then writes every ground
+/// slot of the matching row. The rule decides speed, never an answer. The
+/// reversed worlds belong to the cursor and go with it.
 ///
 /// Dense worlds answer a whole ground at once faster than one search per
 /// candidate. Per world and per block of 256 targets, a sweep starts each
@@ -549,6 +555,10 @@ pub struct WorldCursor<'a> {
     ground: OnceCell<Option<Box<[NodeId]>>>,
     /// BFS node visits the gains this cursor computed by search have paid.
     visits: u64,
+    /// The node visits of the gains this cursor read from row 0: each
+    /// read's counts summed, the candidate's unpruned τ-ball in every world.
+    /// They count toward the buy price from [`GAIN_ROWS`] seeds on.
+    row0_visits: u64,
     /// The ground's gain counts, once bought.
     kept: Option<KeptCounts>,
 }
@@ -668,6 +678,7 @@ impl<'a> WorldCursor<'a> {
             scratch: VisitScratch::new(n),
             ground: OnceCell::new(),
             visits: 0,
+            row0_visits: 0,
             kept: None,
         }
     }
@@ -690,11 +701,25 @@ impl<'a> WorldCursor<'a> {
         (*row.key == *key).then_some(row)
     }
 
-    /// `candidate`'s gain from `row`, if some cursor has stored it.
-    fn stored_gain(&self, row: Option<&GainRow>, candidate: NodeId) -> Option<GroupInfluence> {
+    /// `candidate`'s gain from `row`, if some cursor has stored it. A read
+    /// from row 0 adds its counts' sum to `row0_visits`.
+    fn stored_gain(&mut self, row: Option<&GainRow>, candidate: NodeId) -> Option<GroupInfluence> {
         let stored = row?.get(candidate, self.estimator.group_sizes.len())?;
-        let counts = stored.iter().map(|c| c.load(Ordering::Relaxed));
-        Some(mean_over_worlds(counts, self.estimator.worlds.len()))
+        let counts = || stored.iter().map(|c| c.load(Ordering::Relaxed));
+        if self.seeds.is_empty() {
+            self.row0_visits += counts().sum::<u64>();
+        }
+        Some(mean_over_worlds(counts(), self.estimator.worlds.len()))
+    }
+
+    /// The node visits that count toward [`buy_price`]: those of this
+    /// cursor's own gains, and from [`GAIN_ROWS`] seeds on those of its
+    /// row-0 reads too. A solve that asks no gain past the shared rows
+    /// (budget 3) never counts its reads, so it buys where its own searches
+    /// alone would have paid for it.
+    fn paid_visits(&self) -> u64 {
+        let row0 = if self.seeds.len() >= GAIN_ROWS { self.row0_visits } else { 0 };
+        self.visits + row0
     }
 
     /// The kept counts, brought up to the committed seeds, if this cursor
@@ -705,7 +730,7 @@ impl<'a> WorldCursor<'a> {
         let estimator = self.estimator;
         if self.kept.is_none() {
             let ground = self.ground.get()?;
-            if self.seeds.is_empty() || self.visits < buy_price(estimator) {
+            if self.seeds.is_empty() || self.paid_visits() < buy_price(estimator) {
                 return None;
             }
             let row0 = estimator.rows.first()?.get()?;
@@ -1464,6 +1489,177 @@ mod tests {
                 !buy_would_sweep(&after_round_zero(&est, &pool, seeds), &pool),
                 "{seeds} seeds"
             );
+        }
+    }
+
+    /// The 600-node SBM and Barabási–Albert graphs of the `sweep_cold`
+    /// workload for dataset seed `seed`.
+    fn sweep_cold_600(seed: u64) -> [(&'static str, Arc<Graph>); 2] {
+        use tcim_graph::generators::{
+            barabasi_albert, stochastic_block_model, BarabasiAlbertConfig, SbmConfig,
+        };
+
+        let sbm = SbmConfig::two_group(600, 0.7, 0.05, 0.005, 0.1, seed);
+        let ba = BarabasiAlbertConfig {
+            num_nodes: 600,
+            edges_per_node: 3,
+            minority_fraction: 1.0 - 0.7,
+            homophily_bias: 4.0,
+            edge_probability: 0.1,
+            seed,
+        };
+        let ba = barabasi_albert(&ba).unwrap().with_weighted_cascade_probabilities();
+        [("SBM", Arc::new(stochastic_block_model(&sbm).unwrap())), ("BA", Arc::new(ba))]
+    }
+
+    /// One lazy gain of [`lazy_solve`]: the seeds it was asked against, the
+    /// node visits the cursor's own gains had paid before it, and whether
+    /// the cursor held kept counts before and after it.
+    struct LazyGain {
+        seeds: usize,
+        visits: u64,
+        kept_before: bool,
+        kept_after: bool,
+    }
+
+    /// A lazy greedy (CELF) run of `cursor` over every node, as the solvers
+    /// run one: round 0 as one batch, then each popped entry that is stale
+    /// gets one lazy gain and goes back, and a fresh one is committed.
+    /// `score(current, gain)` is the objective's marginal gain from the
+    /// per-group values; the run ends when `done` holds or nothing gains.
+    fn lazy_solve(
+        cursor: &mut WorldCursor<'_>,
+        score: impl Fn(&[f64], &[f64]) -> f64,
+        done: impl Fn(&WorldCursor<'_>) -> bool,
+    ) -> Vec<LazyGain> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let all: Vec<NodeId> = cursor.estimator.graph().nodes().collect();
+        let round_zero = cursor.gains(&all);
+        let current = cursor.current().values().to_vec();
+        // Max-heap on (score, smallest id), each entry tagged with the seed
+        // count it was scored against; scores are non-negative, so their
+        // bits order as they do.
+        let mut heap: BinaryHeap<(u64, Reverse<NodeId>, usize)> = all
+            .iter()
+            .zip(&round_zero)
+            .map(|(&v, g)| (score(&current, g.values()).max(0.0).to_bits(), Reverse(v), 0))
+            .collect();
+        let mut log = Vec::new();
+        while !done(cursor) {
+            let Some((bits, Reverse(v), at)) = heap.pop() else { break };
+            if at == cursor.seeds().len() {
+                if f64::from_bits(bits) <= 0.0 {
+                    break;
+                }
+                cursor.add_seed(v);
+                continue;
+            }
+            let (seeds, visits, kept_before) =
+                (cursor.seeds().len(), cursor.visits, cursor.kept.is_some());
+            let gain = cursor.gain(v);
+            let kept_after = cursor.kept.is_some();
+            log.push(LazyGain { seeds, visits, kept_before, kept_after });
+            let gain = score(cursor.current().values(), gain.values()).max(0.0);
+            heap.push((gain.to_bits(), Reverse(v), seeds));
+        }
+        log
+    }
+
+    /// Total influence: P1.
+    fn total(_: &[f64], gain: &[f64]) -> f64 {
+        gain.iter().sum()
+    }
+
+    /// A log wrapper over each group's covered fraction: P4's shape.
+    fn log_wrapper(sizes: &[usize]) -> impl Fn(&[f64], &[f64]) -> f64 + '_ {
+        move |current, gain| {
+            let wrap = |c: f64, size| (1.0 + c / size as f64).ln();
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(g, &size)| wrap(current[g] + gain[g], size) - wrap(current[g], size))
+                .sum()
+        }
+    }
+
+    /// Coverage truncated at `quota` of every group: a cover whose quota
+    /// is lifted to every group (P5's shape).
+    fn truncated(sizes: &[usize], quota: f64) -> impl Fn(&[f64], &[f64]) -> f64 + '_ {
+        move |current, gain| {
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(g, &size)| {
+                    let cap = quota * size as f64;
+                    (current[g] + gain[g]).min(cap) - current[g].min(cap)
+                })
+                .sum()
+        }
+    }
+
+    /// Whether `cursor` covers `quota` of every group.
+    fn covers(sizes: &[usize], quota: f64) -> impl Fn(&WorldCursor<'_>) -> bool + '_ {
+        move |cursor| {
+            let values = cursor.current().values();
+            sizes.iter().zip(values).all(|(&size, &c)| c >= quota * size as f64)
+        }
+    }
+
+    /// Whether every lazy gain of `log` bought kept counts exactly where the
+    /// cursor's own searches had paid `price` at one seed or more: the buy
+    /// rule of a cursor whose row-0 reads do not count.
+    fn buys_as_its_searches_pay(log: &[LazyGain], price: u64) -> bool {
+        log.iter().all(|g| g.kept_after == (g.kept_before || (g.seeds > 0 && g.visits >= price)))
+    }
+
+    /// Row-0 reads count toward the buy only from 3 seeds on. After a
+    /// budget-3 total-influence solve (P1) fills row 0 on the 600-node
+    /// `sweep_cold` SBM and BA oracles (64 worlds, τ = 5), a budget-3
+    /// log-wrapper solve reads round-0 counts worth the buy price there, yet
+    /// buys only where its own searches pay it; a cover to 60% of every group
+    /// buys at its first gain at 3 seeds, where no row answers and its own
+    /// searches have not paid, and not before.
+    #[test]
+    fn row_zero_reads_count_toward_the_buy_past_the_shared_rows() {
+        for (name, graph) in sweep_cold_600(7) {
+            let worlds = WorldsConfig { num_worlds: 64, seed: 7 };
+            let est = WorldEstimator::new(graph, Deadline::finite(5), &worlds).unwrap();
+            let (sizes, price) = (est.group_sizes.clone(), buy_price(&est));
+            let budget = |n: usize| move |cursor: &WorldCursor<'_>| cursor.seeds().len() == n;
+            lazy_solve(&mut WorldCursor::new(&est), total, budget(3));
+
+            let mut wrapped = WorldCursor::new(&est);
+            let log = lazy_solve(&mut wrapped, log_wrapper(&sizes), budget(3));
+            assert_eq!(wrapped.seeds().len(), 3, "{name}");
+            assert!(wrapped.row0_visits >= price, "{name}: {} read", wrapped.row0_visits);
+            assert!(buys_as_its_searches_pay(&log, price), "{name}: row-0 reads bought");
+
+            let mut cover = WorldCursor::new(&est);
+            let log = lazy_solve(&mut cover, truncated(&sizes, 0.6), covers(&sizes, 0.6));
+            let first = log.iter().find(|gain| gain.seeds == 3);
+            assert!(first.is_some_and(|gain| gain.visits < price), "{name}: no credit needed");
+            for gain in &log {
+                assert_eq!(gain.kept_after, gain.seeds >= 3, "{name}: at {} seeds", gain.seeds);
+            }
+        }
+    }
+
+    /// A cursor that never reads row 0 buys where its own searches pay the
+    /// price: the same cover on fresh 600-node `sweep_cold` oracles, whose
+    /// round 0 it computes itself.
+    #[test]
+    fn a_cursor_that_reads_no_row_zero_buys_where_its_searches_pay() {
+        for (name, graph) in sweep_cold_600(7) {
+            let worlds = WorldsConfig { num_worlds: 64, seed: 7 };
+            let est = WorldEstimator::new(graph, Deadline::finite(5), &worlds).unwrap();
+            let sizes = est.group_sizes.clone();
+            let mut cover = WorldCursor::new(&est);
+            let log = lazy_solve(&mut cover, truncated(&sizes, 0.6), covers(&sizes, 0.6));
+            assert_eq!(cover.row0_visits, 0, "{name}");
+            assert!(cover.kept.is_some(), "{name}: {} seeds and no buy", cover.seeds().len());
+            assert!(buys_as_its_searches_pay(&log, buy_price(&est)), "{name}");
         }
     }
 

@@ -355,18 +355,19 @@ fn sample_one_sketch(
     let start = out.nodes.len();
     scratch.mark(target.index());
     out.nodes.push(target);
-    let [mut frontier, mut next] = std::mem::take(&mut scratch.frontiers);
-    frontier.clear();
-    frontier.push(target.0);
-    let mut hops = 0u32;
-    while !frontier.is_empty() {
+    // The sketch's nodes, in the order the BFS reaches them, are its FIFO
+    // queue: `head` walks them and `level_end` closes each hop.
+    let (mut head, mut hops) = (start, 0u32);
+    while head < out.nodes.len() {
         hops += 1;
         if !deadline.allows(hops) {
             break;
         }
-        next.clear();
-        for &v in &frontier {
-            let (sources, probs) = in_edges.of(v as usize);
+        let level_end = out.nodes.len();
+        while head < level_end {
+            let v = out.nodes[head].index();
+            head += 1;
+            let (sources, probs) = in_edges.of(v);
             for (&u, &p) in sources.iter().zip(probs) {
                 // Visited check first so edges into visited nodes never flip
                 // a coin (lazy flipping); the final `mark` records the visit.
@@ -375,15 +376,11 @@ fn sample_one_sketch(
                     && (p >= 1.0 || rng.random_bool(p))
                     && scratch.mark(u as usize)
                 {
-                    next.push(u);
                     out.nodes.push(NodeId(u));
                 }
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
     }
-    // Hand the queues back so the next sketch in the chunk reuses them.
-    scratch.frontiers = [frontier, next];
     // The BFS marks every node once, so the sorted sketch is duplicate-free.
     out.nodes[start..].sort_unstable_by_key(|n| n.0);
     out.ends.push(out.nodes.len());

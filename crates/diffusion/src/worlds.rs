@@ -152,6 +152,12 @@ impl LiveEdgeWorld {
 /// [`live_ic_row`]; `row` is generic, not `dyn`, because this is the
 /// marginal-gain hot loop. `scratch` marks visited nodes and is reset lazily
 /// via its epoch, so repeated calls reuse it without clearing.
+///
+/// The search walks one FIFO queue. Every node of a hop sits before every
+/// node of the next, so a level boundary (the queue's length when the hop
+/// began) gives each node its hop, and `visit` sees nodes in the order a
+/// level-by-level search would. Only a node whose next hop the deadline
+/// allows is queued, so the search ends when the queue drains.
 pub(crate) fn bounded_bfs<I: IntoIterator<Item = u32>>(
     num_nodes: usize,
     sources: &[NodeId],
@@ -161,30 +167,30 @@ pub(crate) fn bounded_bfs<I: IntoIterator<Item = u32>>(
     mut visit: impl FnMut(NodeId, u32) -> bool,
 ) {
     scratch.begin(num_nodes);
-    let [mut frontier, mut next] = std::mem::take(&mut scratch.frontiers);
-    frontier.clear();
+    let mut queue = std::mem::take(&mut scratch.queue);
+    queue.clear();
+    let mut expands = deadline.allows(1);
     for &s in sources {
-        if s.index() < num_nodes && scratch.mark(s.index()) && visit(s, 0) {
-            frontier.push(s.0);
+        if s.index() < num_nodes && scratch.mark(s.index()) && visit(s, 0) && expands {
+            queue.push(s.0);
         }
     }
-    let mut hops = 0u32;
-    while !frontier.is_empty() {
+    let (mut head, mut hops) = (0, 0u32);
+    while head < queue.len() {
         hops += 1;
-        if !deadline.allows(hops) {
-            break;
-        }
-        next.clear();
-        for &v in &frontier {
+        expands = deadline.allows(hops + 1);
+        let level_end = queue.len();
+        while head < level_end {
+            let v = queue[head];
+            head += 1;
             for w in row(v) {
-                if scratch.mark(w as usize) && visit(NodeId(w), hops) {
-                    next.push(w);
+                if scratch.mark(w as usize) && visit(NodeId(w), hops) && expands {
+                    queue.push(w);
                 }
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
     }
-    scratch.frontiers = [frontier, next];
+    scratch.queue = queue;
 }
 
 /// The keyed coin of edge `u → v` in the world seeded by `world_seed`: a
@@ -239,27 +245,27 @@ fn lt_pick(weights: &crate::lt::LtWeights, v: NodeId, world_seed: u64) -> Option
     None
 }
 
-/// Reusable visited-marker buffer and frontier queues for [`bounded_bfs`]
-/// and the reverse BFS of RR-sketch sampling.
+/// Reusable visited-marker buffer for [`bounded_bfs`] and the reverse BFS of
+/// RR-sketch sampling, and the queue of [`bounded_bfs`] (a sketch queues its
+/// nodes in the sketch itself).
 ///
 /// Uses an epoch counter so that consecutive BFS runs do not need to clear the
 /// whole buffer, which matters when the estimator runs hundreds of thousands
-/// of bounded searches; the two frontier queues keep their capacity across
-/// runs for the same reason (a pruned marginal-gain search often touches only
-/// a handful of nodes, so two allocations per world would dominate it).
+/// of bounded searches; the queue keeps its capacity across runs for the same
+/// reason (a pruned marginal-gain search often touches only a handful of
+/// nodes, so an allocation per world would dominate it).
 #[derive(Debug, Clone)]
 pub(crate) struct VisitScratch {
     epoch: u32,
     marks: Vec<u32>,
-    /// The current and next BFS frontiers; a search takes them and hands
-    /// them back when it ends.
-    pub(crate) frontiers: [Vec<u32>; 2],
+    /// The BFS queue; a search takes it and hands it back when it ends.
+    queue: Vec<u32>,
 }
 
 impl VisitScratch {
     /// Creates a scratch buffer for graphs with up to `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
-        VisitScratch { epoch: 0, marks: vec![0; n], frontiers: [Vec::new(), Vec::new()] }
+        VisitScratch { epoch: 0, marks: vec![0; n], queue: Vec::new() }
     }
 
     /// Starts a new search over up to `n` nodes: every mark of the previous
@@ -502,6 +508,7 @@ impl WorldCollection {
 mod tests {
     use super::*;
     use crate::ParallelismConfig;
+    use proptest::prelude::*;
     use tcim_graph::{GraphBuilder, GroupId};
 
     fn path(p: f64) -> Graph {
@@ -893,5 +900,80 @@ mod tests {
         let err = base.patch(&g, &[(NodeId(0), NodeId(2))], &cfg).unwrap_err();
         assert!(matches!(err, DiffusionError::InvalidParameter { .. }), "{err:?}");
         assert!(err.to_string().contains("linear-threshold"), "{err}");
+    }
+
+    /// The `(node, hop)` calls of a search that goes level by level: each
+    /// hop's frontier is expanded in full, in order, into the next one, and
+    /// a node `visit` declines is reached but never expanded.
+    fn level_by_level(
+        world: &LiveEdgeWorld,
+        sources: &[NodeId],
+        deadline: Deadline,
+        declined: &[bool],
+    ) -> Vec<(u32, u32)> {
+        let n = world.num_nodes();
+        let mut seen = vec![false; n];
+        let mut calls = Vec::new();
+        let mut frontier = Vec::new();
+        for s in sources.iter().filter(|s| s.index() < n) {
+            if !std::mem::replace(&mut seen[s.index()], true) {
+                calls.push((s.0, 0));
+                if !declined[s.index()] {
+                    frontier.push(s.0);
+                }
+            }
+        }
+        let mut hops = 1;
+        while !frontier.is_empty() && deadline.allows(hops) {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for &w in world.out_neighbors(NodeId(v)) {
+                    if !std::mem::replace(&mut seen[w as usize], true) {
+                        calls.push((w, hops));
+                        if !declined[w as usize] {
+                            next.push(w);
+                        }
+                    }
+                }
+            }
+            frontier = next;
+            hops += 1;
+        }
+        calls
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one-queue search calls `visit` with the same `(node, hop)`
+        /// sequence as a level-by-level one, from several sources (repeated
+        /// and out-of-range ones included), with `visit` declining some
+        /// nodes, at every deadline edge. One scratch serves every search,
+        /// so its queue and marks must not leak between them.
+        #[test]
+        fn one_queue_visits_as_levels_do(
+            (n, edges, declined) in (1usize..40).prop_flat_map(|n| (
+                Just(n),
+                proptest::collection::vec((0..n as u32, 0..n as u32), 0..=3 * n),
+                proptest::collection::vec((0u8..5).prop_map(|d| d == 0), n),
+            )),
+            sources in proptest::collection::vec(0u32..48, 0..6),
+        ) {
+            let world = LiveEdgeWorld::from_edges(n, edges);
+            // The first source once more, so every run with one repeats it.
+            let sources: Vec<NodeId> = sources.iter().chain(sources.first()).map(|&s| NodeId(s)).collect();
+            let deadlines = [0, 1, 2, 5].map(Deadline::finite);
+            let mut scratch = VisitScratch::new(0);
+            for deadline in deadlines.into_iter().chain([Deadline::unbounded()]) {
+                let mut calls = Vec::new();
+                let row = |v| world.out_neighbors(NodeId(v)).iter().copied();
+                bounded_bfs(n, &sources, deadline, &mut scratch, row, |node, hops| {
+                    calls.push((node.0, hops));
+                    !declined[node.index()]
+                });
+                let expected = level_by_level(&world, &sources, deadline, &declined);
+                prop_assert_eq!(calls, expected);
+            }
+        }
     }
 }

@@ -2,8 +2,10 @@
 //! node's hop distance from the committed seeds and prunes its BFS at nodes
 //! the seeds reach sooner; it also serves gains against the first seed sets
 //! of size 0, 1 and 2 from rows shared by every cursor of one oracle, and
-//! answers whole scans as one batch. Once its searches have paid for it, it
-//! keeps every ground candidate's gain current by reverse searches instead.
+//! answers whole scans as one batch. Once its searches (and, from three
+//! seeds on, the round-0 gains it read from the shared row) have paid for
+//! it, it keeps every ground candidate's gain current by reverse searches
+//! instead.
 //! None of that may change an answer: the cursor's state must equal
 //! `evaluate(S)` bitwise, every marginal gain must equal
 //! `evaluate(S ∪ {v}) − evaluate(S)` as integer world counts, a batch must
@@ -248,7 +250,9 @@ fn fresh_counts(oracle: &WorldEstimator, seeds: &[NodeId], candidates: &[NodeId]
 /// refreshes rows 1 and 2 from kept counts. Any other pays at three seeds,
 /// where no row answers: every search of an in-range candidate visits at
 /// least its source in every world, so the batches asked there pay the
-/// price, and the seeds after them run on kept counts.
+/// price, and the seeds after them run on kept counts. A cursor that read
+/// round 0 from another's row 0 has searched nothing there; from three
+/// seeds on those reads count too, so it may buy at its first gain there.
 fn check_kept_counts(
     oracle: &WorldEstimator,
     ground: &[NodeId],
@@ -287,7 +291,9 @@ fn check_kept_counts(
 }
 
 /// [`check_kept_counts`] at every deadline, over every node (and one past
-/// the last) and over the even nodes.
+/// the last) and over the even nodes, for two cursors of one oracle in
+/// turn. The second reads its round 0 from the row 0 the first filled, and
+/// those reads count toward its buy once it holds three seeds.
 fn check_kept_counts_everywhere(base: &WorldEstimator, order: &[NodeId]) -> Result<(), String> {
     let n = base.graph().num_nodes();
     let all: Vec<NodeId> = (0..=n as u32).map(NodeId).collect();
@@ -295,8 +301,11 @@ fn check_kept_counts_everywhere(base: &WorldEstimator, order: &[NodeId]) -> Resu
     for deadline in deadlines() {
         for ground in [&all, &pool] {
             let oracle = base.with_deadline(deadline);
-            check_kept_counts(&oracle, ground, order)
-                .map_err(|e| format!("{deadline}, {} candidates: {e}", ground.len()))?;
+            for cursor in ["first", "second"] {
+                check_kept_counts(&oracle, ground, order).map_err(|e| {
+                    format!("{deadline}, {} candidates, {cursor} cursor: {e}", ground.len())
+                })?;
+            }
         }
     }
     Ok(())
