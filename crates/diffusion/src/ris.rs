@@ -40,10 +40,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
-use tcim_graph::{Graph, GroupId, NodeId};
+use tcim_graph::{Graph, GroupId, NodeId, Rows};
 
 use crate::bitset::BitSet;
-use crate::csr::copy_span;
 use crate::deadline::Deadline;
 use crate::error::{DiffusionError, Result};
 use crate::estimator::{GroupInfluence, InfluenceCursor, InfluenceOracle};
@@ -170,16 +169,16 @@ impl Default for RisConfig {
     }
 }
 
-/// Reverse adjacency (in-edges) of a graph in CSR form, shared by every
-/// sketch so repeated sampling and incremental extension never rebuild it.
+/// Reverse adjacency (in-edges) of a graph, shared by every sketch so
+/// repeated sampling and incremental extension never rebuild it.
 ///
-/// Row `v` lists the in-edges of `v` by source ascending; parallel edges of
-/// a raw `Graph::from_csr` graph keep their out-row order.
+/// Row `v` lists the in-edges of `v` as `(source, probability)` by source
+/// ascending; parallel edges of a raw `Graph::from_csr` graph keep their
+/// out-row order. The rows are copy-on-write blocks ([`Rows`]), so a patched
+/// adjacency shares every block the edit did not touch.
 #[derive(Debug, Clone, PartialEq)]
 struct InEdges {
-    offsets: Vec<u32>,
-    sources: Vec<u32>,
-    probs: Vec<f64>,
+    rows: Rows<(u32, f64)>,
 }
 
 impl InEdges {
@@ -192,26 +191,25 @@ impl InEdges {
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        let num_edges = counts[n] as usize;
-        let mut sources = vec![0u32; num_edges];
-        let mut probs = vec![0.0f64; num_edges];
+        let mut edges = vec![(0u32, 0.0f64); counts[n] as usize];
         let mut cursor = counts.clone();
         for (s, t, p) in graph.edges() {
-            let slot = cursor[t.index()] as usize;
-            sources[slot] = s.0;
-            probs[slot] = p;
+            edges[cursor[t.index()] as usize] = (s.0, p);
             cursor[t.index()] += 1;
         }
-        InEdges { offsets: counts, sources, probs }
+        let rows = Rows::from_fn(n, |v, row| {
+            row.extend_from_slice(&edges[counts[v] as usize..counts[v + 1] as usize]);
+        });
+        InEdges { rows }
     }
 
-    /// The reverse CSR of `graph`, a mutation of the graph `self` was built
-    /// from whose edited edges are `edited` (`(source, target)` pairs; order
-    /// and repeats do not matter). Equal to `InEdges::build(graph)`, at the
-    /// cost of the edit: each edited target's row is rebuilt by scanning, in
-    /// ascending order, the `graph` out-rows of its old in-sources and of
-    /// the edited sources into it, and every run of untouched rows between
-    /// them moves as one span.
+    /// The reverse adjacency of `graph`, a mutation of the graph `self` was
+    /// built from whose edited edges are `edited` (`(source, target)` pairs;
+    /// order and repeats do not matter). Equal to `InEdges::build(graph)`,
+    /// at the cost of the edit: each edited target's row is rebuilt by
+    /// scanning, in ascending order, the `graph` out-rows of its old
+    /// in-sources and of the edited sources into it, and every block of rows
+    /// without an edited target is shared with `self`.
     fn patch(&self, graph: &Graph, edited: &[(NodeId, NodeId)]) -> Self {
         let n = graph.num_nodes();
         let mut edited: Vec<(u32, u32)> = edited
@@ -221,52 +219,37 @@ impl InEdges {
             .collect();
         edited.sort_unstable();
         edited.dedup();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut sources = Vec::with_capacity(graph.num_edges());
-        let mut probs = Vec::with_capacity(graph.num_edges());
-        offsets.push(0u32);
         let mut candidates = Vec::new();
-        let mut next = 0;
-        for into_target in edited.chunk_by(|a, b| a.0 == b.0) {
+        let targets = edited.chunk_by(|a, b| a.0 == b.0).map(|into| (into[0].0 as usize, into));
+        let rows = self.rows.replaced(targets, |into_target, old, row| {
             let t = into_target[0].0;
-            let span = copy_span(&self.offsets, next..t as usize, &mut offsets);
-            sources.extend_from_slice(&self.sources[span.clone()]);
-            probs.extend_from_slice(&self.probs[span]);
             candidates.clear();
-            candidates.extend_from_slice(self.of(t as usize).0);
+            candidates.extend(old.iter().map(|&(s, _)| s));
             candidates.extend(into_target.iter().map(|&(_, s)| s));
             candidates.sort_unstable();
             candidates.dedup();
             for &s in &candidates {
-                for (w, p) in graph.out_edges(NodeId(s)) {
-                    if w.0 == t {
-                        sources.push(s);
-                        probs.push(p);
-                    }
-                }
+                row.extend(
+                    graph.out_edges(NodeId(s)).filter(|(w, _)| w.0 == t).map(|(_, p)| (s, p)),
+                );
             }
-            // Never truncates: the reverse CSR holds the graph's edges, whose
-            // count `Graph` keeps within `u32`.
-            offsets.push(sources.len() as u32);
-            next = t as usize + 1;
-        }
-        let span = copy_span(&self.offsets, next..n, &mut offsets);
-        sources.extend_from_slice(&self.sources[span.clone()]);
-        probs.extend_from_slice(&self.probs[span]);
-        InEdges { offsets, sources, probs }
+        });
+        InEdges { rows }
     }
 
     #[inline]
-    fn of(&self, v: usize) -> (&[u32], &[f64]) {
-        let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
-        (&self.sources[range.clone()], &self.probs[range])
+    fn of(&self, v: usize) -> &[(u32, f64)] {
+        self.rows.row(v)
     }
 
-    /// Approximate resident heap bytes of the reverse CSR arrays.
+    /// Approximate resident heap bytes, as the logical size of a flat CSR:
+    /// `n + 1` `u32` offsets, a `u32` source and an `f64` probability per
+    /// edge, and three `Vec` headers.
     fn approx_bytes(&self) -> usize {
+        let edges = self.rows.num_items();
         3 * std::mem::size_of::<Vec<u8>>()
-            + (self.offsets.len() + self.sources.len()) * std::mem::size_of::<u32>()
-            + self.probs.len() * std::mem::size_of::<f64>()
+            + (self.rows.len() + 1 + edges) * std::mem::size_of::<u32>()
+            + edges * std::mem::size_of::<f64>()
     }
 }
 
@@ -367,8 +350,7 @@ fn sample_one_sketch(
         while head < level_end {
             let v = out.nodes[head].index();
             head += 1;
-            let (sources, probs) = in_edges.of(v);
-            for (&u, &p) in sources.iter().zip(probs) {
+            for &(u, p) in in_edges.of(v) {
                 // Visited check first so edges into visited nodes never flip
                 // a coin (lazy flipping); the final `mark` records the visit.
                 if !scratch.is_marked(u as usize)
@@ -388,14 +370,17 @@ fn sample_one_sketch(
 }
 
 /// The sketch pool of a [`RisEstimator`]: the sampled RR sets, their
-/// per-group target counts and the node→sketch inverted index, each stored
-/// flat so that copying or dropping a pool costs a handful of allocations
-/// whatever its sketch count.
+/// per-group target counts and the node→sketch inverted index.
 ///
-/// * Sketch `i`'s nodes are `set_nodes[set_offsets[i]..set_offsets[i + 1]]`,
-///   sorted ascending; its target group is `groups[i]`.
-/// * The ids of the sketches containing node `v` are
-///   `index_ids[index_offsets[v]..index_offsets[v + 1]]`, ascending.
+/// * Sketch `i`'s nodes are row `i` of `sets`, sorted ascending; its target
+///   group is `groups[i]`.
+/// * The ids of the sketches containing node `v` are row `v` of `index`,
+///   ascending.
+///
+/// Both are copy-on-write [`Rows`], so a refreshed pool shares every block
+/// of sketches and of index rows that the refresh did not rewrite, and the
+/// target groups (which a refresh never changes: a sketch's target is its
+/// first draw) are shared whole.
 ///
 /// Estimators hold the pool behind an [`Arc`], so cloning an estimator (or
 /// handing the pool to a long-lived cache that serves many queries) shares
@@ -407,29 +392,22 @@ fn sample_one_sketch(
 pub struct RrSketches {
     /// Target group of each sketch; sketch `i` derives from the base seed
     /// plus `i`.
-    groups: Vec<GroupId>,
-    /// Sketch `i` spans `set_offsets[i]..set_offsets[i + 1]` of `set_nodes`.
-    set_offsets: Vec<usize>,
-    /// Every sketch's nodes, sketch after sketch.
-    set_nodes: Vec<NodeId>,
+    groups: Arc<Vec<GroupId>>,
+    /// Row `i` holds sketch `i`'s nodes.
+    sets: Rows<NodeId>,
     /// Number of RR sets whose target lies in each group.
     sets_per_group: Vec<usize>,
-    /// Node `v`'s index row spans `index_offsets[v]..index_offsets[v + 1]`
-    /// of `index_ids`.
-    index_offsets: Vec<usize>,
-    /// Inverted index: the ids of the sketches containing each node.
-    index_ids: Vec<u32>,
+    /// Inverted index: row `v` holds the ids of the sketches containing `v`.
+    index: Rows<u32>,
 }
 
 impl RrSketches {
     fn new(num_nodes: usize, num_groups: usize) -> Self {
         RrSketches {
-            groups: Vec::new(),
-            set_offsets: vec![0],
-            set_nodes: Vec::new(),
+            groups: Arc::default(),
+            sets: Rows::default(),
             sets_per_group: vec![0; num_groups],
-            index_offsets: vec![0; num_nodes + 1],
-            index_ids: Vec::new(),
+            index: Rows::from_fn(num_nodes, |_, _| {}),
         }
     }
 
@@ -437,97 +415,77 @@ impl RrSketches {
     /// inverted index by one counting pass over the whole pool, which lists
     /// each node's sketch ids ascending.
     fn extend(&mut self, fresh: &[SketchBatch]) {
+        let groups = Arc::make_mut(&mut self.groups);
         for set in fresh.iter().flat_map(SketchBatch::sketches) {
-            self.groups.push(set.target_group);
+            groups.push(set.target_group);
             self.sets_per_group[set.target_group.index()] += 1;
-            self.set_nodes.extend_from_slice(set.nodes);
-            self.set_offsets.push(self.set_nodes.len());
+            self.sets.push_row(set.nodes);
         }
-        let n = self.index_offsets.len() - 1;
+        let n = self.index.len();
         let mut offsets = vec![0usize; n + 1];
-        for v in &self.set_nodes {
+        for v in self.sets.items() {
             offsets[v.index() + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
         let mut cursor = offsets[..n].to_vec();
-        let mut ids = vec![0u32; self.set_nodes.len()];
-        for id in 0..self.len() {
-            for v in self.set(id).nodes {
+        let mut ids = vec![0u32; self.sets.num_items()];
+        for (id, set) in self.sets.iter().enumerate() {
+            for v in set {
                 ids[cursor[v.index()]] = id as u32;
                 cursor[v.index()] += 1;
             }
         }
-        self.index_offsets = offsets;
-        self.index_ids = ids;
+        self.index =
+            Rows::from_fn(n, |v, row| row.extend_from_slice(&ids[offsets[v]..offsets[v + 1]]));
     }
 
     /// The pool with the sketches `ids` (ascending) replaced by `fresh`
-    /// (same count, same order). Only the replaced sketches' node ranges are
-    /// written anew, and only the index rows of nodes in a replaced
-    /// sketch's old or new node list are rebuilt (old row minus the
+    /// (same count, same order). Only the blocks of sketches holding a
+    /// replaced one are rebuilt, and only the blocks of index rows of nodes
+    /// in a replaced sketch's old or new node list (old row minus the
     /// replaced ids, plus the ids that now contain the node, ascending).
-    /// Every other run of sketches or index rows is one span copy. The
-    /// result lists everything in the order [`RrSketches::extend`] does, so
-    /// a refreshed pool equals a cold one.
+    /// Every other block is shared with `self`. The result lists everything
+    /// in the order [`RrSketches::extend`] does, so a refreshed pool equals a
+    /// cold one.
     fn replaced(&self, ids: &[u32], fresh: &[SketchBatch]) -> Self {
-        let fresh_nodes: usize = fresh.iter().map(|batch| batch.nodes.len()).sum();
-        let mut pool = RrSketches {
-            groups: self.groups.clone(),
-            set_offsets: Vec::with_capacity(self.set_offsets.len()),
-            set_nodes: Vec::with_capacity(self.set_nodes.len() + fresh_nodes),
-            sets_per_group: self.sets_per_group.clone(),
-            index_offsets: Vec::with_capacity(self.index_offsets.len()),
-            index_ids: Vec::with_capacity(self.index_ids.len() + fresh_nodes),
-        };
-        pool.set_offsets.push(0);
-        pool.index_offsets.push(0);
+        let fresh: Vec<RrSet<'_>> = fresh.iter().flat_map(SketchBatch::sketches).collect();
+        let mut groups = Arc::clone(&self.groups);
+        let mut sets_per_group = self.sets_per_group.clone();
         // The (node, id) memberships the fresh sketches bring, and the nodes
         // whose index rows change.
-        let mut entering: Vec<(u32, u32)> = Vec::with_capacity(fresh_nodes);
+        let mut entering: Vec<(u32, u32)> = Vec::new();
         let mut rows: Vec<u32> = Vec::new();
-        let mut next = 0;
-        for (&id, set) in ids.iter().zip(fresh.iter().flat_map(SketchBatch::sketches)) {
+        for (&id, set) in ids.iter().zip(&fresh) {
             let i = id as usize;
-            let span = copy_span(&self.set_offsets, next..i, &mut pool.set_offsets);
-            pool.set_nodes.extend_from_slice(&self.set_nodes[span]);
-            pool.set_nodes.extend_from_slice(set.nodes);
-            pool.set_offsets.push(pool.set_nodes.len());
-            pool.sets_per_group[self.groups[i].index()] -= 1;
-            pool.sets_per_group[set.target_group.index()] += 1;
-            pool.groups[i] = set.target_group;
-            rows.extend(self.set(i).nodes.iter().map(|v| v.0));
+            // A sketch's target is its first draw, so a graph mutation keeps
+            // it; only a regrouped graph could move it.
+            if groups[i] != set.target_group {
+                sets_per_group[groups[i].index()] -= 1;
+                sets_per_group[set.target_group.index()] += 1;
+                Arc::make_mut(&mut groups)[i] = set.target_group;
+            }
+            rows.extend(self.sets.row(i).iter().map(|v| v.0));
             entering.extend(set.nodes.iter().map(|v| (v.0, id)));
-            next = i + 1;
         }
-        let span = copy_span(&self.set_offsets, next..self.len(), &mut pool.set_offsets);
-        pool.set_nodes.extend_from_slice(&self.set_nodes[span]);
+        let replaced = ids.iter().map(|&id| id as usize).zip(&fresh);
+        let sets = self.sets.replaced(replaced, |set, _, row| row.extend_from_slice(set.nodes));
 
         entering.sort_unstable();
         rows.extend(entering.iter().map(|&(v, _)| v));
         rows.sort_unstable();
         rows.dedup();
         let mut entering = entering.as_slice();
-        let mut next = 0;
-        for &v in &rows {
-            let v = v as usize;
-            let span = copy_span(&self.index_offsets, next..v, &mut pool.index_offsets);
-            pool.index_ids.extend_from_slice(&self.index_ids[span]);
-            let start = pool.index_ids.len();
-            let kept = self.index_row(v).iter().filter(|id| ids.binary_search(id).is_err());
-            pool.index_ids.extend(kept);
-            let arriving = entering.partition_point(|&(w, _)| w as usize == v);
-            pool.index_ids.extend(entering[..arriving].iter().map(|&(_, id)| id));
+        let index = self.index.replaced(rows.iter().map(|&v| (v as usize, v)), |v, old, row| {
+            let start = row.len();
+            row.extend(old.iter().filter(|id| ids.binary_search(id).is_err()));
+            let arriving = entering.partition_point(|&(w, _)| w == v);
+            row.extend(entering[..arriving].iter().map(|&(_, id)| id));
             entering = &entering[arriving..];
-            pool.index_ids[start..].sort_unstable();
-            pool.index_offsets.push(pool.index_ids.len());
-            next = v + 1;
-        }
-        let n = self.index_offsets.len() - 1;
-        let span = copy_span(&self.index_offsets, next..n, &mut pool.index_offsets);
-        pool.index_ids.extend_from_slice(&self.index_ids[span]);
-        pool
+            row[start..].sort_unstable();
+        });
+        RrSketches { groups, sets, sets_per_group, index }
     }
 
     /// Number of sketches in the pool.
@@ -542,10 +500,7 @@ impl RrSketches {
 
     /// Sketch `id` (`id < len()`).
     fn set(&self, id: usize) -> RrSet<'_> {
-        RrSet {
-            target_group: self.groups[id],
-            nodes: &self.set_nodes[self.set_offsets[id]..self.set_offsets[id + 1]],
-        }
+        RrSet { target_group: self.groups[id], nodes: self.sets.row(id) }
     }
 
     /// The RR sets, in id order.
@@ -561,29 +516,28 @@ impl RrSketches {
     /// Ids of the sketches containing `node`, ascending (empty for
     /// out-of-range nodes).
     pub fn sets_containing(&self, node: NodeId) -> &[u32] {
-        if node.index() + 1 < self.index_offsets.len() {
-            self.index_row(node.index())
+        if node.index() < self.index.len() {
+            self.index.row(node.index())
         } else {
             &[]
         }
     }
 
-    #[inline]
-    fn index_row(&self, v: usize) -> &[u32] {
-        &self.index_ids[self.index_offsets[v]..self.index_offsets[v + 1]]
-    }
-
-    /// Approximate resident heap bytes of the pool: its six flat arrays,
-    /// payload by length plus one `Vec` header each. Deterministic, so the
-    /// serving-tier cache can budget RIS oracles by their sketch bytes.
+    /// Approximate resident heap bytes of the pool, as the logical size of
+    /// its flat form: the target groups, `len() + 1` and `n + 1` `usize`
+    /// offsets for the sketches and the index, the per-group counts, a
+    /// `NodeId` per membership and a `u32` sketch id per index entry, plus
+    /// six `Vec` headers. Deterministic, so the serving-tier cache can budget
+    /// RIS oracles by their sketch bytes; blocks shared with another
+    /// generation count in full for each.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         6 * size_of::<Vec<u8>>()
             + self.groups.len() * size_of::<GroupId>()
-            + (self.set_offsets.len() + self.index_offsets.len() + self.sets_per_group.len())
+            + (self.len() + 1 + self.index.len() + 1 + self.sets_per_group.len())
                 * size_of::<usize>()
-            + self.set_nodes.len() * size_of::<NodeId>()
-            + self.index_ids.len() * size_of::<u32>()
+            + self.sets.num_items() * size_of::<NodeId>()
+            + self.index.num_items() * size_of::<u32>()
     }
 }
 
@@ -802,8 +756,7 @@ impl RisEstimator {
     /// Used by the adaptive stopping rule; deterministic.
     fn greedy_cover_count(&self, k: usize) -> usize {
         let pool = &self.sketches;
-        let mut gain: Vec<u64> =
-            pool.index_offsets.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
+        let mut gain: Vec<u64> = pool.index.iter().map(|row| row.len() as u64).collect();
         let mut covered = BitSet::new(self.sketches.len());
         let mut total = 0usize;
         for _ in 0..k {
@@ -818,7 +771,7 @@ impl RisEstimator {
             if best_gain == 0 {
                 break;
             }
-            for &set_id in pool.index_row(best) {
+            for &set_id in pool.index.row(best) {
                 if covered.insert(set_id as usize) {
                     total += 1;
                     for &node in pool.set(set_id as usize).nodes {
@@ -1259,6 +1212,54 @@ mod tests {
             assert_pools_bitwise_eq(&incremental, &cold);
             current = mutated;
         }
+    }
+
+    /// Asserts that block `b` of `new` is `old`'s allocation exactly when
+    /// none of `rows` falls in it, and that some block is shared.
+    fn assert_shares_untouched<T: Clone + std::fmt::Debug>(
+        new: &Rows<T>,
+        old: &Rows<T>,
+        rows: &[usize],
+    ) {
+        let blocks = old.num_blocks();
+        for b in 0..blocks {
+            let touched = rows.iter().any(|&r| r / tcim_graph::BLOCK_ROWS == b);
+            assert_eq!(new.shares_block(old, b), !touched, "block {b} of {blocks}");
+        }
+        assert!((0..blocks).any(|b| new.shares_block(old, b)), "no block was shared");
+    }
+
+    #[test]
+    fn a_one_edge_refresh_shares_every_untouched_block() {
+        use tcim_graph::BLOCK_ROWS;
+        let cfg = SbmConfig::two_group(6 * BLOCK_ROWS, 0.7, 0.02, 0.002, 0.2, 3);
+        let g = Arc::new(stochastic_block_model(&cfg).unwrap());
+        let config = RisConfig { num_sets: 8 * BLOCK_ROWS, seed: 5, ..Default::default() };
+        let before = RisEstimator::new(Arc::clone(&g), Deadline::finite(3), &config).unwrap();
+        let (u, v) = (NodeId(1), NodeId(3 * BLOCK_ROWS as u32 + 7));
+        let mutated = Arc::new(g.add_edge(u, v, 0.8).unwrap());
+        let mut after = before.clone();
+        let resampled = after.refresh(mutated, &[(u, v)]).unwrap();
+        let affected = before.sketches.sets_containing(v);
+        assert_eq!(resampled, affected.len());
+        assert!(resampled > 0 && resampled < BLOCK_ROWS);
+        // Rows whose blocks may be rebuilt: the edited target's in-row, the
+        // resampled sketches, and the index rows of every node they held or
+        // now hold.
+        let index_rows: Vec<usize> = affected
+            .iter()
+            .flat_map(|&id| {
+                let id = id as usize;
+                before.sketches.set(id).nodes.iter().chain(after.sketches.set(id).nodes)
+            })
+            .map(|w| w.index())
+            .collect();
+        let ids: Vec<usize> = affected.iter().map(|&id| id as usize).collect();
+        let (sets, index) = (&after.sketches.sets, &after.sketches.index);
+        assert_shares_untouched(&after.in_edges.rows, &before.in_edges.rows, &[v.index()]);
+        assert_shares_untouched(sets, &before.sketches.sets, &ids);
+        assert_shares_untouched(index, &before.sketches.index, &index_rows);
+        assert!(Arc::ptr_eq(&after.sketches.groups, &before.sketches.groups));
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //! The influence-propagation hot loops (Monte-Carlo cascades, live-edge BFS)
 //! only ever need "iterate over the out-neighbours of `v` together with the
 //! activation probability of each edge". A CSR layout keeps that access
-//! pattern contiguous in memory: `offsets[v]..offsets[v + 1]` indexes into the
-//! parallel `targets` / `probabilities` arrays.
+//! pattern contiguous in memory: row `v` of a [`Rows`] is one slice of
+//! `(target, probability)` pairs. The rows are chunked into copy-on-write
+//! blocks, so a mutation copies only the blocks it edits.
+
+use std::sync::Arc;
 
 use crate::error::{GraphError, Result};
 use crate::ids::{GroupId, NodeId};
+use crate::rows::Rows;
 
 /// A directed edge during graph assembly: `(source, target, probability)`.
 pub type EdgeRecord = (NodeId, NodeId, f64);
@@ -74,27 +78,46 @@ impl MutationOp {
 /// influence (activation) probabilities, as used by the independent-cascade
 /// model of Kempe et al. and the time-critical variant of Chen et al.
 ///
+/// The out-rows are a copy-on-write [`Rows`]: a graph derived by
+/// [`Graph::apply`] shares every untouched block of rows, and the node-side
+/// state (groups and member lists) with its parent.
+///
 /// Construct via [`GraphBuilder`](crate::GraphBuilder) or one of the
 /// generators in [`crate::generators`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
-    /// `offsets[v]..offsets[v+1]` is the out-edge range of node `v`.
-    offsets: Vec<u32>,
-    /// Edge targets, grouped by source node.
-    targets: Vec<u32>,
-    /// Activation probability of each edge, parallel to `targets`.
-    probabilities: Vec<f64>,
-    /// Group membership of each node.
-    groups: Vec<GroupId>,
-    /// Number of distinct groups (`max(groups) + 1`, or 1 for an empty graph).
-    num_groups: usize,
-    /// Cached member lists per group.
-    group_members: Vec<Vec<NodeId>>,
+    /// Row `v` lists the out-edges of `v` as `(target, probability)`.
+    out: Rows<(u32, f64)>,
+    /// Group assignment and member lists, fixed at build time and shared by
+    /// every mutation of the graph.
+    nodes: Arc<NodeGroups>,
     /// Mutation generation: 0 for freshly built graphs, bumped by one on
     /// every [`Graph::apply`]. Part of `PartialEq` on purpose — two graphs
     /// with identical CSR content but different mutation histories are
     /// distinct cache citizens.
     version: u64,
+}
+
+/// The node side of a [`Graph`], which mutations never change.
+#[derive(Debug, PartialEq)]
+struct NodeGroups {
+    /// Group membership of each node.
+    groups: Vec<GroupId>,
+    /// Number of distinct groups (`max(groups) + 1`, or 1 for an empty graph).
+    num_groups: usize,
+    /// Cached member lists per group.
+    members: Vec<Vec<NodeId>>,
+}
+
+impl NodeGroups {
+    fn new(groups: Vec<GroupId>) -> Self {
+        let num_groups = groups.iter().map(|g| g.index() + 1).max().unwrap_or(1);
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_groups];
+        for (idx, group) in groups.iter().enumerate() {
+            members[group.index()].push(NodeId::from_index(idx));
+        }
+        NodeGroups { groups, num_groups, members }
+    }
 }
 
 impl Graph {
@@ -159,14 +182,13 @@ impl Graph {
                 return Err(GraphError::InvalidProbability { value: p });
             }
         }
-
-        let num_groups = groups.iter().map(|g| g.index() + 1).max().unwrap_or(1);
-        let mut group_members: Vec<Vec<NodeId>> = vec![Vec::new(); num_groups];
-        for (idx, group) in groups.iter().enumerate() {
-            group_members[group.index()].push(NodeId::from_index(idx));
-        }
-
-        Ok(Graph { offsets, targets, probabilities, groups, num_groups, group_members, version: 0 })
+        let out = Rows::from_fn(num_nodes, |v, row| {
+            let span = offsets[v] as usize..offsets[v + 1] as usize;
+            row.extend(
+                targets[span.clone()].iter().copied().zip(probabilities[span].iter().copied()),
+            );
+        });
+        Ok(Graph { out, nodes: Arc::new(NodeGroups::new(groups)), version: 0 })
     }
 
     /// Mutation generation of this graph: 0 for freshly built graphs,
@@ -191,10 +213,9 @@ impl Graph {
     /// the extra edge would produce.
     ///
     /// Cost follows the edit, not the graph: only the rows of the batch's
-    /// source nodes are expanded and edited. Each run of untouched rows
-    /// between them is copied into the new CSR as one slice of targets and
-    /// one of probabilities, its offsets shifted by the edge-count change of
-    /// the edited rows before it.
+    /// source nodes are expanded and edited, and only the blocks of rows
+    /// holding them are rebuilt. Every other block of out-rows, and the
+    /// node groups, are shared with `self`.
     ///
     /// # Errors
     ///
@@ -223,13 +244,7 @@ impl Graph {
             let (source, target) = op.endpoints();
             let (s, t) = (check(source)?, check(target)?);
             let slot = rows.binary_search_by_key(&s, |&(v, _)| v).unwrap_or_else(|slot| {
-                let range = self.out_edge_range(source);
-                let row = self.targets[range.clone()]
-                    .iter()
-                    .zip(&self.probabilities[range])
-                    .map(|(&w, &p)| (w, p))
-                    .collect();
-                rows.insert(slot, (s, row));
+                rows.insert(slot, (s, self.out.row(s).to_vec()));
                 slot
             });
             let row = &mut rows[slot].1;
@@ -274,44 +289,18 @@ impl Graph {
                 }
             }
         }
-        let too_many = || GraphError::InvalidParameter {
-            message: "mutation would grow the graph past u32::MAX edges".to_string(),
-        };
-        // An op adds at most one edge.
-        let capacity = self.num_edges() + ops.len();
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(capacity);
-        let mut probabilities = Vec::with_capacity(capacity);
-        offsets.push(0);
-        let mut next = 0;
-        // The sentinel `(n, None)` copies the untouched tail.
-        for (s, row) in rows.iter().map(|(s, row)| (*s, Some(row))).chain([(n, None)]) {
-            // Rows `next..s` are untouched: one span copy, offsets shifted
-            // from the span's old start to its new one.
-            let (start, end) = (self.offsets[next], self.offsets[s]);
-            let base = offsets[offsets.len() - 1];
-            // The span's last offset is its largest: if it fits, all do.
-            (end - start).checked_add(base).ok_or_else(too_many)?;
-            offsets.extend(self.offsets[next + 1..=s].iter().map(|&o| o - start + base));
-            let span = start as usize..end as usize;
-            targets.extend_from_slice(&self.targets[span.clone()]);
-            probabilities.extend_from_slice(&self.probabilities[span]);
-            if let Some(row) = row {
-                targets.extend(row.iter().map(|&(w, _)| w));
-                probabilities.extend(row.iter().map(|&(_, p)| p));
-                offsets.push(u32::try_from(targets.len()).map_err(|_| too_many())?);
-                next = s + 1;
-            }
+        let edges = rows.iter().fold(self.num_edges(), |e, (s, row)| {
+            e - self.out_degree(NodeId::from_index(*s)) + row.len()
+        });
+        if edges > u32::MAX as usize {
+            return Err(GraphError::InvalidParameter {
+                message: "mutation would grow the graph past u32::MAX edges".to_string(),
+            });
         }
-        Ok(Graph {
-            offsets,
-            targets,
-            probabilities,
-            groups: self.groups.clone(),
-            num_groups: self.num_groups,
-            group_members: self.group_members.clone(),
-            version: self.version + 1,
-        })
+        let out = self.out.replaced(rows.iter().map(|(s, row)| (*s, row)), |row, _, out| {
+            out.extend_from_slice(row);
+        });
+        Ok(Graph { out, nodes: Arc::clone(&self.nodes), version: self.version + 1 })
     }
 
     /// [`Graph::apply`] with a single [`MutationOp::AddEdge`].
@@ -344,7 +333,7 @@ impl Graph {
     /// Number of nodes in the graph.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.groups.len()
+        self.out.len()
     }
 
     /// Number of directed edges in the graph.
@@ -354,40 +343,42 @@ impl Graph {
     /// counts as two directed edges, matching the paper's modelling convention.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
+        self.out.num_items()
     }
 
     /// Number of socially salient groups.
     #[inline]
     pub fn num_groups(&self) -> usize {
-        self.num_groups
+        self.nodes.num_groups
     }
 
-    /// Approximate resident heap footprint in bytes: the CSR arrays
-    /// (`offsets`, `targets`, `probabilities`), the group assignment and the
-    /// per-group membership lists. Counts element payloads by length plus one
-    /// `Vec` header per allocation — not allocator slack — so the estimate is
-    /// a deterministic function of the graph itself. The serving-tier cache
-    /// budgets graph entries with this.
+    /// Approximate resident heap footprint in bytes, as the logical size of
+    /// a flat CSR: `n + 1` `u32` offsets, a `u32` target and an `f64`
+    /// probability per edge, the group assignment and the per-group
+    /// membership lists, plus one `Vec` header per array. Not allocator
+    /// slack, block layout or sharing with other generations, so the
+    /// estimate is a deterministic function of the graph itself. The
+    /// serving-tier cache budgets graph entries with this.
     pub fn approx_bytes(&self) -> usize {
         let vec_header = std::mem::size_of::<Vec<u8>>();
         let members: usize = self
-            .group_members
+            .nodes
+            .members
             .iter()
             .map(|m| vec_header + m.len() * std::mem::size_of::<NodeId>())
             .sum();
         5 * vec_header
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.targets.len() * std::mem::size_of::<u32>()
-            + self.probabilities.len() * std::mem::size_of::<f64>()
-            + self.groups.len() * std::mem::size_of::<GroupId>()
+            + (self.num_nodes() + 1) * std::mem::size_of::<u32>()
+            + self.num_edges() * std::mem::size_of::<u32>()
+            + self.num_edges() * std::mem::size_of::<f64>()
+            + self.num_nodes() * std::mem::size_of::<GroupId>()
             + members
     }
 
     /// Returns `true` if the graph has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.out.is_empty()
     }
 
     /// Iterator over all node ids `0..n`.
@@ -397,7 +388,7 @@ impl Graph {
 
     /// Iterator over all group ids `0..k`.
     pub fn group_ids(&self) -> impl Iterator<Item = GroupId> + '_ {
-        (0..self.num_groups as u32).map(GroupId)
+        (0..self.num_groups() as u32).map(GroupId)
     }
 
     /// Group membership of `node`.
@@ -408,12 +399,13 @@ impl Graph {
     /// fallible variant.
     #[inline]
     pub fn group_of(&self, node: NodeId) -> GroupId {
-        self.groups[node.index()]
+        self.nodes.groups[node.index()]
     }
 
     /// Fallible variant of [`Graph::group_of`].
     pub fn try_group_of(&self, node: NodeId) -> Result<GroupId> {
-        self.groups
+        self.nodes
+            .groups
             .get(node.index())
             .copied()
             .ok_or(GraphError::NodeOutOfBounds { node: node.0, num_nodes: self.num_nodes() })
@@ -421,71 +413,39 @@ impl Graph {
 
     /// All nodes belonging to `group`.
     pub fn group_members(&self, group: GroupId) -> Result<&[NodeId]> {
-        self.group_members
+        self.nodes
+            .members
             .get(group.index())
             .map(|v| v.as_slice())
-            .ok_or(GraphError::GroupOutOfBounds { group: group.0, num_groups: self.num_groups })
+            .ok_or(GraphError::GroupOutOfBounds { group: group.0, num_groups: self.num_groups() })
     }
 
     /// Number of nodes in `group` (0 for unknown groups).
     pub fn group_size(&self, group: GroupId) -> usize {
-        self.group_members.get(group.index()).map(|v| v.len()).unwrap_or(0)
+        self.nodes.members.get(group.index()).map(|v| v.len()).unwrap_or(0)
     }
 
     /// Sizes of every group, indexed by group id.
     pub fn group_sizes(&self) -> Vec<usize> {
-        self.group_members.iter().map(|v| v.len()).collect()
+        self.nodes.members.iter().map(|v| v.len()).collect()
     }
 
     /// Out-degree of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
-        let v = node.index();
-        (self.offsets[v + 1] - self.offsets[v]) as usize
+        self.out.row(node.index()).len()
     }
 
     /// Iterator over `(target, probability)` pairs of the out-edges of `node`.
     #[inline]
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let v = node.index();
-        let start = self.offsets[v] as usize;
-        let end = self.offsets[v + 1] as usize;
-        self.targets[start..end]
-            .iter()
-            .zip(&self.probabilities[start..end])
-            .map(|(&t, &p)| (NodeId(t), p))
+        self.out.row(node.index()).iter().map(|&(t, p)| (NodeId(t), p))
     }
 
     /// Iterator over the out-neighbour ids of `node` (without probabilities).
     #[inline]
     pub fn out_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let v = node.index();
-        let start = self.offsets[v] as usize;
-        let end = self.offsets[v + 1] as usize;
-        self.targets[start..end].iter().map(|&t| NodeId(t))
-    }
-
-    /// Global edge index range for the out-edges of `node`.
-    ///
-    /// The returned range indexes the flat edge arrays and is stable for the
-    /// lifetime of the graph; the live-edge world sampler uses it to address
-    /// per-edge coin flips by flat edge index.
-    #[inline]
-    pub fn out_edge_range(&self, node: NodeId) -> std::ops::Range<usize> {
-        let v = node.index();
-        self.offsets[v] as usize..self.offsets[v + 1] as usize
-    }
-
-    /// Target of the edge with flat index `edge_index`.
-    #[inline]
-    pub fn edge_target(&self, edge_index: usize) -> NodeId {
-        NodeId(self.targets[edge_index])
-    }
-
-    /// Activation probability of the edge with flat index `edge_index`.
-    #[inline]
-    pub fn edge_probability(&self, edge_index: usize) -> f64 {
-        self.probabilities[edge_index]
+        self.out.row(node.index()).iter().map(|&(t, _)| NodeId(t))
     }
 
     /// Iterator over all edges as `(source, target, probability)` triples.
@@ -506,11 +466,8 @@ impl Graph {
         if !(0.0..=1.0).contains(&probability) || probability.is_nan() {
             return Err(GraphError::InvalidProbability { value: probability });
         }
-        let mut clone = self.clone();
-        for p in &mut clone.probabilities {
-            *p = probability;
-        }
-        Ok(clone)
+        let out = self.out.map(|&(t, _)| (t, probability));
+        Ok(Graph { out, nodes: Arc::clone(&self.nodes), version: self.version })
     }
 
     /// Returns a copy of this graph with every edge probability replaced by
@@ -523,15 +480,12 @@ impl Graph {
     /// at most one — which `1 / indeg(v)` satisfies exactly.
     pub fn with_weighted_cascade_probabilities(&self) -> Self {
         let mut in_degree = vec![0u64; self.num_nodes()];
-        for &target in &self.targets {
+        for &(target, _) in self.out.items() {
             in_degree[target as usize] += 1;
         }
-        let mut clone = self.clone();
-        for (p, &target) in clone.probabilities.iter_mut().zip(&self.targets) {
-            // Every edge's target has in-degree >= 1 by construction.
-            *p = 1.0 / in_degree[target as usize] as f64;
-        }
-        clone
+        // Every edge's target has in-degree >= 1 by construction.
+        let out = self.out.map(|&(t, _)| (t, 1.0 / in_degree[t as usize] as f64));
+        Graph { out, nodes: Arc::clone(&self.nodes), version: self.version }
     }
 
     /// Returns a copy of this graph with the group assignment replaced.
@@ -553,12 +507,7 @@ impl Graph {
                 ),
             });
         }
-        Graph::from_csr(
-            self.offsets.clone(),
-            self.targets.clone(),
-            self.probabilities.clone(),
-            groups,
-        )
+        Ok(Graph { out: self.out.clone(), nodes: Arc::new(NodeGroups::new(groups)), version: 0 })
     }
 
     /// Total number of directed edges whose endpoints are both in `group`.
@@ -575,7 +524,7 @@ impl Graph {
 
     /// Sum of all edge probabilities (expected number of live edges).
     pub fn expected_live_edges(&self) -> f64 {
-        self.probabilities.iter().sum()
+        self.out.items().map(|&(_, p)| p).sum()
     }
 }
 
@@ -630,18 +579,6 @@ mod tests {
         let all: Vec<_> = g.edges().collect();
         assert_eq!(all.len(), 3);
         assert!(all.contains(&(NodeId(2), NodeId(0), 1.0)));
-    }
-
-    #[test]
-    fn flat_edge_indexing_matches_out_edges() {
-        let g = triangle();
-        for v in g.nodes() {
-            let range = g.out_edge_range(v);
-            let from_flat: Vec<_> =
-                range.map(|i| (g.edge_target(i), g.edge_probability(i))).collect();
-            let from_iter: Vec<_> = g.out_edges(v).collect();
-            assert_eq!(from_flat, from_iter);
-        }
     }
 
     #[test]
@@ -762,6 +699,27 @@ mod tests {
         let rhs: Vec<_> = rebuilt.edges().collect();
         assert_eq!(lhs, rhs);
         assert_eq!(mutated.group_sizes(), rebuilt.group_sizes());
+    }
+
+    #[test]
+    fn a_one_row_apply_shares_every_untouched_block_and_the_groups() {
+        use crate::rows::BLOCK_ROWS;
+        let n = 4 * BLOCK_ROWS + 3;
+        let mut b = GraphBuilder::new();
+        let nodes = b.add_nodes(n, GroupId(0));
+        for (i, &v) in nodes.iter().enumerate() {
+            b.add_edge(v, nodes[(i + 1) % n], 0.5).unwrap();
+        }
+        let g = b.build().unwrap();
+        for edited in [0, BLOCK_ROWS - 1, 2 * BLOCK_ROWS, n - 1] {
+            let target = NodeId::from_index((edited + 2) % n);
+            let mutated = g.add_edge(NodeId::from_index(edited), target, 0.3).unwrap();
+            assert!(Arc::ptr_eq(&g.nodes, &mutated.nodes));
+            for block in 0..g.out.num_blocks() {
+                let shared = mutated.out.shares_block(&g.out, block);
+                assert_eq!(shared, block != edited / BLOCK_ROWS, "row {edited}, block {block}");
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //!
 //! * a compact CSR [`Graph`] with per-edge activation probabilities and
 //!   disjoint node [`GroupId`]s (the paper's "socially salient groups"),
+//! * [`Rows`], the row-chunked copy-on-write CSR that the graph and the
+//!   diffusion layer's reverse adjacency and sketch pool store rows in, so a
+//!   mutation copies only the blocks of rows it edits,
 //! * an incremental [`GraphBuilder`],
 //! * random and planted [`generators`] (stochastic block model,
 //!   Erdős–Rényi, Barabási–Albert, the Figure-1 illustrative graph),
@@ -53,6 +56,7 @@ mod builder;
 mod error;
 mod graph;
 mod ids;
+mod rows;
 
 pub mod centrality;
 pub mod clustering;
@@ -65,3 +69,4 @@ pub use builder::GraphBuilder;
 pub use error::{GraphError, Result};
 pub use graph::{EdgeRecord, Graph, MutationOp};
 pub use ids::{GroupId, NodeId};
+pub use rows::{Rows, BLOCK_ROWS};

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use tcim_graph::generators::{stochastic_block_model, SbmConfig};
 use tcim_graph::stats::graph_stats;
 use tcim_graph::traversal::{bfs_distances, bfs_distances_multi, UNREACHABLE};
-use tcim_graph::{GraphBuilder, GroupId, MutationOp, NodeId};
+use tcim_graph::{GraphBuilder, GroupId, MutationOp, NodeId, BLOCK_ROWS};
 
 /// A graph's edges keyed by `(source, target)`, in CSR order.
 type EdgeMap = std::collections::BTreeMap<(u32, u32), f64>;
@@ -159,6 +159,32 @@ proptest! {
         };
         prop_assert!(got.contains(&named), "{} does not name {}", got, named);
     }
+
+    /// `Graph::apply` equals a rebuild on graphs of three to five row blocks
+    /// (`BLOCK_ROWS` rows each), for batches that edit the first and last
+    /// row of one block, the first row of the next and the graph's last
+    /// row, and empty the block's last row and refill it.
+    #[test]
+    fn apply_equals_a_rebuild_across_row_blocks(
+        (n, edges) in edge_list_from(3 * BLOCK_ROWS, 5 * BLOCK_ROWS, 600),
+        picks in proptest::collection::vec(
+            (0u8..3, 0u32..1 << 20, 0u32..1 << 20, 0.0f64..=1.0),
+            1..=8,
+        ),
+        block in 0usize..1 << 20,
+    ) {
+        let loop_free: Vec<_> = edges.iter().copied().filter(|&(s, t, _)| s != t).collect();
+        let graph = build_graph(n, &loop_free);
+        let mut shadow: EdgeMap = graph.edges().map(|(s, t, p)| ((s.0, t.0), p)).collect();
+        let first = (block % (n.div_ceil(BLOCK_ROWS) - 1) * BLOCK_ROWS) as u32;
+        let end = first + BLOCK_ROWS as u32 - 1;
+        let sources = [first, end, end + 1, n as u32 - 1];
+        let ops = valid_batch_on(n, &mut shadow, &picks, sources, end);
+        let mutated = graph.apply(&ops).unwrap();
+        let rebuilt = build_graph(n, &shadow.iter().map(|(&(s, t), &p)| (s, t, p)).collect::<Vec<_>>());
+        prop_assert_eq!(mutated.edges().collect::<Vec<_>>(), rebuilt.edges().collect::<Vec<_>>());
+        prop_assert_eq!(&mutated, &rebuilt.apply(&[]).unwrap());
+    }
 }
 
 /// Like [`edge_list`], over `min_nodes..=max_nodes` nodes.
@@ -185,13 +211,25 @@ fn valid_batch(
     picks: &[(u8, u32, u32, f64)],
     adjacent: u32,
 ) -> Vec<MutationOp> {
-    let mut ops = Vec::new();
     if n < 2 {
-        return ops;
+        return Vec::new();
     }
     let last = n as u32 - 1;
     let a = adjacent % last;
-    let sources = [0, last, a, a + 1];
+    valid_batch_on(n, shadow, picks, [0, last, a, a + 1], a)
+}
+
+/// [`valid_batch`] with the four rows the first ops edit given as
+/// `sources`, and `refill` the row the trailing run empties and refills.
+fn valid_batch_on(
+    n: usize,
+    shadow: &mut EdgeMap,
+    picks: &[(u8, u32, u32, f64)],
+    sources: [u32; 4],
+    refill: u32,
+) -> Vec<MutationOp> {
+    let mut ops = Vec::new();
+    let a = refill;
     let row = |shadow: &EdgeMap, s: u32| -> Vec<u32> {
         shadow.range((s, 0)..(s + 1, 0)).map(|(&(_, t), _)| t).collect()
     };
